@@ -6,7 +6,6 @@ an experiment records, and the post-processing chain that turns those traces
 back into calibrated squeezing numbers.
 """
 
-from ._kernels import backend as kernel_backend
 from .budget import (
     ChannelBudget,
     LossItem,
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "kernel_backend",
     # errors
     "SqzkitError",
     "InvalidArgumentError",

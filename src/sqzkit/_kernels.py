@@ -1,24 +1,39 @@
-"""Pure-numpy implementations of the rolling-statistics kernels.
+"""Rolling-statistics kernels: rolling variance and the delay-visibility scan.
 
-These mirror the compiled versions in `_rolling.pyx` exactly: sliding sums of
-anchor-subtracted values, restarted every `RENORM_INTERVAL` output points so
-rounding error cannot accumulate over long traces.  Subtracting the anchor
-(the trace value at the start of each renormalization block) also makes a
-constant input produce exactly zero variance.
+Both are vectorized numpy over sliding sums of anchor-subtracted values,
+restarted every `RENORM_INTERVAL` output points so rounding error cannot
+accumulate over long traces.  Subtracting the anchor (the trace value at the
+start of each renormalization block) is the shifted-data method of Chan,
+Golub & LeVeque, Am. Stat. 37 (1983); it also makes a constant input produce
+exactly zero variance.
 
-Inputs are assumed pre-validated by `sqzkit._kernels`; these functions are the
-computational core only.
+The public functions validate their arguments; the block loops below them
+run unchecked.
 """
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 RENORM_INTERVAL = 100_000
 
 
-def rolling_variance(x: np.ndarray, window: int) -> np.ndarray:
-    """Unbiased variance over every length-`window` slice of `x`."""
-    n = x.size
-    m = n - window + 1
+def _as_f64(x) -> np.ndarray:
+    a = np.ascontiguousarray(x, dtype=np.float64)
+    if a.ndim != 1:
+        raise InvalidArgumentError("expected a 1-D sample array")
+    return a
+
+
+def rolling_variance(x, window: int) -> np.ndarray:
+    """Unbiased variance of every length-`window` slice of `x`."""
+    x = _as_f64(x)
+    window = int(window)
+    if window < 2:
+        raise InvalidArgumentError("window must be >= 2")
+    if window > x.size:
+        raise InvalidArgumentError(f"window {window} exceeds trace length {x.size}")
+    m = x.size - window + 1
     out = np.empty(m)
     denom = window - 1.0
     for i0 in range(0, m, RENORM_INTERVAL):
@@ -32,9 +47,7 @@ def rolling_variance(x: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def delay_visibility_mean(
-    a: np.ndarray, b: np.ndarray, delay: int, window: int, start: int, stop: int
-) -> float:
+def delay_visibility_mean(a, b, delay: int, window: int, start: int, stop: int) -> float:
     """Mean normalized contrast between the variances of a+b and a-b.
 
     For each window index i in [start, stop), pairs a[i : i+window] with
@@ -42,8 +55,17 @@ def delay_visibility_mean(
     the sum and difference, and averages |V+ - V-| / (V+ + V-) over i.
     Windows where V+ + V- is not positive contribute zero.
     """
+    a, b = _as_f64(a), _as_f64(b)
+    delay, w, start, stop = int(delay), int(window), int(start), int(stop)
+    if w < 2:
+        raise InvalidArgumentError("window must be >= 2")
+    if not 0 <= start < stop:
+        raise InvalidArgumentError(f"empty window range [{start}, {stop})")
+    if stop - 1 + w > a.size:
+        raise InvalidArgumentError("window range runs past the end of the first trace")
+    if start + delay < 0 or stop - 1 + delay + w > b.size:
+        raise InvalidArgumentError(f"delay {delay} pushes windows outside the second trace")
     acc = 0.0
-    w = window
     denom = w - 1.0
     for i0 in range(start, stop, RENORM_INTERVAL):
         i1 = min(i0 + RENORM_INTERVAL, stop)

@@ -339,9 +339,20 @@ def _cmd_analyze(args) -> dict:
         args.discard_fraction if args.discard_fraction is not None else defaults["discard_fraction"]
     )
 
-    volts = [traceio.read_trace(p) for p in args.trace]
-    refs = [traceio.read_trace(p) for p in args.shot_noise]
-    rate = volts[0][2]
+    paths = [*args.trace, *args.shot_noise]
+    traces = [traceio.read_trace(p) for p in paths]
+    rate = traces[0][2]
+    for path, (_, _, other) in zip(paths[1:], traces[1:]):
+        if other != rate:
+            raise ScenarioFormatError(
+                f"{path}: sample rate {other:g} Hz differs from {rate:g} Hz of {paths[0]}"
+            )
+    volts, refs = traces[:2], traces[2:]
+    for names, (first, second) in ((args.trace, volts), (args.shot_noise, refs)):
+        if first[0].size != second[0].size:
+            raise ScenarioFormatError(
+                f"{names[1]}: {second[0].size} samples, but {names[0]} has {first[0].size}"
+            )
     sn_stats = [pipeline.shot_noise_stats(v, fraction) for v, _, _ in refs]
     quads = [
         pipeline.raw_to_quadratures(v, sn, rate, fraction)

@@ -1,4 +1,4 @@
-"""Calibration fits: pump-power squeezing model and plain linear regression.
+"""Calibration fit: pump-power squeezing model.
 
 The squeezing parameter produced by a single-pass nonlinear waveguide scales
 as the square root of coupled pump power:
@@ -133,29 +133,6 @@ def fit_eta_p(points, t_b: float, t_c: float, params: SqueezeParams) -> FitResul
     else:
         r2 = 1.0 - ss_res / ss_tot
     return FitResult(float(eta_p), r2, tuple(float(x) for x in resid))
-
-
-def linear_fit(x, y) -> tuple[float, float, float]:
-    """Closed-form least-squares line: returns (slope, intercept, r_squared)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise InvalidArgumentError("x and y must be 1-d arrays of equal length")
-    if x.size < 2:
-        raise InvalidArgumentError("need at least 2 points")
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    if sxx == 0.0:
-        raise DegenerateInputError("x values are all identical")
-    slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res == 0.0 else -math.inf
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return slope, intercept, r2
 
 
 def synthetic_sweep(

@@ -2,8 +2,8 @@
 
 A phase modulator driven at frequency f with modulation depth theta puts a
 fraction J_n(theta)^2 of the optical power into the n-th sideband at offset
-n*f.  This module computes Bessel functions of the first kind without scipy
-(series + Miller recurrence), the modulation depth maximizing a chosen
+n*f.  This module evaluates J_n through `scipy.special.jv` and derives from
+it the sideband power fractions, the modulation depth maximizing a chosen
 sideband order, the RF drive power that depth requires, and two spectrum
 quality metrics (THD, SFDR) from a measured peak list.
 """
@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy import special
+
 from ._optim import golden_section_min
 from .errors import DegenerateInputError, InvalidArgumentError
 
 PEAK_KINDS = ("fundamental", "harmonic", "spur")
-
-#: Series/recurrence crossover for the Bessel evaluation.
-_SERIES_LIMIT = 12.0
 
 
 @dataclass(frozen=True)
@@ -53,66 +52,9 @@ class SpectralPeak:
             raise InvalidArgumentError(f"peak kind must be one of {PEAK_KINDS}")
 
 
-def _bessel_series(n: int, x: float) -> float:
-    """Ascending power series, accurate for |x| below the crossover."""
-    half = abs(x) / 2.0
-    if half == 0.0:  # includes subnormal x where x/2 underflows
-        return 1.0 if n == 0 else 0.0
-    # Seed term (x/2)^n / n! via lgamma to dodge overflow for larger n.
-    log_seed = n * math.log(half) - math.lgamma(n + 1.0)
-    term = math.exp(log_seed)
-    if x < 0 and n % 2:
-        term = -term
-    total = term
-    q = (x / 2.0) ** 2
-    for m in range(160):
-        term *= -q / ((m + 1.0) * (n + m + 1.0))
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            break
-    return total
-
-
-def _bessel_miller(n: int, x: float) -> float:
-    """Downward Miller recurrence, stable for large |x| and all n <= |x|+big."""
-    ax = abs(x)
-    m_start = 2 * ((n + int(math.sqrt(40.0 * n)) + int(ax) + 40) // 2 + 1)
-    jp, j = 0.0, 1e-30
-    result = 0.0
-    norm = 0.0
-    for k in range(m_start, 0, -1):
-        jm = (2.0 * k / ax) * j - jp
-        jp, j = j, jm
-        if abs(j) > 1e100:  # rescale to avoid overflow mid-recurrence
-            jp *= 1e-100
-            j *= 1e-100
-            result *= 1e-100
-            norm *= 1e-100
-        if k - 1 == n:
-            result = j
-        if (k - 1) % 2 == 0:
-            norm += 2.0 * j
-    norm -= j  # J0 counted twice in the even sum
-    val = result / norm
-    if x < 0 and n % 2:
-        val = -val
-    return val
-
-
 def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind, integer order.
-
-    Negative order and argument fold through the reflection identities
-    J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x).
-    """
-    n = int(n)
-    if n < 0:
-        val = bessel_j(-n, x)
-        return -val if n % 2 else val
-    x = float(x)
-    if abs(x) < _SERIES_LIMIT:
-        return _bessel_series(n, x)
-    return _bessel_miller(n, x)
+    """Bessel function of the first kind, integer order, as a Python float."""
+    return float(special.jv(int(n), float(x)))
 
 
 def sideband_powers(theta: float, n_max: int) -> list[float]:

@@ -4,7 +4,7 @@ Generates what a two-channel oscilloscope would record: band-limited
 correlated noise on two balanced detectors, white electronics noise,
 a trigger pulse on a monitor channel, and an optional sample offset between
 the channels.  Per-sample statistics follow the Gaussian model in
-`gaussian.analytic_joint_variances`; the detection band is imposed with a
+`gaussian.lossy_tmsv_moments`; the detection band is imposed with a
 linear-phase FIR filter so the two channels stay sample-aligned.
 
 Everything is reproducible: one integer seed, expanded through named
@@ -22,6 +22,7 @@ import numpy as np
 from scipy import signal as _sig
 
 from .errors import InvalidArgumentError
+from .gaussian import lossy_tmsv_moments
 
 PHASE_KINDS = ("constant", "drift_sinusoid", "triangle_sweep", "noise_injected")
 
@@ -32,7 +33,6 @@ FILTER_TAPS = 16385
 # independent trace draws, streams separate noise sources within one draw.
 _FAMILY_SIGNAL = 0
 _FAMILY_SHOT = 1
-_FAMILY_SWEEP = 2
 _STREAM_G1 = 0
 _STREAM_G2 = 1
 _STREAM_ELEC1 = 2
@@ -205,20 +205,6 @@ def _bandpass_taps(low_hz: float, high_hz: float, fs: float) -> np.ndarray:
     return taps
 
 
-def _per_sample_cov(config: SynthConfig, theta_sum: np.ndarray):
-    """Per-sample 2x2 covariance of the two detector quadratures.
-
-    Var_i = t_i*cosh(2r) + (1 - t_i), vacuum = 1; the cross term carries the
-    phase dependence, cos(theta_b + theta_c), so sweeping either phase swings
-    the joint variance between the squeezed and anti-squeezed values.
-    """
-    ch, sh = math.cosh(2.0 * config.r), math.sinh(2.0 * config.r)
-    v1 = config.t_b * ch + (1.0 - config.t_b)
-    v2 = config.t_c * ch + (1.0 - config.t_c)
-    cov = math.sqrt(config.t_b * config.t_c) * sh * np.cos(theta_sum)
-    return v1, v2, cov
-
-
 def _synthesize(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
     n = config.n_samples
     fs = config.sample_rate
@@ -234,7 +220,11 @@ def _synthesize(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
     theta = config.phase_b.angles(t, _rng(seed, family, _STREAM_PHASE_B)) + config.phase_c.angles(
         t, _rng(seed, family, _STREAM_PHASE_C)
     )
-    v1, v2, cov = _per_sample_cov(config, theta)
+    # Per-sample 2x2 covariance of the two detector quadratures: the cross
+    # term swings with cos(theta_b + theta_c), so sweeping either phase moves
+    # the joint variance between the squeezed and anti-squeezed values.
+    v1, v2, cross = lossy_tmsv_moments(config.r, config.t_b, config.t_c)
+    cov = cross * np.cos(theta)
 
     # Cholesky mixing of two unit-variance streams into the target 2x2 cov.
     g1 = _rng(seed, family, _STREAM_G1).standard_normal(n_ext)
@@ -296,43 +286,6 @@ def synthesize_shot_noise(config: SynthConfig) -> tuple[RawTrace, RawTrace]:
     """
     blocked = replace(config, r=0.0, relative_delay_samples=0)
     return _synthesize(blocked, _FAMILY_SHOT)
-
-
-def shot_noise_power_sweep(
-    powers: np.ndarray, config: SynthConfig, reference_power: float = 1.0
-) -> list[tuple[float, float]]:
-    """(LO power, detector voltage variance) pairs for a linearity check.
-
-    Shot-noise variance scales linearly with local-oscillator power while
-    electronics noise stays fixed, so the curve is a straight line with a
-    nonzero intercept; each point is an independent draw.
-    """
-    powers = np.asarray(powers, dtype=np.float64)
-    if powers.size == 0 or np.any(powers < 0):
-        raise InvalidArgumentError("powers must be non-negative and non-empty")
-    if reference_power <= 0:
-        raise InvalidArgumentError("reference_power must be positive")
-    taps = None
-    if config.detector_band is not None:
-        taps = _bandpass_taps(config.detector_band[0], config.detector_band[1], config.sample_rate)
-    pad = (taps.size - 1) if taps is not None else 0
-    n = config.n_samples
-    sigma_e = (
-        10.0 ** (-config.electronics_noise_db / 20.0)
-        if config.electronics_noise_db is not None
-        else 0.0
-    )
-    out = []
-    for k, p in enumerate(powers):
-        g = _rng(config.rng_seed, _FAMILY_SWEEP, k).standard_normal(n + pad)
-        shot = math.sqrt(p / reference_power) * g
-        if taps is not None:
-            shot = _sig.fftconvolve(shot, taps, mode="valid")
-        if sigma_e > 0:
-            shot = shot + _rng(config.rng_seed, _FAMILY_SWEEP, 10_000 + k).normal(0.0, sigma_e, n)
-        volts = config.shot_noise_volts_rms * shot
-        out.append((float(p), float(volts.var(ddof=1))))
-    return out
 
 
 def _phase_as_dict(p: PhaseModel) -> dict:

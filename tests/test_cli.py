@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqzkit import cli
+from sqzkit import cli, traceio
 from sqzkit.errors import ScenarioFormatError
 from sqzkit.fitting import SqueezeParams, synthetic_sweep
 from sqzkit.gaussian import analytic_squeezing
@@ -218,6 +218,45 @@ def test_analyze_series_out_and_window_flag(capsys, tmp_path):
     assert report["window"] == 2000
     header = series.read_text().splitlines()[0]
     assert header == "time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus"
+
+
+def _analyze_args(files):
+    return (
+        "analyze",
+        "--trace", files["signal_C43"],
+        "--trace", files["signal_C45"],
+        "--shot-noise", files["shot_noise_C43"],
+        "--shot-noise", files["shot_noise_C45"],
+    )
+
+
+def test_analyze_rejects_mismatched_sample_rate(capsys, tmp_path):
+    scen = write_scenario(tmp_path, minimal_scenario(synthesis={"duration": 1e-4}))
+    files = run_json(capsys, "simulate", "--scenario", scen, "--out-dir", str(tmp_path / "r"))["files"]
+    sidecar = Path(files["signal_C45"] + ".json")
+    meta = json.loads(sidecar.read_text())
+    meta["sample_rate_hz"] = 2.5e8
+    sidecar.write_text(json.dumps(meta))
+
+    code, _, err = run_cli(capsys, *_analyze_args(files))
+    assert code == 1
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "ScenarioFormatError"
+    assert "signal_C45.f32" in diag["message"]
+    assert "sample rate" in diag["message"]
+
+
+def test_analyze_rejects_mismatched_lengths(capsys, tmp_path):
+    scen = write_scenario(tmp_path, minimal_scenario(synthesis={"duration": 1e-4}))
+    files = run_json(capsys, "simulate", "--scenario", scen, "--out-dir", str(tmp_path / "r"))["files"]
+    volts, monitor, rate = traceio.read_trace(files["shot_noise_C45"])
+    traceio.write_trace_binary(files["shot_noise_C45"], volts[:-400], monitor[:-400], rate)
+
+    code, _, err = run_cli(capsys, *_analyze_args(files))
+    assert code == 1
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "ScenarioFormatError"
+    assert "shot_noise_C45.f32" in diag["message"]
 
 
 def test_analyze_requires_two_of_each(capsys, tmp_path):

@@ -12,7 +12,6 @@ from sqzkit.fitting import (
     PowerSweepPoint,
     SqueezeParams,
     fit_eta_p,
-    linear_fit,
     piecewise_model,
     r_from_power,
     synthetic_sweep,
@@ -104,36 +103,6 @@ def test_sweep_point_validation():
         PowerSweepPoint(-0.1, 0.0, "squeezed")
     with pytest.raises(InvalidArgumentError):
         PowerSweepPoint(0.1, 0.0, "sideways")
-
-
-def test_linear_fit_exact_line():
-    x = np.array([0.0, 1.0, 2.0, 3.0])
-    slope, intercept, r2 = linear_fit(x, 2.5 * x - 1.0)
-    assert slope == pytest.approx(2.5, abs=1e-12)
-    assert intercept == pytest.approx(-1.0, abs=1e-12)
-    assert r2 == 1.0
-
-
-def test_linear_fit_constant_y():
-    _, intercept, r2 = linear_fit(np.arange(5.0), np.full(5, 3.0))
-    assert intercept == pytest.approx(3.0)
-    assert r2 == 1.0  # zero residuals around a zero-variance target
-
-
-def test_linear_fit_degenerate_x():
-    with pytest.raises(DegenerateInputError):
-        linear_fit(np.ones(5), np.arange(5.0))
-    with pytest.raises(InvalidArgumentError):
-        linear_fit(np.array([1.0]), np.array([2.0]))
-
-
-def test_linear_fit_noisy_r_squared():
-    rng = np.random.default_rng(8)
-    x = np.linspace(0, 1, 200)
-    y = 3.0 * x + 0.5 + 0.05 * rng.standard_normal(200)
-    slope, intercept, r2 = linear_fit(x, y)
-    assert slope == pytest.approx(3.0, abs=0.05)
-    assert 0.99 < r2 < 1.0
 
 
 def test_golden_section_quadratic():

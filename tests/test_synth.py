@@ -7,14 +7,12 @@ import pytest
 from scipy import signal as sig
 
 from sqzkit.errors import InvalidArgumentError
-from sqzkit.fitting import linear_fit
 from sqzkit.synth import (
     PhaseModel,
     SynthConfig,
     TriggerSpec,
     config_as_dict,
     config_from_dict,
-    shot_noise_power_sweep,
     synthesize_pair,
     synthesize_shot_noise,
 )
@@ -199,24 +197,3 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict(d)
     with pytest.raises(InvalidArgumentError):
         config_from_dict({"t_b": 0.5})  # r is required
-
-
-def test_power_sweep_is_linear_with_offset():
-    cfg = small_config(duration=2e-4, electronics_noise_db=13.0)
-    powers = np.linspace(0.1, 1.0, 8)
-    pts = shot_noise_power_sweep(powers, cfg)
-    x = np.array([p for p, _ in pts])
-    y = np.array([v for _, v in pts])
-    slope, intercept, r2 = linear_fit(x, y)
-    assert r2 > 0.99
-    # intercept is the fixed electronics-noise floor
-    want_floor = cfg.shot_noise_volts_rms**2 * 10**-1.3
-    assert intercept == pytest.approx(want_floor, rel=0.35)
-    assert slope == pytest.approx(cfg.shot_noise_volts_rms**2, rel=0.1)
-
-
-def test_power_sweep_validation():
-    with pytest.raises(InvalidArgumentError):
-        shot_noise_power_sweep(np.array([]), small_config())
-    with pytest.raises(InvalidArgumentError):
-        shot_noise_power_sweep(np.array([-1.0]), small_config())
