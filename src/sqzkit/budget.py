@@ -65,9 +65,10 @@ class LossItem:
 
     label: str
     loss_db: float
-    arm: str
+    arm: str = "both"
 
     def __post_init__(self):
+        object.__setattr__(self, "loss_db", float(self.loss_db))
         if self.loss_db < 0:
             raise InvalidArgumentError(f"loss_db must be >= 0 ({self.label!r}: {self.loss_db})")
         if self.arm not in ARMS:
@@ -88,9 +89,13 @@ class ChannelBudget:
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
-        for arm in self.stated_total_db:
+        stated = {arm: float(db) for arm, db in dict(self.stated_total_db).items()}
+        object.__setattr__(self, "stated_total_db", stated)
+        for arm, db in stated.items():
             if arm not in (ARM_FIRST, ARM_SECOND):
                 raise InvalidArgumentError(f"stated_total_db key must name an arm, got {arm!r}")
+            if db < 0:
+                raise InvalidArgumentError(f"stated_total_db must be >= 0 ({arm}: {db})")
         if self.electronics_noise_db is not None and self.electronics_noise_db <= 0:
             raise InvalidArgumentError("electronics_noise_db must be positive (or None)")
 

@@ -19,28 +19,45 @@ print a one-object JSON diagnostic to stderr and exit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from contextlib import contextmanager
+from dataclasses import asdict, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import __version__, fitting, pipeline, synth, traceio
-from .budget import ARM_FIRST, ARM_SECOND, ARMS, ChannelBudget, LossItem, predict
+from .budget import ARM_FIRST, ARM_SECOND, ChannelBudget, LossItem, predict
 from .errors import ScenarioFormatError, SqzkitError
 
-_ARM_NAMES = (ARM_FIRST, ARM_SECOND)
 _TOP_KEYS = {"name", "description", "source", "budget", "synthesis", "analysis"}
-_SOURCE_KEYS = {"r", "pump"}
-_PUMP_KEYS = {"a", "L", "eta_w", "eta_p", "p_w"}
-_BUDGET_KEYS = {"electronics_noise_db", "items", "stated_total_db"}
-_ITEM_KEYS = {"label", "loss_db", "arm"}
-_ANALYSIS_KEYS = {"window", "max_delay", "discard_fraction"}
-_SYNTH_KEYS = set(synth.config_as_dict(synth.SynthConfig(r=0.0))) - {"r", "t_b", "t_c"}
+# source/pump key -> SqueezeParams field
+_PUMP_FIELDS = {
+    "a": "gain_per_watt_cm2",
+    "L": "length_cm",
+    "eta_w": "waveguide_efficiency",
+    "eta_p": "pump_coupling",
+    "p_w": "pump_power_watts",
+}
+# analysis key -> (default, rule, the rule in words)
+_ANALYSIS = {
+    "window": (None, lambda v: v is None or type(v) is int and v >= 2, "null or an integer >= 2"),
+    "max_delay": (25, lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "discard_fraction": (
+        pipeline.DISCARD_FRACTION,
+        lambda v: type(v) in (int, float) and 0 <= v < 1,
+        "a number in [0, 1)",
+    ),
+}
 
-_DEFAULT_MAX_DELAY = 25
+# a dataclass's resolved field annotations; resolving them is most of a load
+_field_types = functools.cache(get_type_hints)
+
 _DEFAULT_FIT = {"t_b": 0.3097, "t_c": 0.2576, "a": 0.24, "L": 2.5, "eta_w": 0.53}
 
 
@@ -72,8 +89,33 @@ def _as_dict(value, path: str) -> dict:
     return value
 
 
+@contextmanager
+def _at(path: str):
+    """Re-raise a bad value met while building one section as a
+    ScenarioFormatError that names the file and the section."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ScenarioFormatError(f"{path}: {exc}") from exc
+
+
+def _build(cls, obj, path: str, **derived):
+    """Dataclass ``cls`` from the JSON object ``obj``: the allowed keys are the
+    fields of ``cls`` not in ``derived``, and ``cls`` checks the values.
+    Fields that are themselves dataclasses are built from nested objects."""
+    obj = _as_dict(obj, path)
+    _check_keys(obj, {f.name for f in fields(cls)} - set(derived), path)
+    types = _field_types(cls)
+    kwargs = {
+        key: _build(types[key], value, f"{path}/{key}") if is_dataclass(types[key]) else value
+        for key, value in obj.items()
+    }
+    with _at(path):
+        return cls(**kwargs, **derived)
+
+
 def load_scenario(spec: str) -> dict:
-    """Load and validate a scenario by bundled name or file path."""
+    """Load a scenario by bundled name or file path and check every value in it."""
     path = Path(spec)
     if path.suffix == ".json" or path.exists():
         try:
@@ -96,106 +138,75 @@ def load_scenario(spec: str) -> dict:
         raise ScenarioFormatError(
             f"{origin}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    validate_scenario(doc, origin)
-    return doc
-
-
-def validate_scenario(doc, origin: str = "scenario") -> None:
     doc = _as_dict(doc, origin)
     _check_keys(doc, _TOP_KEYS, origin)
     _need(doc, "name", origin)
-
-    source = _as_dict(_need(doc, "source", origin), f"{origin}/source")
-    _check_keys(source, _SOURCE_KEYS, f"{origin}/source")
-    if ("r" in source) == ("pump" in source):
-        raise ScenarioFormatError(f"{origin}/source: give exactly one of 'r' or 'pump'")
-    if "pump" in source:
-        pump = _as_dict(source["pump"], f"{origin}/source/pump")
-        _check_keys(pump, _PUMP_KEYS, f"{origin}/source/pump")
-        for key in _PUMP_KEYS:
-            _need(pump, key, f"{origin}/source/pump")
-
-    bdoc = _as_dict(_need(doc, "budget", origin), f"{origin}/budget")
-    _check_keys(bdoc, _BUDGET_KEYS, f"{origin}/budget")
-    items = bdoc.get("items", [])
-    if not isinstance(items, list):
-        raise ScenarioFormatError(f"{origin}/budget/items: expected a list")
-    for k, item in enumerate(items):
-        ipath = f"{origin}/budget/items/{k}"
-        item = _as_dict(item, ipath)
-        _check_keys(item, _ITEM_KEYS, ipath)
-        _need(item, "label", ipath)
-        _need(item, "loss_db", ipath)
-        if item.get("arm", "both") not in ARMS:
-            raise ScenarioFormatError(f"{ipath}/arm: must be one of {ARMS}")
-    stated = bdoc.get("stated_total_db", {})
-    if stated:
-        _check_keys(_as_dict(stated, f"{origin}/budget/stated_total_db"), set(_ARM_NAMES),
-                    f"{origin}/budget/stated_total_db")
-
-    if "synthesis" in doc:
-        sdoc = _as_dict(doc["synthesis"], f"{origin}/synthesis")
-        _check_keys(sdoc, _SYNTH_KEYS, f"{origin}/synthesis")
-    if "analysis" in doc:
-        adoc = _as_dict(doc["analysis"], f"{origin}/analysis")
-        _check_keys(adoc, _ANALYSIS_KEYS, f"{origin}/analysis")
+    scenario_synth_config(doc, origin=origin)
+    scenario_analysis_defaults(doc, origin)
+    return doc
 
 
-def scenario_budget(doc: dict) -> ChannelBudget:
-    bdoc = doc["budget"]
-    items = tuple(
-        LossItem(str(i["label"]), float(i["loss_db"]), str(i.get("arm", "both")))
-        for i in bdoc.get("items", [])
-    )
-    return ChannelBudget(
-        items=items,
-        electronics_noise_db=bdoc.get("electronics_noise_db"),
-        stated_total_db={k: float(v) for k, v in bdoc.get("stated_total_db", {}).items()},
-    )
-
-
-def scenario_r(doc: dict) -> float:
-    source = doc["source"]
+def scenario_r(doc: dict, origin: str = "scenario") -> float:
+    path = f"{origin}/source"
+    source = _as_dict(_need(doc, "source", origin), path)
+    if set(source) not in ({"r"}, {"pump"}):
+        raise ScenarioFormatError(f"{path}: give exactly one of 'r' or 'pump', got {sorted(source)}")
     if "r" in source:
-        return float(source["r"])
-    pump = source["pump"]
-    params = fitting.SqueezeParams(
-        gain_per_watt_cm2=float(pump["a"]),
-        length_cm=float(pump["L"]),
-        waveguide_efficiency=float(pump["eta_w"]),
-        pump_coupling=float(pump["eta_p"]),
-        pump_power_watts=float(pump["p_w"]),
-    )
+        with _at(path):
+            r = float(source["r"])
+        if not r >= 0:
+            raise ScenarioFormatError(f"{path}: r must be non-negative, got {r}")
+        return r
+    path += "/pump"
+    pump = _as_dict(source["pump"], path)
+    _check_keys(pump, set(_PUMP_FIELDS), path)
+    with _at(path):
+        params = fitting.SqueezeParams(
+            **{field: float(_need(pump, key, path)) for key, field in _PUMP_FIELDS.items()}
+        )
     return fitting.r_from_power(params)
 
 
+def scenario_budget(doc: dict, origin: str = "scenario") -> ChannelBudget:
+    path = f"{origin}/budget"
+    bdoc = _as_dict(_need(doc, "budget", origin), path)
+    items = bdoc.get("items", [])
+    if not isinstance(items, list):
+        raise ScenarioFormatError(f"{path}/items: expected a list")
+    items = [_build(LossItem, item, f"{path}/items/{k}") for k, item in enumerate(items)]
+    return _build(ChannelBudget, {**bdoc, "items": items}, path)
+
+
 def scenario_synth_config(
-    doc: dict, seed: int | None = None, duration: float | None = None
+    doc: dict, seed: int | None = None, duration: float | None = None, origin: str = "scenario"
 ) -> synth.SynthConfig:
     """Synthesis config for a scenario: optical transmittances from the budget,
     electronics noise from the synthesis section (falling back to the budget's
     ratio), optional seed/duration overrides."""
-    budget = scenario_budget(doc)
-    spec = dict(doc.get("synthesis", {}))
-    if "electronics_noise_db" not in spec:
-        spec["electronics_noise_db"] = budget.electronics_noise_db
-    spec["r"] = scenario_r(doc)
-    spec["t_b"] = budget.optical_transmittance(ARM_FIRST)
-    spec["t_c"] = budget.optical_transmittance(ARM_SECOND)
-    if seed is not None:
-        spec["rng_seed"] = seed
-    if duration is not None:
-        spec["duration"] = duration
-    return synth.config_from_dict(spec)
+    r = scenario_r(doc, origin)
+    budget = scenario_budget(doc, origin)
+    path = f"{origin}/synthesis"
+    spec = {"electronics_noise_db": budget.electronics_noise_db}
+    spec.update(_as_dict(doc.get("synthesis", {}), path))
+    config = _build(
+        synth.SynthConfig, spec, path, r=r,
+        t_b=budget.optical_transmittance(ARM_FIRST),
+        t_c=budget.optical_transmittance(ARM_SECOND),
+    )
+    overrides = {"rng_seed": seed, "duration": duration}
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def scenario_analysis_defaults(doc: dict | None) -> dict:
-    adoc = (doc or {}).get("analysis", {}) or {}
-    return {
-        "window": adoc.get("window"),
-        "max_delay": adoc.get("max_delay", _DEFAULT_MAX_DELAY),
-        "discard_fraction": adoc.get("discard_fraction", pipeline.DISCARD_FRACTION),
-    }
+def scenario_analysis_defaults(doc: dict | None, origin: str = "scenario") -> dict:
+    path = f"{origin}/analysis"
+    adoc = _as_dict((doc or {}).get("analysis", {}), path)
+    _check_keys(adoc, set(_ANALYSIS), path)
+    out = {}
+    for key, (default, ok, rule) in _ANALYSIS.items():
+        out[key] = adoc.get(key, default)
+        if not ok(out[key]):
+            raise ScenarioFormatError(f"{path}: {key} must be {rule}, got {out[key]!r}")
+    return out
 
 
 # ------------------------------------------------------------------ output
@@ -308,7 +319,7 @@ def _cmd_simulate(args) -> dict:
         files[stem] = str(path)
     meta = {
         "scenario": doc.get("name", ""),
-        "synthesis": synth.config_as_dict(config),
+        "synthesis": asdict(config),
         "files": files,
         "format": args.trace_format,
     }
@@ -323,17 +334,23 @@ def _cmd_simulate(args) -> dict:
     }
 
 
-def _parse_window(text: str | None):
-    if text is None or text == "full":
-        return None
-    return int(text)
+def _parse_window(text: str):
+    """``--window``: 'full' (kept as is: it overrides a scenario's window) or an integer."""
+    if text == "full":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'full', got {text!r}") from None
 
 
 def _cmd_analyze(args) -> dict:
     if len(args.trace) != 2 or len(args.shot_noise) != 2:
         raise ScenarioFormatError("analyze needs exactly two --trace and two --shot-noise files")
     defaults = scenario_analysis_defaults(load_scenario(args.scenario) if args.scenario else None)
-    window = _parse_window(args.window) if args.window is not None else defaults["window"]
+    window = defaults["window"] if args.window is None else args.window
+    if window == "full":
+        window = None
     max_delay = args.max_delay if args.max_delay is not None else defaults["max_delay"]
     fraction = (
         args.discard_fraction if args.discard_fraction is not None else defaults["discard_fraction"]
@@ -497,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="signal trace (give twice: first then second detector)")
     p.add_argument("--shot-noise", action="append", default=[], metavar="FILE",
                    help="shot-noise trace (give twice, matching --trace order)")
-    p.add_argument("--window", default=None,
+    p.add_argument("--window", type=_parse_window, default=None,
                    help="rolling window in quadrature samples, or 'full' (default: scenario or full)")
     p.add_argument("--max-delay", type=int, default=None,
                    help="delay search range in quadrature samples")

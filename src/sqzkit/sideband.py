@@ -121,11 +121,12 @@ def thd(peaks) -> float:
 def sfdr(peaks) -> float:
     """Spurious-free dynamic range in dBc: fundamental minus worst other peak.
 
-    Harmonics and spurs both count; -inf when the fundamental is alone.
+    Harmonics and spurs both count; +inf when the fundamental is alone, since
+    with no spur the range is unbounded.
     """
     peaks = list(peaks)
     fund = _fundamental(peaks)
     others = [p.power_dbm for p in peaks if p.kind != "fundamental"]
     if not others:
-        return -math.inf
+        return math.inf
     return fund.power_dbm - max(others)

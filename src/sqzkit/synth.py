@@ -15,6 +15,7 @@ independently of each other.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -69,6 +70,8 @@ class PhaseModel:
             raise InvalidArgumentError(f"unknown phase kind {self.kind!r}; expected one of {PHASE_KINDS}")
         if self.frequency < 0 or self.transient_jitter_rms < 0:
             raise InvalidArgumentError("frequency and jitter must be non-negative")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.offset)):
+            raise InvalidArgumentError("amplitude and offset must be finite")
 
     def angles(self, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "constant":
@@ -153,13 +156,20 @@ class SynthConfig:
         if self.sample_rate <= 0 or self.duration <= 0:
             raise InvalidArgumentError("sample_rate and duration must be positive")
         if self.detector_band is not None:
-            lo, hi = self.detector_band
+            band = tuple(float(f) for f in self.detector_band)
+            if len(band) != 2:
+                raise InvalidArgumentError("detector_band must be [low, high]")
+            object.__setattr__(self, "detector_band", band)
+            lo, hi = band
             if not 0.0 < lo < hi < self.sample_rate / 2.0:
                 raise InvalidArgumentError("detector band must satisfy 0 < low < high < Nyquist")
         if self.electronics_noise_db is not None and self.electronics_noise_db <= 0:
             raise InvalidArgumentError("electronics clearance must be positive (dB)")
         if self.shot_noise_volts_rms <= 0:
             raise InvalidArgumentError("shot_noise_volts_rms must be positive")
+        for name in ("relative_delay_samples", "rng_seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise InvalidArgumentError(f"{name} must be an integer")
         if self.rng_seed < 0:
             raise InvalidArgumentError("rng_seed must be non-negative")
         if self.n_samples < 8:
@@ -208,13 +218,15 @@ def _bandpass_taps(low_hz: float, high_hz: float, fs: float) -> np.ndarray:
 def _synthesize(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
     n = config.n_samples
     fs = config.sample_rate
+    delay = config.relative_delay_samples
     taps = None
     if config.detector_band is not None:
         taps = _bandpass_taps(config.detector_band[0], config.detector_band[1], fs)
     pad = (taps.size - 1) if taps is not None else 0
-    n_ext = n + pad
+    n_ext = n + abs(delay) + pad
 
-    # Extended time grid so 'valid' convolution lands on exactly n samples.
+    # Extended time grid so 'valid' convolution lands on exactly n + |delay|
+    # samples, from which each channel takes its own n-sample window.
     t = (np.arange(n_ext) - pad // 2) / fs
     seed = config.rng_seed
     theta = config.phase_b.angles(t, _rng(seed, family, _STREAM_PHASE_B)) + config.phase_c.angles(
@@ -238,6 +250,12 @@ def _synthesize(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
         x1 = _sig.fftconvolve(x1, taps, mode="valid")
         x2 = _sig.fftconvolve(x2, taps, mode="valid")
 
+    # Channel 2 lags channel 1 by `delay` samples: x2[i] pairs with x1[i - delay].
+    if delay > 0:
+        x1, x2 = x1[delay:], x2[:n]
+    elif delay < 0:
+        x1, x2 = x1[:n], x2[-delay:]
+
     # Electronics noise is white and unfiltered: it originates after the
     # detection band, at -clearance dB relative to shot noise (variance 1).
     if config.electronics_noise_db is not None:
@@ -247,8 +265,6 @@ def _synthesize(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
 
     volts1 = config.shot_noise_volts_rms * x1
     volts2 = config.shot_noise_volts_rms * x2
-    if config.relative_delay_samples:
-        volts2 = np.roll(volts2, config.relative_delay_samples)
 
     monitor = np.zeros(n)
     width = max(1, int(round(config.trigger.width_s * fs)))
@@ -262,7 +278,7 @@ def _synthesize(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
         "sample_rate_hz": fs,
         "duration_s": config.duration,
         "electronics_noise_db": config.electronics_noise_db,
-        "relative_delay_samples": config.relative_delay_samples,
+        "relative_delay_samples": delay,
         "shot_noise_volts_rms": config.shot_noise_volts_rms,
         "rng_seed": seed,
         "rng_family": family,
@@ -286,58 +302,3 @@ def synthesize_shot_noise(config: SynthConfig) -> tuple[RawTrace, RawTrace]:
     """
     blocked = replace(config, r=0.0, relative_delay_samples=0)
     return _synthesize(blocked, _FAMILY_SHOT)
-
-
-def _phase_as_dict(p: PhaseModel) -> dict:
-    return {
-        "kind": p.kind,
-        "frequency": p.frequency,
-        "amplitude": p.amplitude,
-        "offset": p.offset,
-        "transient_jitter_rms": p.transient_jitter_rms,
-    }
-
-
-def config_as_dict(config: SynthConfig) -> dict:
-    """JSON-ready dict (inverse of `config_from_dict`)."""
-    return {
-        "r": config.r,
-        "t_b": config.t_b,
-        "t_c": config.t_c,
-        "sample_rate": config.sample_rate,
-        "duration": config.duration,
-        "detector_band": list(config.detector_band) if config.detector_band else None,
-        "electronics_noise_db": config.electronics_noise_db,
-        "phase_b": _phase_as_dict(config.phase_b),
-        "phase_c": _phase_as_dict(config.phase_c),
-        "relative_delay_samples": config.relative_delay_samples,
-        "trigger": {
-            "width_s": config.trigger.width_s,
-            "amplitude_v": config.trigger.amplitude_v,
-            "position": config.trigger.position,
-        },
-        "shot_noise_volts_rms": config.shot_noise_volts_rms,
-        "rng_seed": config.rng_seed,
-    }
-
-
-def config_from_dict(d: dict) -> SynthConfig:
-    """Build a SynthConfig from a plain dict (unknown keys rejected)."""
-    if "r" not in d:
-        raise InvalidArgumentError("synthesis config needs 'r'")
-    known = set(config_as_dict(SynthConfig(r=0.0)))
-    extra = set(d) - known
-    if extra:
-        raise InvalidArgumentError(f"unknown synthesis keys: {sorted(extra)}")
-    kw = dict(d)
-    if kw.get("detector_band") is not None:
-        band = kw["detector_band"]
-        if len(band) != 2:
-            raise InvalidArgumentError("detector_band must be [low, high]")
-        kw["detector_band"] = (float(band[0]), float(band[1]))
-    for key in ("phase_b", "phase_c"):
-        if key in kw and isinstance(kw[key], dict):
-            kw[key] = PhaseModel(**kw[key])
-    if "trigger" in kw and isinstance(kw["trigger"], dict):
-        kw["trigger"] = TriggerSpec(**kw["trigger"])
-    return SynthConfig(**kw)

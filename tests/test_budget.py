@@ -57,6 +57,7 @@ def test_loss_item_validation():
         LossItem("negative", -0.1, "both")
     with pytest.raises(InvalidArgumentError):
         LossItem("bad arm", 0.1, "C99")
+    assert LossItem("untagged", 1).arm == "both"
 
 
 def test_itemized_totals():
@@ -102,6 +103,8 @@ def test_optical_transmittance_from_stated_total():
 def test_stated_total_key_validation():
     with pytest.raises(InvalidArgumentError):
         ChannelBudget(stated_total_db={"both": 1.0})
+    with pytest.raises(InvalidArgumentError):
+        ChannelBudget(stated_total_db={ARM_FIRST: -1.0})
     with pytest.raises(InvalidArgumentError):
         ChannelBudget(electronics_noise_db=-1.0)
 

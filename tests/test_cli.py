@@ -135,6 +135,44 @@ def test_synthesis_section_cannot_pin_transmittance(tmp_path):
         cli.load_scenario(write_scenario(tmp_path, doc))
 
 
+PUMP = {"a": 0.24, "L": 2.5, "eta_w": 0.53, "eta_p": 0.49019, "p_w": 0.7008}
+
+# (section path the error must name, top-level sections replacing the minimal ones)
+MALFORMED = {
+    "phase_b-unknown-key": ("/synthesis/phase_b", {"synthesis": {"phase_b": {"wobble": 1.0}}}),
+    "phase_b-bad-kind": ("/synthesis/phase_b", {"synthesis": {"phase_b": {"kind": "ramp"}}}),
+    "trigger-unknown-key": ("/synthesis/trigger", {"synthesis": {"trigger": {"edge": "rising"}}}),
+    "band-scalar": ("/synthesis", {"synthesis": {"detector_band": 1e6}}),
+    "band-one-element": ("/synthesis", {"synthesis": {"detector_band": [1e6]}}),
+    "r-string": ("/source", {"source": {"r": "high"}}),
+    "r-negative": ("/source", {"source": {"r": -1}}),
+    "pump-string": ("/source/pump", {"source": {"pump": {**PUMP, "p_w": "max"}}}),
+    "loss-string": ("/budget/items/0", {"budget": {"items": [{"label": "x", "loss_db": "lots"}]}}),
+    "loss-negative": ("/budget/items/0", {"budget": {"items": [{"label": "x", "loss_db": -1}]}}),
+    "stated-string": ("/budget", {"budget": {"stated_total_db": {"C43": "three"}}}),
+    "stated-negative": ("/budget", {"budget": {"stated_total_db": {"C43": -3.0}}}),
+    "window-string": ("/analysis", {"analysis": {"window": "4"}}),
+    "window-one": ("/analysis", {"analysis": {"window": 1}}),
+    "max-delay-string": ("/analysis", {"analysis": {"max_delay": "4"}}),
+    "max-delay-negative": ("/analysis", {"analysis": {"max_delay": -1}}),
+    "fraction-string": ("/analysis", {"analysis": {"discard_fraction": "0.05"}}),
+    "fraction-one": ("/analysis", {"analysis": {"discard_fraction": 1.0}}),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_scenario_fails_cleanly_everywhere(capsys, tmp_path, case):
+    section, sections = MALFORMED[case]
+    scen = write_scenario(tmp_path, minimal_scenario(**sections))
+    for argv in (["expect"], ["simulate", "--out-dir", str(tmp_path / "run")]):
+        code, out, err = run_cli(capsys, *argv, "--scenario", scen)
+        assert code == 1 and out == ""
+        diag = json.loads(err)["error"]
+        assert diag["type"] == "ScenarioFormatError"
+        assert diag["message"].startswith(f"{scen}{section}: ")
+    assert not (tmp_path / "run").exists()
+
+
 def test_scenario_synth_config_splits_electronics(tmp_path):
     # optical transmittance excludes the electronics factor; the synthesizer
     # re-injects it as additive noise instead
@@ -218,6 +256,13 @@ def test_analyze_series_out_and_window_flag(capsys, tmp_path):
     assert report["window"] == 2000
     header = series.read_text().splitlines()[0]
     assert header == "time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus"
+
+
+def test_analyze_window_flag_is_checked_by_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--window", "abc"])
+    assert exc.value.code == 2
+    assert "--window" in capsys.readouterr().err
 
 
 def _analyze_args(files):
@@ -313,12 +358,12 @@ def test_rf_metrics(capsys, tmp_path):
     assert report["sfdr_dbc"] == pytest.approx(33.0, abs=1e-9)
 
 
-def test_rf_metrics_no_harmonics_serializes_minus_inf(capsys, tmp_path):
+def test_rf_metrics_lone_fundamental_serializes_infinities(capsys, tmp_path):
     peaks = tmp_path / "peaks.csv"
     peaks.write_text("freq_hz,power_dbm,kind\n10e6,0.0,fundamental\n")
     report = run_json(capsys, "rf-metrics", "--peaks", str(peaks))
     assert report["thd_dbc"] == "-inf"
-    assert report["sfdr_dbc"] == "-inf"
+    assert report["sfdr_dbc"] == "inf"
 
 
 def test_console_script_entry_point():

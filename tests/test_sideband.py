@@ -158,7 +158,7 @@ def test_sfdr():
         (17e6, -38.5, "spur"),
     )
     assert sfdr(p) == pytest.approx(39.5, abs=1e-12)
-    assert sfdr(peaks((10e6, 1.0, "fundamental"))) == -math.inf
+    assert sfdr(peaks((10e6, 1.0, "fundamental"))) == math.inf
 
 
 def test_fundamental_count_enforced():

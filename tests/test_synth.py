@@ -1,18 +1,19 @@
 """Synthetic trace generator: determinism, statistics, band shape, plumbing."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import signal as sig
 
+from sqzkit import cli
 from sqzkit.errors import InvalidArgumentError
 from sqzkit.synth import (
     PhaseModel,
     SynthConfig,
     TriggerSpec,
-    config_as_dict,
-    config_from_dict,
     synthesize_pair,
     synthesize_shot_noise,
 )
@@ -77,12 +78,20 @@ def test_no_electronics_noise_option():
     assert float(tr.samples.var(ddof=1)) == pytest.approx(want, rel=0.03)
 
 
-def test_relative_delay_is_a_roll_of_channel_two():
-    cfg0 = small_config(relative_delay_samples=0)
-    cfgd = small_config(relative_delay_samples=37)
-    _, b0 = synthesize_pair(cfg0)
-    _, bd = synthesize_pair(cfgd)
-    assert np.array_equal(bd.samples, np.roll(b0.samples, 37))
+def test_relative_delay_shifts_channel_two_without_wrap():
+    # strongly anti-correlated white channels, so any pairing shows in corr
+    for d in (1000, -1000):
+        cfg = small_config(
+            r=1.5, t_b=1.0, t_c=1.0, detector_band=None, electronics_noise_db=None,
+            relative_delay_samples=d,
+        )
+        a, b = synthesize_pair(cfg)
+        n = a.samples.size
+        lagged = np.roll(a.samples, d)  # channel 1 at i - d, wrapping at the ends
+        head = slice(0, d) if d > 0 else slice(n + d, n)  # where a roll would wrap
+        body = slice(d, n) if d > 0 else slice(0, n + d)
+        assert abs(np.corrcoef(b.samples[head], lagged[head])[0, 1]) < 0.2
+        assert np.corrcoef(b.samples[body], lagged[body])[0, 1] < -0.9
 
 
 def test_band_limiting_shapes_the_spectrum():
@@ -159,6 +168,8 @@ def test_phase_model_validation():
         PhaseModel(kind="square_wave")
     with pytest.raises(InvalidArgumentError):
         PhaseModel(frequency=-1.0)
+    with pytest.raises(InvalidArgumentError):
+        PhaseModel(amplitude=math.inf)
 
 
 def test_config_validation():
@@ -177,23 +188,24 @@ def test_config_validation():
     with pytest.raises(InvalidArgumentError):
         small_config(electronics_noise_db=0.0)
     with pytest.raises(InvalidArgumentError):
+        small_config(detector_band=(1e6,))
+    with pytest.raises(InvalidArgumentError):
+        small_config(relative_delay_samples=1.5)
+    with pytest.raises(InvalidArgumentError):
         TriggerSpec(width_s=0.0)
 
 
 def test_config_dict_round_trip():
+    # t_b = t_c = 1 is what an empty budget without electronics noise gives
     cfg = small_config(
+        t_b=1.0,
+        t_c=1.0,
         phase_c=PhaseModel(kind="triangle_sweep", frequency=125.0, amplitude=3.0, offset=0.1),
         relative_delay_samples=-4,
         electronics_noise_db=None,
     )
-    again = config_from_dict(config_as_dict(cfg))
-    assert again == cfg
-
-
-def test_config_from_dict_rejects_unknown_keys():
-    d = config_as_dict(small_config())
-    d["voltage_gain"] = 2.0
-    with pytest.raises(InvalidArgumentError):
-        config_from_dict(d)
-    with pytest.raises(InvalidArgumentError):
-        config_from_dict({"t_b": 0.5})  # r is required
+    synthesis = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    r = synthesis.pop("r")
+    del synthesis["t_b"], synthesis["t_c"]
+    doc = {"name": "round trip", "source": {"r": r}, "budget": {}, "synthesis": synthesis}
+    assert cli.scenario_synth_config(doc) == cfg
