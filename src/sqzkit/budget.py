@@ -98,6 +98,16 @@ class ChannelBudget:
                 raise InvalidArgumentError(f"stated_total_db must be >= 0 ({arm}: {db})")
         if self.electronics_noise_db is not None and self.electronics_noise_db <= 0:
             raise InvalidArgumentError("electronics_noise_db must be positive (or None)")
+        # A stated total includes the electronics penalty, so it cannot be
+        # smaller: the optical path left over would have gain (T > 1).
+        electronics_t = electronics_effective_transmittance(self.electronics_noise_db)
+        for arm, db in stated.items():
+            if db_to_transmittance(db) > electronics_t:
+                raise InvalidArgumentError(
+                    f"stated_total_db for {arm} ({db} dB) is below the electronics penalty "
+                    f"({transmittance_to_db(electronics_t):.4g} dB at "
+                    f"{self.electronics_noise_db} dB clearance) that it includes"
+                )
 
     def total_db(self, arm: str) -> float:
         """Sum of itemized losses hitting ``arm`` (items tagged 'both' included)."""

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal as _sig
 
 from .errors import InvalidArgumentError
 from .gaussian import lossy_tmsv_moments
@@ -79,9 +78,9 @@ class PhaseModel:
         elif self.kind == "drift_sinusoid":
             out = self.offset + self.amplitude * np.sin(2.0 * math.pi * self.frequency * t)
         elif self.kind == "triangle_sweep":
-            out = self.offset + self.amplitude * _sig.sawtooth(
-                2.0 * math.pi * self.frequency * t, width=0.5
-            )
+            # symmetric triangle of period 1/frequency: -1 at t = 0, +1 half-way
+            cycle = np.mod(2.0 * math.pi * self.frequency * t, 2.0 * math.pi) / math.pi
+            out = self.offset + self.amplitude * (1.0 - 2.0 * np.abs(cycle - 1.0))
         else:  # noise_injected: Poisson bursts of a clamped random walk
             out = np.full(t.shape, self.offset)
             if t.size and self.frequency > 0:
@@ -200,55 +199,99 @@ class RawTrace:
 def _bandpass_taps(low_hz: float, high_hz: float, fs: float) -> np.ndarray:
     """Linear-phase FIR matching a 2nd-order Butterworth band-pass magnitude.
 
-    The magnitude response is sampled from the IIR prototype on a dense grid
-    and handed to firwin2; taps are normalized to unit noise power gain
-    (sum h^2 = 1) so white unit-variance input keeps unit variance.
+    The magnitude of the bilinear-transform Butterworth design (prewarped
+    band edges) is sampled on a dense grid in closed form and turned into
+    taps by frequency sampling with a Hamming window, as firwin2 does; taps
+    are normalized to unit noise power gain (sum h^2 = 1) so white
+    unit-variance input keeps unit variance.
     """
-    sos = _sig.butter(2, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
     freqs = np.linspace(0.0, fs / 2.0, 4097)
-    _, resp = _sig.sosfreqz(sos, worN=freqs, fs=fs)
-    gain = np.abs(resp)
-    gain[0] = 0.0
-    gain[-1] = 0.0
-    taps = _sig.firwin2(FILTER_TAPS, freqs, gain, fs=fs)
+    gain = np.zeros_like(freqs)  # both ends stay zero: DC and Nyquist are blocked
+    warp = 2.0 * fs * np.tan(math.pi * freqs[1:-1] / fs)
+    w_lo, w_hi = (2.0 * fs * math.tan(math.pi * f / fs) for f in (low_hz, high_hz))
+    prototype = (warp * warp - w_lo * w_hi) / ((w_hi - w_lo) * warp)
+    gain[1:-1] = 1.0 / np.sqrt(1.0 + prototype**4)
+
+    nfreqs = 1 + 2 ** math.ceil(math.log2(FILTER_TAPS))
+    grid = np.linspace(0.0, fs / 2.0, nfreqs)
+    shift = np.exp(-(FILTER_TAPS - 1) / 2.0 * 1j * math.pi * grid / (fs / 2.0))
+    taps = np.fft.irfft(np.interp(grid, freqs, gain) * shift)[:FILTER_TAPS]
+    taps *= np.hamming(FILTER_TAPS)
     taps /= math.sqrt(float(np.sum(taps * taps)))
+    taps.setflags(write=False)
     return taps
+
+
+def _fast_fft_length(n: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) that is at least n."""
+    best = 1 << max(0, (n - 1).bit_length())
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+@lru_cache(maxsize=4)
+def _filter_spectrum(low_hz: float, high_hz: float, fs: float, nfft: int) -> np.ndarray:
+    spectrum = np.fft.rfft(_bandpass_taps(low_hz, high_hz, fs), nfft)
+    spectrum.setflags(write=False)
+    return spectrum
+
+
+def _filter_valid(x: np.ndarray, band: tuple[float, float], fs: float) -> np.ndarray:
+    """'valid' part of the convolution of ``x`` with the band-pass taps.
+
+    With an FFT length of at least len(x), output samples [taps-1, len(x))
+    of the circular convolution never wrap, so they equal the linear ones.
+    """
+    nfft = _fast_fft_length(x.size)
+    spectrum = np.fft.rfft(x, nfft)
+    spectrum *= _filter_spectrum(band[0], band[1], fs, nfft)
+    return np.fft.irfft(spectrum, nfft)[FILTER_TAPS - 1 : x.size]
 
 
 def _synthesize(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
     n = config.n_samples
     fs = config.sample_rate
     delay = config.relative_delay_samples
-    taps = None
-    if config.detector_band is not None:
-        taps = _bandpass_taps(config.detector_band[0], config.detector_band[1], fs)
-    pad = (taps.size - 1) if taps is not None else 0
+    # Extended grid so 'valid' convolution lands on exactly n + |delay|
+    # samples, from which each channel takes its own n-sample window.
+    pad = FILTER_TAPS - 1 if config.detector_band is not None else 0
     n_ext = n + abs(delay) + pad
 
-    # Extended time grid so 'valid' convolution lands on exactly n + |delay|
-    # samples, from which each channel takes its own n-sample window.
-    t = (np.arange(n_ext) - pad // 2) / fs
     seed = config.rng_seed
-    theta = config.phase_b.angles(t, _rng(seed, family, _STREAM_PHASE_B)) + config.phase_c.angles(
-        t, _rng(seed, family, _STREAM_PHASE_C)
-    )
-    # Per-sample 2x2 covariance of the two detector quadratures: the cross
-    # term swings with cos(theta_b + theta_c), so sweeping either phase moves
-    # the joint variance between the squeezed and anti-squeezed values.
     v1, v2, cross = lossy_tmsv_moments(config.r, config.t_b, config.t_c)
-    cov = cross * np.cos(theta)
-
-    # Cholesky mixing of two unit-variance streams into the target 2x2 cov.
     g1 = _rng(seed, family, _STREAM_G1).standard_normal(n_ext)
     g2 = _rng(seed, family, _STREAM_G2).standard_normal(n_ext)
     sd1 = math.sqrt(v1)
     x1 = sd1 * g1
-    resid = np.maximum(v2 - cov * cov / v1, 0.0)
-    x2 = (cov / sd1) * g1 + np.sqrt(resid) * g2
+    if cross == 0.0:
+        # Uncorrelated quadratures (r = 0, or no light on one arm): the
+        # mixing below reduces to exactly this at cov == 0.
+        x2 = math.sqrt(v2) * g2
+    else:
+        t = (np.arange(n_ext) - pad // 2) / fs
+        theta = config.phase_b.angles(t, _rng(seed, family, _STREAM_PHASE_B))
+        theta = theta + config.phase_c.angles(t, _rng(seed, family, _STREAM_PHASE_C))
+        # Per-sample 2x2 covariance of the two detector quadratures: the
+        # cross term swings with cos(theta_b + theta_c), so sweeping either
+        # phase moves the joint variance between the squeezed and
+        # anti-squeezed values.  Cholesky mixing of the two unit-variance
+        # streams gives that covariance.
+        cov = cross * np.cos(theta)
+        resid = np.maximum(v2 - cov * cov / v1, 0.0)
+        x2 = (cov / sd1) * g1 + np.sqrt(resid) * g2
 
-    if taps is not None:
-        x1 = _sig.fftconvolve(x1, taps, mode="valid")
-        x2 = _sig.fftconvolve(x2, taps, mode="valid")
+    if config.detector_band is not None:
+        x1 = _filter_valid(x1, config.detector_band, fs)
+        x2 = _filter_valid(x2, config.detector_band, fs)
 
     # Channel 2 lags channel 1 by `delay` samples: x2[i] pairs with x1[i - delay].
     if delay > 0:

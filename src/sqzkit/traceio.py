@@ -14,7 +14,6 @@ file behind.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import tempfile
@@ -72,14 +71,23 @@ def _read_sidecar(path: Path) -> dict | None:
         raise ScenarioFormatError(f"{sp}: unreadable trace sidecar: {exc}") from exc
 
 
+def _csv_table(header: str, row_format: str, *columns: np.ndarray) -> bytes:
+    """Header plus one ``row_format`` line per row, rendered by a single
+    %-format over the row-major interleaving of ``columns``."""
+    n = columns[0].size
+    table = np.empty((n, len(columns)), dtype=object)
+    for k, column in enumerate(columns):
+        table[:, k] = column
+    return (header + (row_format * n) % tuple(table.ravel())).encode("ascii")
+
+
 def write_trace_csv(path, volts, monitor, sample_rate: float, meta: dict | None = None) -> None:
     volts = np.asarray(volts, dtype=np.float64)
     monitor = np.asarray(monitor, dtype=np.float64)
-    buf = io.StringIO()
-    buf.write("index,volts,monitor_volts\n")
-    for i in range(volts.size):
-        buf.write(f"{i},{volts[i]:.9g},{monitor[i]:.9g}\n")
-    _atomic_write(Path(path), buf.getvalue().encode("ascii"))
+    text = _csv_table(
+        "index,volts,monitor_volts\n", "%d,%.9g,%.9g\n", np.arange(volts.size), volts, monitor
+    )
+    _atomic_write(Path(path), text)
     _write_sidecar(Path(path), "csv", sample_rate, volts.size, meta)
 
 
@@ -138,11 +146,10 @@ def write_analysis_csv(path, time_ms, v_plus, v_minus, v_sn_plus, v_sn_minus) ->
     n = cols[0].size
     if any(c.size != n for c in cols):
         raise ScenarioFormatError("analysis columns must share one length")
-    buf = io.StringIO()
-    buf.write("time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus\n")
-    for i in range(n):
-        buf.write(",".join(f"{c[i]:.9g}" for c in cols) + "\n")
-    _atomic_write(Path(path), buf.getvalue().encode("ascii"))
+    text = _csv_table(
+        "time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus\n", "%.9g,%.9g,%.9g,%.9g,%.9g\n", *cols
+    )
+    _atomic_write(Path(path), text)
 
 
 def read_sweep_csv(path):

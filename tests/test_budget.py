@@ -107,6 +107,9 @@ def test_stated_total_key_validation():
         ChannelBudget(stated_total_db={ARM_FIRST: -1.0})
     with pytest.raises(InvalidArgumentError):
         ChannelBudget(electronics_noise_db=-1.0)
+    # a stated total includes the 0.22-dB electronics penalty of a 13-dB clearance
+    with pytest.raises(InvalidArgumentError, match="C43.*0.1 dB.*0.2233 dB"):
+        ChannelBudget(electronics_noise_db=13.0, stated_total_db={ARM_FIRST: 0.1})
 
 
 def test_predict_matches_analytic():

@@ -151,6 +151,10 @@ MALFORMED = {
     "loss-negative": ("/budget/items/0", {"budget": {"items": [{"label": "x", "loss_db": -1}]}}),
     "stated-string": ("/budget", {"budget": {"stated_total_db": {"C43": "three"}}}),
     "stated-negative": ("/budget", {"budget": {"stated_total_db": {"C43": -3.0}}}),
+    "stated-below-electronics": (
+        "/budget",
+        {"budget": {"electronics_noise_db": 13.0, "stated_total_db": {"C43": 0.1, "C45": 4.0}}},
+    ),
     "window-string": ("/analysis", {"analysis": {"window": "4"}}),
     "window-one": ("/analysis", {"analysis": {"window": 1}}),
     "max-delay-string": ("/analysis", {"analysis": {"max_delay": "4"}}),
@@ -373,3 +377,19 @@ def test_console_script_entry_point():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["squeezing_db"] == pytest.approx(-0.478, abs=0.001)
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["expect", "--scenario", "deployed"]], ids=["import", "expect"]
+)
+def test_cli_leaves_scipy_signal_and_fft_unimported(argv):
+    probe = (
+        "import sys\n"
+        "from sqzkit import cli\n"
+        "if sys.argv[1:]:\n"
+        "    assert cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted({'scipy.signal', 'scipy.fft'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.splitlines()[-1] == "[]"

@@ -1,8 +1,9 @@
 """Bessel evaluation, modulation-depth search, drive power, THD/SFDR.
 
-The Bessel implementation is series + Miller recurrence with no scipy; here
-scipy.special is the independent oracle, plus the classic identities
-(three-term recurrence, even-order normalization, reflection).
+Bessel J_n is an integer-order wrapper over scipy.special.jv, so the
+comparison with scipy.special only checks the wrapper; the classic identities
+(three-term recurrence, even-order normalization, reflection) are the real
+checks of the values.
 """
 
 import math

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from scipy import signal as sig
 
-from sqzkit import cli
+from sqzkit import cli, synth
 from sqzkit.errors import InvalidArgumentError
 from sqzkit.synth import (
+    FILTER_TAPS,
     PhaseModel,
     SynthConfig,
     TriggerSpec,
@@ -161,6 +162,57 @@ def test_phase_models():
     ang = bursty.angles(t, np.random.default_rng(3))
     assert np.any(ang != 0.0)  # some bursts landed
     assert np.abs(ang).max() <= 0.5 + 1e-9 or np.median(ang) == 0.0
+
+
+def test_triangle_sweep_matches_scipy_sawtooth():
+    t = np.linspace(-0.02, 0.03, 40001)  # several periods on both sides of t = 0
+    tri = PhaseModel(kind="triangle_sweep", frequency=125.0, amplitude=1.0)
+    want = sig.sawtooth(2.0 * math.pi * 125.0 * t, width=0.5)
+    np.testing.assert_allclose(tri.angles(t, None), want, rtol=0, atol=1e-12)
+
+
+def _scipy_bandpass_taps(low_hz, high_hz, fs):
+    sos = sig.butter(2, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
+    freqs = np.linspace(0.0, fs / 2.0, 4097)
+    _, resp = sig.sosfreqz(sos, worN=freqs, fs=fs)
+    gain = np.abs(resp)
+    gain[0] = gain[-1] = 0.0
+    taps = sig.firwin2(FILTER_TAPS, freqs, gain, fs=fs)
+    return taps / math.sqrt(np.sum(taps * taps))
+
+
+@pytest.mark.parametrize(
+    "band, fs",
+    [((2.5e5, 1.5e7), 5e8), ((1e6, 4e7), 2.5e8), ((5e3, 2e5), 1e6), ((1e5, 4.9e8), 1e9)],
+)
+def test_bandpass_taps_match_scipy_design(band, fs):
+    taps = synth._bandpass_taps(band[0], band[1], fs)
+    want = _scipy_bandpass_taps(band[0], band[1], fs)
+    assert taps.shape == (FILTER_TAPS,)
+    assert np.max(np.abs(taps - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_fft_filter_matches_direct_convolution():
+    cfg = small_config(duration=2e-5, relative_delay_samples=37, electronics_noise_db=None)
+    n_ext = cfg.n_samples + 37 + FILTER_TAPS - 1
+    x = np.random.default_rng(4).standard_normal(n_ext)
+    got = synth._filter_valid(x, cfg.detector_band, cfg.sample_rate)
+    want = np.convolve(x, synth._bandpass_taps(*cfg.detector_band, cfg.sample_rate), "valid")
+    assert got.shape == want.shape == (cfg.n_samples + 37,)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_fft_length_is_the_next_5_smooth_number():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in (1, 2, 7, 97, 1000, 2_016_484, 2_097_153):
+        got = synth._fast_fft_length(n)
+        assert got >= n and smooth(got)
+        assert not any(smooth(m) for m in range(n, got))
 
 
 def test_phase_model_validation():

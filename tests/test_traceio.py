@@ -109,6 +109,20 @@ def test_analysis_csv(tmp_path):
         traceio.write_analysis_csv(p, t, t, t, t, t[:-1])
 
 
+def test_csv_writers_match_a_row_by_row_rendering(tmp_path):
+    values = np.array([0.1, -0.0, 2.0, 1e-300, -1.5e300, 123456789.0, np.inf, -np.inf, np.nan])
+    other = np.roll(values, 3)
+    traceio.write_trace_csv(tmp_path / "t.csv", values, other, 1e6)
+    rows = "".join(f"{i},{v:.9g},{m:.9g}\n" for i, (v, m) in enumerate(zip(values, other)))
+    assert (tmp_path / "t.csv").read_text() == "index,volts,monitor_volts\n" + rows
+
+    cols = [np.roll(values, k) for k in range(5)]
+    traceio.write_analysis_csv(tmp_path / "s.csv", *cols)
+    header = "time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus\n"
+    rows = "".join(",".join(f"{c[i]:.9g}" for c in cols) + "\n" for i in range(values.size))
+    assert (tmp_path / "s.csv").read_text() == header + rows
+
+
 def test_sweep_csv(tmp_path):
     p = tmp_path / "sweep.csv"
     p.write_text(
