@@ -41,7 +41,6 @@ from .gaussian import (
 )
 from .pipeline import (
     QuadratureTrace,
-    RollingVarianceSeries,
     ShotNoiseStats,
     align,
     analysis_report,
@@ -110,7 +109,6 @@ __all__ = [
     # processing pipeline
     "ShotNoiseStats",
     "QuadratureTrace",
-    "RollingVarianceSeries",
     "average4",
     "discard_trigger_region",
     "normalize",

@@ -1,19 +1,19 @@
-"""Rolling-statistics kernels: rolling variance and the delay-visibility scan.
+"""Rolling-statistics kernel: covariance (and so variance) of sliding windows.
 
-Both are vectorized numpy over sliding sums of anchor-subtracted values,
-restarted every `RENORM_INTERVAL` output points so rounding error cannot
-accumulate over long traces.  Subtracting the anchor (the trace value at the
-start of each renormalization block) is the shifted-data method of Chan,
-Golub & LeVeque, Am. Stat. 37 (1983); it also makes a constant input produce
-exactly zero variance.
+Vectorized numpy over sliding sums of anchor-subtracted values, restarted
+every `RENORM_INTERVAL` output points so rounding error cannot accumulate
+over long traces.  Subtracting the anchor (the trace value at the start of
+each renormalization block) is the shifted-data method of Chan, Golub &
+LeVeque, Am. Stat. 37 (1983); it also makes a constant input produce exactly
+zero variance.
 
-The public functions validate their arguments; the block loops below them
-run unchecked.
+The public functions validate their arguments; the block loop runs
+unchecked.
 """
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import DimensionMismatchError, InvalidArgumentError
 
 RENORM_INTERVAL = 100_000
 
@@ -25,9 +25,12 @@ def _as_f64(x) -> np.ndarray:
     return a
 
 
-def rolling_variance(x, window: int) -> np.ndarray:
-    """Unbiased variance of every length-`window` slice of `x`."""
-    x = _as_f64(x)
+def rolling_covariance(x, y, window: int) -> np.ndarray:
+    """Unbiased covariance of every pair of aligned length-`window` slices,
+    x[i : i+window] with y[i : i+window]."""
+    x, y = _as_f64(x), _as_f64(y)
+    if x.size != y.size:
+        raise DimensionMismatchError(f"trace lengths differ ({x.size} vs {y.size})")
     window = int(window)
     if window < 2:
         raise InvalidArgumentError("window must be >= 2")
@@ -38,56 +41,19 @@ def rolling_variance(x, window: int) -> np.ndarray:
     denom = window - 1.0
     for i0 in range(0, m, RENORM_INTERVAL):
         i1 = min(i0 + RENORM_INTERVAL, m)
-        y = x[i0 : i1 + window - 1] - x[i0]
-        s = np.concatenate(([0.0], np.cumsum(y)))
-        q = np.concatenate(([0.0], np.cumsum(y * y)))
-        sums = s[window:] - s[: i1 - i0]
-        sqs = q[window:] - q[: i1 - i0]
-        out[i0:i1] = np.maximum(sqs - sums * sums / window, 0.0) / denom
+        k = i1 - i0
+        dx = x[i0 : i1 + window - 1] - x[i0]
+        dy = y[i0 : i1 + window - 1] - y[i0]
+        sx = np.concatenate(([0.0], np.cumsum(dx)))
+        sy = np.concatenate(([0.0], np.cumsum(dy)))
+        sxy = np.concatenate(([0.0], np.cumsum(dx * dy)))
+        sums_x = sx[window:] - sx[:k]
+        sums_y = sy[window:] - sy[:k]
+        out[i0:i1] = (sxy[window:] - sxy[:k] - sums_x * sums_y / window) / denom
     return out
 
 
-def delay_visibility_mean(a, b, delay: int, window: int, start: int, stop: int) -> float:
-    """Mean normalized contrast between the variances of a+b and a-b.
-
-    For each window index i in [start, stop), pairs a[i : i+window] with
-    b[i+delay : i+delay+window], computes the unbiased variances V+ and V- of
-    the sum and difference, and averages |V+ - V-| / (V+ + V-) over i.
-    Windows where V+ + V- is not positive contribute zero.
-    """
-    a, b = _as_f64(a), _as_f64(b)
-    delay, w, start, stop = int(delay), int(window), int(start), int(stop)
-    if w < 2:
-        raise InvalidArgumentError("window must be >= 2")
-    if not 0 <= start < stop:
-        raise InvalidArgumentError(f"empty window range [{start}, {stop})")
-    if stop - 1 + w > a.size:
-        raise InvalidArgumentError("window range runs past the end of the first trace")
-    if start + delay < 0 or stop - 1 + delay + w > b.size:
-        raise InvalidArgumentError(f"delay {delay} pushes windows outside the second trace")
-    acc = 0.0
-    denom = w - 1.0
-    for i0 in range(start, stop, RENORM_INTERVAL):
-        i1 = min(i0 + RENORM_INTERVAL, stop)
-        span = i1 - i0 + w - 1
-        ya = a[i0 : i0 + span] - a[i0]
-        yb = b[i0 + delay : i0 + delay + span] - b[i0 + delay]
-        s1 = np.concatenate(([0.0], np.cumsum(ya)))
-        s2 = np.concatenate(([0.0], np.cumsum(yb)))
-        q1 = np.concatenate(([0.0], np.cumsum(ya * ya)))
-        q2 = np.concatenate(([0.0], np.cumsum(yb * yb)))
-        cc = np.concatenate(([0.0], np.cumsum(ya * yb)))
-        k = i1 - i0
-        sa = s1[w:] - s1[:k]
-        sb = s2[w:] - s2[:k]
-        qa = q1[w:] - q1[:k]
-        qb = q2[w:] - q2[:k]
-        cab = cc[w:] - cc[:k]
-        v_plus = (qa + qb + 2.0 * cab - (sa + sb) ** 2 / w) / denom
-        v_minus = (qa + qb - 2.0 * cab - (sa - sb) ** 2 / w) / denom
-        tot = v_plus + v_minus
-        vis = np.zeros(k)
-        ok = tot > 0.0
-        vis[ok] = np.abs(v_plus[ok] - v_minus[ok]) / tot[ok]
-        acc += float(vis.sum())
-    return acc / (stop - start)
+def rolling_variance(x, window: int) -> np.ndarray:
+    """Unbiased variance of every length-`window` slice of `x`."""
+    out = rolling_covariance(x, x, window)
+    return np.maximum(out, 0.0, out=out)

@@ -413,11 +413,11 @@ def _write_series(path, quads, sn_quads, window, max_delay, delay) -> None:
     q1, q2 = pipeline.align(quads[0].q, quads[1].q, delay, max_delay)
     lo, hi = max_delay, len(sn_quads[0].q) - max_delay
     s1, s2 = sn_quads[0].q[lo:hi], sn_quads[1].q[lo:hi]
-    w = window or max(2, min(pipeline.DEFAULT_WINDOW, q1.size // 4))
-    v_plus = pipeline.rolling_variance(q1 + q2, w).values
-    v_minus = pipeline.rolling_variance(q1 - q2, w).values
-    sn_plus = pipeline.rolling_variance(s1 + s2, w).values
-    sn_minus = pipeline.rolling_variance(s1 - s2, w).values
+    w = window or pipeline.default_window(q1.size)
+    v_plus = pipeline.rolling_variance(q1 + q2, w)
+    v_minus = pipeline.rolling_variance(q1 - q2, w)
+    sn_plus = pipeline.rolling_variance(s1 + s2, w)
+    sn_minus = pipeline.rolling_variance(s1 - s2, w)
     time_ms = np.arange(v_plus.size) / quads[0].quadrature_rate * 1e3
     traceio.write_analysis_csv(path, time_ms, v_plus, v_minus, sn_plus, sn_minus)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from ._kernels import rolling_covariance, rolling_variance
 from .errors import DegenerateInputError, DimensionMismatchError, InvalidArgumentError
 
 #: Vacuum variance of normalized quadrature values produced by `normalize`.
@@ -35,6 +35,12 @@ DISCARD_FRACTION = 0.05
 #: Rolling window (quadrature samples) used when a command needs one and the
 #: caller didn't choose: matches the usual visual-analysis window.
 DEFAULT_WINDOW = 10_000
+
+
+def default_window(n_points: int) -> int:
+    """Rolling window for `n_points` aligned points when the caller chose none:
+    `DEFAULT_WINDOW`, cut to a quarter of the points, and never below 2."""
+    return max(2, min(DEFAULT_WINDOW, n_points // 4))
 
 
 def _as_1d(x, name="trace") -> np.ndarray:
@@ -78,20 +84,6 @@ class QuadratureTrace:
 
     def __len__(self) -> int:
         return self.q.size
-
-
-@dataclass(frozen=True)
-class RollingVarianceSeries:
-    """Rolling unbiased variance of one quadrature combination."""
-
-    window: int
-    values: np.ndarray
-    combination: str = ""
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 def average4(samples) -> np.ndarray:
@@ -144,21 +136,34 @@ def raw_to_quadratures(
     return normalize(v, sn, sample_rate / RAW_PER_QUADRATURE)
 
 
-def rolling_variance(q, window: int, combination: str = "") -> RollingVarianceSeries:
-    """Rolling unbiased variance with a streaming kernel.
-
-    Output length is len(q) - window + 1; `combination` is a free-form label
-    carried along for reporting (e.g. "q1_plus_q2", "sn_minus").
-    """
-    values = _kernels.rolling_variance(_as_1d(q, "series"), window)
-    return RollingVarianceSeries(int(window), values, combination)
-
-
 def _delay_candidates(max_delay: int):
     yield 0
     for k in range(1, max_delay + 1):
         yield -k
         yield k
+
+
+def _delay_objectives(a: np.ndarray, b: np.ndarray, max_delay: int, window: int):
+    """(delay, objective) for every candidate delay, in `_delay_candidates` order.
+
+    The objective is the mean over window indices i in [max_delay,
+    len(a) - window - max_delay] of |V+ - V-| / (V+ + V-), the normalized
+    contrast between the unbiased variances of a+b and a-b over a[i : i+window]
+    and b[i+d : i+d+window].  Expanding both variances gives the closed form
+    2|cov(a, b_d)| / (var a + var b_d), so each trace's rolling variance is
+    computed once and each candidate needs only a rolling covariance.
+    Windows where var a + var b_d is not positive contribute zero.
+    """
+    start, stop = max_delay, a.size - window - max_delay + 1
+    span = stop - start + window - 1
+    var_a = rolling_variance(a, window)[start:stop]
+    var_b = rolling_variance(b, window)
+    a_span = a[start : start + span]
+    for d in _delay_candidates(max_delay):
+        cov = rolling_covariance(a_span, b[start + d : start + d + span], window)
+        tot = var_a + var_b[start + d : stop + d]
+        contrast = np.divide(2.0 * np.abs(cov), tot, out=np.zeros_like(tot), where=tot > 0.0)
+        yield d, float(contrast.mean())
 
 
 def delay_search(q1, q2, max_delay: int, window: int) -> tuple[int, float]:
@@ -167,8 +172,8 @@ def delay_search(q1, q2, max_delay: int, window: int) -> tuple[int, float]:
     For every candidate delay d in [-max_delay, +max_delay], q2 is shifted by
     d and the mean absolute visibility |V+ - V-| / (V+ + V-) of the rolling
     variances of q1+q2 and q1-q2 is computed over a window index set shared by
-    all candidates.  Returns (best delay, its objective); ties break toward
-    smaller |d|, then the negative one.
+    all candidates (see `_delay_objectives`).  Returns (best delay, its
+    objective); ties break toward smaller |d|, then the negative one.
     """
     a, b = _as_1d(q1, "q1"), _as_1d(q2, "q2")
     if a.size != b.size:
@@ -180,15 +185,12 @@ def delay_search(q1, q2, max_delay: int, window: int) -> tuple[int, float]:
         raise InvalidArgumentError("window must be >= 2")
     if a.size and (np.ptp(a) == 0.0 or np.ptp(b) == 0.0):
         raise DegenerateInputError("constant trace carries no delay information")
-    start = max_delay
-    stop = a.size - window - max_delay + 1
-    if stop <= start:
+    if a.size - window + 1 <= 2 * max_delay:
         raise InvalidArgumentError(
             f"traces too short for window {window} with max_delay {max_delay}"
         )
     best_d, best_obj = 0, -1.0
-    for d in _delay_candidates(max_delay):
-        obj = _kernels.delay_visibility_mean(a, b, d, window, start, stop)
+    for d, obj in _delay_objectives(a, b, max_delay, int(window)):
         if obj > best_obj:
             best_d, best_obj = d, obj
     return best_d, best_obj
@@ -240,10 +242,10 @@ def squeezing_report(q1, q2, sn1, sn2, window: int | None = None) -> dict:
             raise DegenerateInputError("shot-noise reference variance is zero")
         w_sig = window if window is not None else sig.size
         w_ref = window if window is not None else ref_series.size
-        ratios = _kernels.rolling_variance(sig, w_sig) / ref
+        ratios = rolling_variance(sig, w_sig) / ref
         min_ratio = min(min_ratio, float(ratios.min()))
         max_ratio = max(max_ratio, float(ratios.max()))
-        ref_rolling = _kernels.rolling_variance(ref_series, w_ref)
+        ref_rolling = rolling_variance(ref_series, w_ref)
         spread = float(ref_rolling.std(ddof=1)) if ref_rolling.size > 1 else 0.0
         spreads.append(spread / ref)
 
@@ -342,7 +344,7 @@ def analysis_report(
     vacuum input) plus fwhm_ns for convenience.
     """
     a, b = _as_1d(q1, "q1"), _as_1d(q2, "q2")
-    search_window = window or min(DEFAULT_WINDOW, max(2, (a.size - 2 * max_delay) // 4))
+    search_window = window or default_window(a.size - 2 * max_delay)
     delay, _ = delay_search(a, b, max_delay, search_window)
     a1, b1 = align(a, b, delay, max_delay)
     report = squeezing_report(a1, b1, sn1, sn2, window)

@@ -6,7 +6,9 @@ Trace files come in two flavors:
 * Binary: little-endian float32, all volts then all monitor samples.
 
 Both carry a JSON sidecar (``<file>.json``) recording the sample rate and
-channel layout, since neither payload is self-describing.  All writes are
+channel layout, since neither payload is self-describing.  A sidecar must be
+an object with ``format`` ("csv" or "f32"), ``sample_rate_hz`` (finite, > 0)
+and ``n_samples`` (an integer >= 0, matching the payload).  All writes are
 atomic (temp file + rename) so a crashed run never leaves a half-written
 file behind.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -62,13 +65,26 @@ def _write_sidecar(path: Path, fmt: str, sample_rate: float, n: int, meta: dict 
 
 
 def _read_sidecar(path: Path) -> dict | None:
+    """The trace's sidecar with its required fields checked; None if it has none."""
     sp = _sidecar_path(path)
     if not sp.exists():
         return None
     try:
-        return json.loads(sp.read_text())
+        sidecar = json.loads(sp.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioFormatError(f"{sp}: unreadable trace sidecar: {exc}") from exc
+    if not isinstance(sidecar, dict):
+        raise ScenarioFormatError(f"{sp}: trace sidecar must be a JSON object")
+    rate, n = sidecar.get("sample_rate_hz"), sidecar.get("n_samples")
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
+        raise ScenarioFormatError(f"{sp}: sample_rate_hz must be a finite number > 0, got {rate!r}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ScenarioFormatError(f"{sp}: n_samples must be an integer >= 0, got {n!r}")
+    if sidecar.get("format") not in ("csv", "f32"):
+        raise ScenarioFormatError(
+            f"{sp}: format must be 'csv' or 'f32', got {sidecar.get('format')!r}"
+        )
+    return sidecar
 
 
 def _csv_table(header: str, row_format: str, *columns: np.ndarray) -> bytes:
@@ -94,13 +110,19 @@ def write_trace_csv(path, volts, monitor, sample_rate: float, meta: dict | None 
 def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray, float]:
     """Returns (volts, monitor, sample_rate); rate falls back to 500 MS/s."""
     path = Path(path)
+    sidecar = _read_sidecar(path)
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
     except (OSError, ValueError) as exc:
         raise ScenarioFormatError(f"{path}: not a readable trace CSV: {exc}") from exc
-    sidecar = _read_sidecar(path)
-    rate = float(sidecar["sample_rate_hz"]) if sidecar else DEFAULT_SAMPLE_RATE
-    return data[:, 0].copy(), data[:, 1].copy(), rate
+    if sidecar is None:
+        return data[:, 0].copy(), data[:, 1].copy(), DEFAULT_SAMPLE_RATE
+    if data.shape[0] != sidecar["n_samples"]:
+        raise ScenarioFormatError(
+            f"{path}: {data.shape[0]} rows, but {_sidecar_path(path)} says "
+            f"n_samples = {sidecar['n_samples']}"
+        )
+    return data[:, 0].copy(), data[:, 1].copy(), float(sidecar["sample_rate_hz"])
 
 
 def write_trace_binary(path, volts, monitor, sample_rate: float, meta: dict | None = None) -> None:
@@ -116,10 +138,11 @@ def read_trace_binary(path) -> tuple[np.ndarray, np.ndarray, float]:
     sidecar = _read_sidecar(path)
     raw = np.fromfile(path, dtype=_BINARY_DTYPE)
     if sidecar is not None:
-        n = int(sidecar["n_samples"])
+        n = sidecar["n_samples"]
         if raw.size != 2 * n:
             raise ScenarioFormatError(
-                f"{path}: expected {2 * n} float32 values per sidecar, found {raw.size}"
+                f"{path}: expected {2 * n} float32 values per {_sidecar_path(path)}, "
+                f"found {raw.size}"
             )
         rate = float(sidecar["sample_rate_hz"])
     else:
@@ -134,7 +157,7 @@ def read_trace(path) -> tuple[np.ndarray, np.ndarray, float]:
     """Dispatch on the sidecar's format field, else the file extension."""
     path = Path(path)
     sidecar = _read_sidecar(path)
-    fmt = sidecar.get("format") if sidecar else ("csv" if path.suffix.lower() == ".csv" else "f32")
+    fmt = sidecar["format"] if sidecar else ("csv" if path.suffix.lower() == ".csv" else "f32")
     if fmt == "csv":
         return read_trace_csv(path)
     return read_trace_binary(path)

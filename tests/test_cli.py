@@ -308,6 +308,48 @@ def test_analyze_rejects_mismatched_lengths(capsys, tmp_path):
     assert "shot_noise_C45.f32" in diag["message"]
 
 
+def _without(key):
+    return lambda sidecar: {k: v for k, v in sidecar.items() if k != key}
+
+
+def _with(key, value):
+    return lambda sidecar: {**sidecar, key: value}
+
+
+@pytest.mark.parametrize(
+    "fmt, mutate",
+    [
+        pytest.param("f32", _without("n_samples"), id="missing-n_samples"),
+        pytest.param("f32", _without("sample_rate_hz"), id="missing-sample_rate_hz"),
+        pytest.param("f32", lambda sidecar: [sidecar], id="json-list"),
+        pytest.param("f32", _with("sample_rate_hz", 0), id="rate-zero"),
+        pytest.param("f32", _with("sample_rate_hz", -5e8), id="rate-negative"),
+        pytest.param("f32", _with("sample_rate_hz", math.nan), id="rate-nan"),
+        pytest.param("f32", _with("format", "wav"), id="format-unknown"),
+        pytest.param(
+            "csv",
+            lambda sidecar: {**sidecar, "n_samples": sidecar["n_samples"] - 1},
+            id="csv-row-count",
+        ),
+    ],
+)
+def test_analyze_rejects_malformed_sidecars(capsys, tmp_path, fmt, mutate):
+    scen = write_scenario(tmp_path, minimal_scenario(synthesis={"duration": 1e-4}))
+    files = run_json(
+        capsys, "simulate", "--scenario", scen, "--out-dir", str(tmp_path / "r"),
+        "--trace-format", fmt,
+    )["files"]
+    for f in files.values():
+        sidecar = Path(f + ".json")
+        sidecar.write_text(json.dumps(mutate(json.loads(sidecar.read_text()))))
+
+    code, _, err = run_cli(capsys, *_analyze_args(files))
+    assert code == 1
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "ScenarioFormatError"
+    assert f"signal_C43.{fmt}.json" in diag["message"]
+
+
 def test_analyze_requires_two_of_each(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--trace", "x.f32", "--shot-noise", "y.f32")
     assert code == 1

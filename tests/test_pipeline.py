@@ -1,11 +1,15 @@
 """Raw-voltage post-processing chain, stage by stage."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sqzkit import pipeline
+from sqzkit import cli, pipeline, synth
 from sqzkit.errors import DegenerateInputError, DimensionMismatchError, InvalidArgumentError
 from sqzkit.pipeline import (
     QUADRATURE_VACUUM_VARIANCE,
@@ -106,12 +110,10 @@ def test_shot_noise_stats_validation():
 
 def test_rolling_variance_wrapper():
     x = np.array([1.0, 2.0, 4.0, 7.0, 11.0])
-    series = rolling_variance(x, 3, combination="demo")
+    values = rolling_variance(x, 3)
     expected = [np.var(x[i : i + 3], ddof=1) for i in range(3)]
-    assert np.allclose(series.values, expected, atol=1e-12)
-    assert series.window == 3
-    assert series.combination == "demo"
-    assert not series.values.flags.writeable
+    assert isinstance(values, np.ndarray)
+    assert np.allclose(values, expected, atol=1e-12)
 
 
 # -------------------------------------------------------------- delay search
@@ -273,3 +275,42 @@ def test_analysis_report_on_synthetic_correlated_pair():
     # is resolvable beyond one sample, but the report must still be complete
     assert set(report) >= {"squeezing_db", "antisqueezing_db", "error_db",
                            "optimal_delay", "fwhm_samples", "fwhm_ns"}
+
+
+@functools.lru_cache(maxsize=1)
+def _reference_raw_traces():
+    """Signal and shot-noise raw samples of a short `reference` run with a
+    3-sample relative delay."""
+    cfg = dataclasses.replace(
+        cli.scenario_synth_config(cli.load_scenario("reference"), seed=5, duration=2e-4),
+        relative_delay_samples=4 * 3,
+    )
+    traces = (*synth.synthesize_pair(cfg), *synth.synthesize_shot_noise(cfg))
+    return tuple(t.samples for t in traces), cfg.sample_rate
+
+
+def _chain_report(transform):
+    raw, rate = _reference_raw_traces()
+    sig1, sig2, ref1, ref2 = (transform(v) for v in raw)
+    stats = [shot_noise_stats(v) for v in (ref1, ref2)]
+    q = [raw_to_quadratures(v, sn, rate).q for v, sn in zip((sig1, sig2, ref1, ref2), stats * 2)]
+    return analysis_report(*q, window=2000, max_delay=8)
+
+
+def _assert_same_report(got):
+    want = _chain_report(lambda v: v)
+    assert got["optimal_delay"] == want["optimal_delay"] == 3
+    for key in ("squeezing_db", "antisqueezing_db", "error_db"):
+        assert got[key] == pytest.approx(want[key], rel=0, abs=1e-9)
+
+
+@settings(max_examples=5, deadline=None)
+@given(c=st.floats(1e-3, 1e3))
+def test_chain_is_invariant_to_scaling_the_raw_traces(c):
+    _assert_same_report(_chain_report(lambda v: c * v))
+
+
+@settings(max_examples=5, deadline=None)
+@given(offset=st.floats(-10.0, 10.0))
+def test_chain_is_invariant_to_a_dc_offset_on_the_raw_traces(offset):
+    _assert_same_report(_chain_report(lambda v: v + offset))
