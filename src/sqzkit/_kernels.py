@@ -1,21 +1,111 @@
-"""Rolling-statistics kernel: covariance (and so variance) of sliding windows.
+"""Rolling-statistics kernel, and the worker thread that runs half of it.
 
-Vectorized numpy over sliding sums of anchor-subtracted values, restarted
-every `RENORM_INTERVAL` output points so rounding error cannot accumulate
-over long traces.  Subtracting the anchor (the trace value at the start of
-each renormalization block) is the shifted-data method of Chan, Golub &
-LeVeque, Am. Stat. 37 (1983); it also makes a constant input produce exactly
-zero variance.
+Covariances (and so variances) of sliding windows are vectorized numpy over
+prefix sums of anchor-subtracted values, restarted every `RENORM_INTERVAL`
+output points so rounding error cannot accumulate over long traces.
+Subtracting an anchor (a trace value at the start of each renormalization
+block) is the shifted-data method of Chan, Golub & LeVeque, Am. Stat. 37
+(1983); it also makes a constant input produce exactly zero variance.  An
+anchor a few samples (a shift) away from the block start keeps that property,
+so one anchor and one prefix sum per trace and block serve a whole set of
+shifts of the second trace.
+
+`run_both` runs two callables at once, one on a persistent worker thread.
+numpy's random generators, its FFT and its array loops release the
+interpreter lock, so the two independent detector channels, or two halves of
+a set of shifts, use two cores.  Large buffers are allocated on the calling
+thread and the worker only fills them (``out=``): a buffer freed on the
+worker would stay cached in that thread's malloc arena and raise the
+process's peak memory.
 
 The public functions validate their arguments; the block loop runs
 unchecked.
 """
+
+import os
+import threading
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidArgumentError
 
 RENORM_INTERVAL = 100_000
+
+
+class _Worker:
+    """A daemon thread that runs one handed-over task at a time.
+
+    The thread starts on the first hand-over, not at import.
+    """
+
+    def __init__(self):
+        self._idle = threading.Lock()  # held from hand-over until the task has run
+        self._go = threading.Lock()
+        self._go.acquire()
+        self._task = None
+        self._thread = None
+
+    def try_hand_over(self, task, done: threading.Lock) -> bool:
+        """Start `task` on the worker and release `done` after it has run;
+        False, and nothing started, while the worker is busy."""
+        if not self._idle.acquire(blocking=False):
+            return False
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._serve, name="sqzkit-worker", daemon=True)
+            self._thread.start()
+        self._task = (task, done)
+        self._go.release()
+        return True
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            (task, done), self._task = self._task, None
+            try:
+                task()
+            finally:
+                self._idle.release()
+                done.release()
+
+
+_WORKER = _Worker()
+
+
+def _forget_worker_after_fork():
+    global _WORKER
+    _WORKER = _Worker()  # the forked child has no worker thread
+
+
+os.register_at_fork(after_in_child=_forget_worker_after_fork)
+
+
+def run_both(first, second):
+    """``(first(), second())``, with `first` run on the worker thread.
+
+    Both have finished when this returns or raises, and an exception raised
+    by `first` is re-raised here.  When the worker is busy (a call from
+    another thread, or from inside `first`), both run here in turn.
+    """
+    done = threading.Lock()
+    done.acquire()
+    outcome = []
+
+    def task():
+        try:
+            outcome.append((first(), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    if not _WORKER.try_hand_over(task, done):
+        return first(), second()
+    try:
+        mine = second()
+    finally:
+        done.acquire()
+    theirs, exc = outcome.pop()
+    if exc is not None:
+        raise exc
+    return theirs, mine
 
 
 def _as_f64(x) -> np.ndarray:
@@ -25,31 +115,107 @@ def _as_f64(x) -> np.ndarray:
     return a
 
 
+def _check_window(window, n: int) -> int:
+    window = int(window)
+    if window < 2:
+        raise InvalidArgumentError("window must be >= 2")
+    if window > n:
+        raise InvalidArgumentError(f"window {window} exceeds trace length {n}")
+    return window
+
+
+class _Lane:
+    """Per-thread scratch of the block loop, sized for one block."""
+
+    def __init__(self, block: int, window: int):
+        self.prod = np.empty(block + window - 1)
+        self.sxy = np.zeros(block + window)
+        self.cov = np.empty(block)
+        self.spare = np.empty(block)
+
+
+def shifted_covariances(x, y, window: int, shifts, reduce) -> None:
+    """Covariance of x[i : i+window] with y[i+s : i+s+window], for every
+    output point i in [0, len(x) - window] and every shift s in `shifts`.
+
+    Results go out one renormalization block at a time: for each block
+    starting at output point i0 and each shift index j, ``reduce(j, i0, cov,
+    spare)`` gets the block's covariances for ``shifts[j]`` in `cov`, and
+    `spare`, a buffer of the same length.  Both are scratch that `reduce`
+    may overwrite and that the next call reuses.  Each block anchors x at
+    x[i0] and y at y[i0 + shifts[0]] and builds one prefix sum of each;
+    every shift then costs one product and one cumulative sum.  With more
+    than one shift, the shifts are split in two halves and the first half
+    is reduced on the worker thread, so `reduce` is called from two threads
+    at once, never for the same j.
+    """
+    x, y = _as_f64(x), _as_f64(y)
+    window = _check_window(window, x.size)
+    shifts = [int(s) for s in shifts]
+    if not shifts or min(shifts) < 0:
+        raise InvalidArgumentError("shifts must be a non-empty set of integers >= 0")
+    s_lo, s_hi = min(shifts), max(shifts)
+    if y.size < x.size + s_hi:
+        raise DimensionMismatchError(
+            f"y has {y.size} samples; shift {s_hi} of {x.size} needs {x.size + s_hi}"
+        )
+    m = x.size - window + 1
+    block = min(RENORM_INTERVAL, m)
+    denom = window - 1.0
+    dx = np.empty(block + window - 1)
+    dy = np.empty(block + window - 1 + s_hi - s_lo)
+    sx = np.zeros(dx.size + 1)
+    sy = np.zeros(dy.size + 1)
+    sums_x = np.empty(block)
+    half = (len(shifts) + 1) // 2
+    lanes = [
+        (indices, _Lane(block, window))
+        for indices in (range(half), range(half, len(shifts)))
+        if indices
+    ]
+
+    def reduce_lane(indices, lane, i0, k):
+        nx = k + window - 1
+        prod, sxy, cov, sums_y = lane.prod[:nx], lane.sxy, lane.cov[:k], lane.spare[:k]
+        for j in indices:
+            o = shifts[j] - s_lo
+            np.multiply(dx[:nx], dy[o : o + nx], out=prod)
+            np.cumsum(prod, out=sxy[1 : nx + 1])
+            np.subtract(sy[o + window : o + window + k], sy[o : o + k], out=sums_y)
+            # (sum xy - sum x * sum y / window) / (window - 1)
+            np.subtract(sxy[window : window + k], sxy[:k], out=cov)
+            np.multiply(sums_x[:k], sums_y, out=sums_y)
+            sums_y /= window
+            cov -= sums_y
+            cov /= denom
+            reduce(j, i0, cov, sums_y)
+
+    for i0 in range(0, m, RENORM_INTERVAL):
+        k = min(RENORM_INTERVAL, m - i0)
+        nx, ny = k + window - 1, k + window - 1 + s_hi - s_lo
+        np.subtract(x[i0 : i0 + nx], x[i0], out=dx[:nx])
+        np.cumsum(dx[:nx], out=sx[1 : nx + 1])
+        np.subtract(y[i0 + s_lo : i0 + s_lo + ny], y[i0 + shifts[0]], out=dy[:ny])
+        np.cumsum(dy[:ny], out=sy[1 : ny + 1])
+        np.subtract(sx[window : window + k], sx[:k], out=sums_x[:k])
+        if len(lanes) == 1:
+            reduce_lane(*lanes[0], i0, k)
+        else:
+            run_both(lambda: reduce_lane(*lanes[0], i0, k), lambda: reduce_lane(*lanes[1], i0, k))
+
+
 def rolling_covariance(x, y, window: int) -> np.ndarray:
     """Unbiased covariance of every pair of aligned length-`window` slices,
     x[i : i+window] with y[i : i+window]."""
     x, y = _as_f64(x), _as_f64(y)
     if x.size != y.size:
         raise DimensionMismatchError(f"trace lengths differ ({x.size} vs {y.size})")
-    window = int(window)
-    if window < 2:
-        raise InvalidArgumentError("window must be >= 2")
-    if window > x.size:
-        raise InvalidArgumentError(f"window {window} exceeds trace length {x.size}")
-    m = x.size - window + 1
-    out = np.empty(m)
-    denom = window - 1.0
-    for i0 in range(0, m, RENORM_INTERVAL):
-        i1 = min(i0 + RENORM_INTERVAL, m)
-        k = i1 - i0
-        dx = x[i0 : i1 + window - 1] - x[i0]
-        dy = y[i0 : i1 + window - 1] - y[i0]
-        sx = np.concatenate(([0.0], np.cumsum(dx)))
-        sy = np.concatenate(([0.0], np.cumsum(dy)))
-        sxy = np.concatenate(([0.0], np.cumsum(dx * dy)))
-        sums_x = sx[window:] - sx[:k]
-        sums_y = sy[window:] - sy[:k]
-        out[i0:i1] = (sxy[window:] - sxy[:k] - sums_x * sums_y / window) / denom
+    out = np.empty(x.size - _check_window(window, x.size) + 1)
+
+    def store(j, i0, cov, spare):
+        out[i0 : i0 + cov.size] = cov
+
+    shifted_covariances(x, y, window, (0,), store)
     return out
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import rolling_covariance, rolling_variance
+from ._kernels import rolling_variance, shifted_covariances
 from .errors import DegenerateInputError, DimensionMismatchError, InvalidArgumentError
 
 #: Vacuum variance of normalized quadrature values produced by `normalize`.
@@ -151,19 +151,30 @@ def _delay_objectives(a: np.ndarray, b: np.ndarray, max_delay: int, window: int)
     contrast between the unbiased variances of a+b and a-b over a[i : i+window]
     and b[i+d : i+d+window].  Expanding both variances gives the closed form
     2|cov(a, b_d)| / (var a + var b_d), so each trace's rolling variance is
-    computed once and each candidate needs only a rolling covariance.
+    computed once, and the covariances of every candidate come from one pass
+    of `shifted_covariances`, reduced block by block to per-candidate sums.
     Windows where var a + var b_d is not positive contribute zero.
     """
     start, stop = max_delay, a.size - window - max_delay + 1
     span = stop - start + window - 1
     var_a = rolling_variance(a, window)[start:stop]
     var_b = rolling_variance(b, window)
-    a_span = a[start : start + span]
-    for d in _delay_candidates(max_delay):
-        cov = rolling_covariance(a_span, b[start + d : start + d + span], window)
-        tot = var_a + var_b[start + d : stop + d]
-        contrast = np.divide(2.0 * np.abs(cov), tot, out=np.zeros_like(tot), where=tot > 0.0)
-        yield d, float(contrast.mean())
+    delays = list(_delay_candidates(max_delay))
+    shifts = [d + max_delay for d in delays]  # b[start + d + i] is b[shift + i]
+    sums = [0.0] * len(delays)
+
+    def add_contrast(j, i0, cov, tot):
+        s, k = shifts[j], cov.size
+        np.add(var_a[i0 : i0 + k], var_b[s + i0 : s + i0 + k], out=tot)
+        np.abs(cov, out=cov)
+        cov *= 2.0
+        positive = tot > 0.0
+        np.divide(cov, tot, out=cov, where=positive)
+        sums[j] += float(np.sum(cov, where=positive))
+
+    shifted_covariances(a[start : start + span], b, window, shifts, add_contrast)
+    for d, total in zip(delays, sums):
+        yield d, total / (stop - start)
 
 
 def delay_search(q1, q2, max_delay: int, window: int) -> tuple[int, float]:

@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _kernels
 from .errors import InvalidArgumentError
 from .gaussian import lossy_tmsv_moments
 
@@ -39,6 +40,9 @@ _STREAM_ELEC1 = 2
 _STREAM_ELEC2 = 3
 _STREAM_PHASE_B = 4
 _STREAM_PHASE_C = 5
+
+#: Electronics noise is drawn this many samples at a time.
+_NOISE_CHUNK = 65_536
 
 
 def _rng(seed: int, family: int, stream: int) -> np.random.Generator:
@@ -245,69 +249,114 @@ def _filter_spectrum(low_hz: float, high_hz: float, fs: float, nfft: int) -> np.
     return spectrum
 
 
-def _filter_valid(x: np.ndarray, band: tuple[float, float], fs: float) -> np.ndarray:
-    """'valid' part of the convolution of ``x`` with the band-pass taps.
+def _filter_valid(x: np.ndarray, n: int, spectrum: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """'valid' part of the convolution of x[:n] with the band-pass taps,
+    filtered in place.
 
-    With an FFT length of at least len(x), output samples [taps-1, len(x))
-    of the circular convolution never wrap, so they equal the linear ones.
+    `x` has an FFT length at least n, with zeros past n; `spectrum` is
+    `_filter_spectrum` at that length and `work` holds x's spectrum.  Output
+    samples [taps-1, n) of the circular convolution never wrap, so they
+    equal the linear ones.  Returns that range of `x`.
     """
-    nfft = _fast_fft_length(x.size)
-    spectrum = np.fft.rfft(x, nfft)
-    spectrum *= _filter_spectrum(band[0], band[1], fs, nfft)
-    return np.fft.irfft(spectrum, nfft)[FILTER_TAPS - 1 : x.size]
+    np.fft.rfft(x, out=work)
+    work *= spectrum
+    np.fft.irfft(work, x.size, out=x)
+    return x[FILTER_TAPS - 1 : n]
+
+
+def _add_scaled_normals(x: np.ndarray, rng: np.random.Generator, sigma: float, chunk: np.ndarray) -> None:
+    """x += sigma * standard normals, drawn one `chunk` at a time; the same
+    samples as ``x + rng.normal(0, sigma, x.size)``."""
+    for i in range(0, x.size, chunk.size):
+        part = chunk[: x.size - i]
+        rng.standard_normal(out=part)
+        part *= sigma
+        x[i : i + part.size] += part
 
 
 def _synthesize(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
     n = config.n_samples
     fs = config.sample_rate
     delay = config.relative_delay_samples
+    band = config.detector_band
     # Extended grid so 'valid' convolution lands on exactly n + |delay|
     # samples, from which each channel takes its own n-sample window.
-    pad = FILTER_TAPS - 1 if config.detector_band is not None else 0
+    pad = FILTER_TAPS - 1 if band is not None else 0
     n_ext = n + abs(delay) + pad
 
+    # Each channel lives in one buffer from its draw to its volts; a filtered
+    # channel's buffer has the FFT length, so it is filtered in place.  The
+    # channels are independent streams, so their draws, and later their
+    # filters and electronics noise, run on two threads.  Every large buffer
+    # is allocated here, on the calling thread (see `_kernels`).
+    size = _fast_fft_length(n_ext) if band is not None else n_ext
+    x1, x2 = np.empty(size), np.empty(size)
+    x1[n_ext:] = x2[n_ext:] = 0.0  # FFT padding
+    g1, g2 = x1[:n_ext], x2[:n_ext]
     seed = config.rng_seed
+    _kernels.run_both(
+        lambda: _rng(seed, family, _STREAM_G1).standard_normal(out=g1),
+        lambda: _rng(seed, family, _STREAM_G2).standard_normal(out=g2),
+    )
+
     v1, v2, cross = lossy_tmsv_moments(config.r, config.t_b, config.t_c)
-    g1 = _rng(seed, family, _STREAM_G1).standard_normal(n_ext)
-    g2 = _rng(seed, family, _STREAM_G2).standard_normal(n_ext)
     sd1 = math.sqrt(v1)
-    x1 = sd1 * g1
     if cross == 0.0:
         # Uncorrelated quadratures (r = 0, or no light on one arm): the
         # mixing below reduces to exactly this at cov == 0.
-        x2 = math.sqrt(v2) * g2
+        g2 *= math.sqrt(v2)
     else:
         t = (np.arange(n_ext) - pad // 2) / fs
         theta = config.phase_b.angles(t, _rng(seed, family, _STREAM_PHASE_B))
-        theta = theta + config.phase_c.angles(t, _rng(seed, family, _STREAM_PHASE_C))
+        theta += config.phase_c.angles(t, _rng(seed, family, _STREAM_PHASE_C))
+        del t
         # Per-sample 2x2 covariance of the two detector quadratures: the
         # cross term swings with cos(theta_b + theta_c), so sweeping either
         # phase moves the joint variance between the squeezed and
         # anti-squeezed values.  Cholesky mixing of the two unit-variance
-        # streams gives that covariance.
-        cov = cross * np.cos(theta)
-        resid = np.maximum(v2 - cov * cov / v1, 0.0)
-        x2 = (cov / sd1) * g1 + np.sqrt(resid) * g2
+        # streams gives that covariance:
+        # x2 = (cov / sd1) * g1 + sqrt(max(v2 - cov^2 / v1, 0)) * g2, in place.
+        cov = np.cos(theta, out=theta)
+        cov *= cross
+        resid = cov * cov
+        resid /= v1
+        np.subtract(v2, resid, out=resid)
+        np.maximum(resid, 0.0, out=resid)
+        g2 *= np.sqrt(resid, out=resid)
+        del resid
+        cov /= sd1
+        cov *= g1
+        g2 += cov
+        del cov, theta
+    g1 *= sd1
 
-    if config.detector_band is not None:
-        x1 = _filter_valid(x1, config.detector_band, fs)
-        x2 = _filter_valid(x2, config.detector_band, fs)
-
-    # Channel 2 lags channel 1 by `delay` samples: x2[i] pairs with x1[i - delay].
-    if delay > 0:
-        x1, x2 = x1[delay:], x2[:n]
-    elif delay < 0:
-        x1, x2 = x1[:n], x2[-delay:]
-
-    # Electronics noise is white and unfiltered: it originates after the
-    # detection band, at -clearance dB relative to shot noise (variance 1).
+    if band is not None:
+        spectrum = _filter_spectrum(band[0], band[1], fs, size)
+    sigma_e = None
     if config.electronics_noise_db is not None:
         sigma_e = 10.0 ** (-config.electronics_noise_db / 20.0)
-        x1 = x1 + _rng(seed, family, _STREAM_ELEC1).normal(0.0, sigma_e, n)
-        x2 = x2 + _rng(seed, family, _STREAM_ELEC2).normal(0.0, sigma_e, n)
 
-    volts1 = config.shot_noise_volts_rms * x1
-    volts2 = config.shot_noise_volts_rms * x2
+    def finish(x, start, stream, work, chunk):
+        if band is not None:
+            x = _filter_valid(x, n_ext, spectrum, work)
+        # Channel 2 lags channel 1 by `delay` samples: x2[i] pairs with x1[i - delay].
+        x = x[start : start + n]
+        # Electronics noise is white and unfiltered: it originates after the
+        # detection band, at -clearance dB relative to shot noise (variance 1).
+        if sigma_e is not None:
+            _add_scaled_normals(x, _rng(seed, family, stream), sigma_e, chunk)
+        x *= config.shot_noise_volts_rms
+        return x
+
+    def scratch():
+        work = np.empty(size // 2 + 1, dtype=complex) if band is not None else None
+        return work, np.empty(min(_NOISE_CHUNK, n))
+
+    scratch1, scratch2 = scratch(), scratch()
+    volts1, volts2 = _kernels.run_both(
+        lambda: finish(x1, max(delay, 0), _STREAM_ELEC1, *scratch1),
+        lambda: finish(x2, max(-delay, 0), _STREAM_ELEC2, *scratch2),
+    )
 
     monitor = np.zeros(n)
     width = max(1, int(round(config.trigger.width_s * fs)))

@@ -28,14 +28,19 @@ from .errors import ScenarioFormatError
 
 _BINARY_DTYPE = "<f4"
 DEFAULT_SAMPLE_RATE = 5e8
+#: Trace and series writes are rendered and written this many rows at a time.
+_CHUNK_ROWS = 65_536
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the bytes-like `chunks` one after another to a temp file, then
+    rename it over `path`."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -46,7 +51,7 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 
 def atomic_write_text(path, text: str) -> None:
-    _atomic_write(Path(path), text.encode("utf-8"))
+    _atomic_write(Path(path), [text.encode("utf-8")])
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -87,23 +92,27 @@ def _read_sidecar(path: Path) -> dict | None:
     return sidecar
 
 
-def _csv_table(header: str, row_format: str, *columns: np.ndarray) -> bytes:
-    """Header plus one ``row_format`` line per row, rendered by a single
-    %-format over the row-major interleaving of ``columns``."""
-    n = columns[0].size
-    table = np.empty((n, len(columns)), dtype=object)
-    for k, column in enumerate(columns):
-        table[:, k] = column
-    return (header + (row_format * n) % tuple(table.ravel())).encode("ascii")
+def _csv_table(header: str, row_format: str, *columns):
+    """Header, then one ``row_format`` line per row, as ASCII chunks of
+    `_CHUNK_ROWS` rows; each chunk is rendered by a single %-format over the
+    row-major interleaving of its slice of ``columns``."""
+    yield header.encode("ascii")
+    n = len(columns[0])
+    table = np.empty((min(n, _CHUNK_ROWS), len(columns)), dtype=object)
+    for i in range(0, n, _CHUNK_ROWS):
+        rows = table[: min(_CHUNK_ROWS, n - i)]
+        for k, column in enumerate(columns):
+            rows[:, k] = column[i : i + rows.shape[0]]
+        yield ((row_format * rows.shape[0]) % tuple(rows.ravel())).encode("ascii")
 
 
 def write_trace_csv(path, volts, monitor, sample_rate: float, meta: dict | None = None) -> None:
     volts = np.asarray(volts, dtype=np.float64)
     monitor = np.asarray(monitor, dtype=np.float64)
-    text = _csv_table(
-        "index,volts,monitor_volts\n", "%d,%.9g,%.9g\n", np.arange(volts.size), volts, monitor
+    rows = _csv_table(
+        "index,volts,monitor_volts\n", "%d,%.9g,%.9g\n", range(volts.size), volts, monitor
     )
-    _atomic_write(Path(path), text)
+    _atomic_write(Path(path), rows)
     _write_sidecar(Path(path), "csv", sample_rate, volts.size, meta)
 
 
@@ -126,9 +135,13 @@ def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def write_trace_binary(path, volts, monitor, sample_rate: float, meta: dict | None = None) -> None:
-    volts = np.asarray(volts, dtype=_BINARY_DTYPE)
-    monitor = np.asarray(monitor, dtype=_BINARY_DTYPE)
-    _atomic_write(Path(path), volts.tobytes() + monitor.tobytes())
+    volts, monitor = np.ravel(volts), np.ravel(monitor)
+    chunks = (
+        column[i : i + _CHUNK_ROWS].astype(_BINARY_DTYPE)
+        for column in (volts, monitor)
+        for i in range(0, column.size, _CHUNK_ROWS)
+    )
+    _atomic_write(Path(path), chunks)
     _write_sidecar(Path(path), "f32", sample_rate, volts.size, meta)
 
 
@@ -169,10 +182,10 @@ def write_analysis_csv(path, time_ms, v_plus, v_minus, v_sn_plus, v_sn_minus) ->
     n = cols[0].size
     if any(c.size != n for c in cols):
         raise ScenarioFormatError("analysis columns must share one length")
-    text = _csv_table(
+    rows = _csv_table(
         "time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus\n", "%.9g,%.9g,%.9g,%.9g,%.9g\n", *cols
     )
-    _atomic_write(Path(path), text)
+    _atomic_write(Path(path), rows)
 
 
 def read_sweep_csv(path):

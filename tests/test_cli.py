@@ -425,12 +425,16 @@ def test_console_script_entry_point():
     "argv", [[], ["expect", "--scenario", "deployed"]], ids=["import", "expect"]
 )
 def test_cli_leaves_scipy_signal_and_fft_unimported(argv):
+    # concurrent.futures alone costs ~10 ms of import, and importing starts
+    # no thread: synthesis starts its worker thread on first use
     probe = (
-        "import sys\n"
+        "import sys, threading\n"
         "from sqzkit import cli\n"
         "if sys.argv[1:]:\n"
         "    assert cli.main(sys.argv[1:]) == 0\n"
-        "print(sorted({'scipy.signal', 'scipy.fft'} & set(sys.modules)), file=sys.stderr)\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "unwanted = {'scipy.signal', 'scipy.fft', 'concurrent.futures', 'queue'}\n"
+        "print(sorted(unwanted & set(sys.modules)), file=sys.stderr)\n"
     )
     out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr

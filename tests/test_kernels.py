@@ -5,10 +5,23 @@ checked against brute-force oracles that recompute every window from
 scratch, including windows past the internal renormalization boundary.
 """
 
+import multiprocessing
+import sys
+import threading
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sqzkit._kernels import RENORM_INTERVAL, rolling_covariance, rolling_variance
+from sqzkit import _kernels
+from sqzkit._kernels import (
+    RENORM_INTERVAL,
+    rolling_covariance,
+    rolling_variance,
+    run_both,
+    shifted_covariances,
+)
 from sqzkit.errors import DimensionMismatchError, InvalidArgumentError
 from sqzkit.pipeline import _delay_objectives, delay_search
 
@@ -28,6 +41,44 @@ def delay_objective(a, b, delay, window, max_delay):
     """`_delay_objectives` entry for one delay; its windows start at
     max_delay and stop at len(a) - window - max_delay + 1."""
     return dict(_delay_objectives(a, b, max_delay, window))[delay]
+
+
+def blockwise_rolling_variance(x, window):
+    """Reference rolling variance: a single-shift block loop with one
+    anchor, three prefix sums and a concatenation per block.  The kernel
+    must reproduce it bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    m = x.size - window + 1
+    out = np.empty(m)
+    for i0 in range(0, m, RENORM_INTERVAL):
+        i1 = min(i0 + RENORM_INTERVAL, m)
+        k = i1 - i0
+        dx = x[i0 : i1 + window - 1] - x[i0]
+        dy = x[i0 : i1 + window - 1] - x[i0]
+        sx = np.concatenate(([0.0], np.cumsum(dx)))
+        sy = np.concatenate(([0.0], np.cumsum(dy)))
+        sxy = np.concatenate(([0.0], np.cumsum(dx * dy)))
+        sums_x = sx[window:] - sx[:k]
+        sums_y = sy[window:] - sy[:k]
+        out[i0:i1] = (sxy[window:] - sxy[:k] - sums_x * sums_y / window) / (window - 1.0)
+    return np.maximum(out, 0.0)
+
+
+def collect_shifted(x, y, window, shifts):
+    """`shifted_covariances` gathered into one array per shift."""
+    m = x.size - window + 1
+    out = np.full((len(shifts), m), np.nan)
+
+    def store(j, i0, cov, spare):
+        out[j, i0 : i0 + cov.size] = cov
+        spare[:] = np.nan  # scratch: the kernel must not read it back
+
+    shifted_covariances(x, y, window, shifts, store)
+    return out
+
+
+def sequential(first, second):
+    return first(), second()
 
 
 def direct_visibility_mean(a, b, delay, window, start, stop):
@@ -200,3 +251,171 @@ def test_wrapper_accepts_readonly_and_nonfloat_input():
     np.testing.assert_allclose(rolling_covariance(x, y, 4), want, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(rolling_covariance(frozen, y, 4), want, rtol=1e-12, atol=1e-12)
     assert delay_search(frozen, frozen, 0, 4) == (0, pytest.approx(1.0))
+
+
+def test_rolling_variance_is_bit_identical_to_the_blockwise_loop():
+    rng = np.random.default_rng(1)
+    inputs = [
+        (rng.standard_normal(n) * rng.uniform(0.5, 2.0) + rng.uniform(-5, 5), w)
+        for n, w in [(10, 2), (50, 7), (200, 200), (1000, 31), (4096, 512)]
+    ]
+    inputs.append((np.full(5000, 3.7182), 64))
+    inputs.append((1e9 + np.random.default_rng(2).standard_normal(5000), 100))
+    inputs.append((np.random.default_rng(3).standard_normal(100_123) + 3.0, 5))
+    for x, w in inputs:
+        assert np.array_equal(rolling_variance(x, w), blockwise_rolling_variance(x, w))
+
+
+SHIFTS = [12, 11, 13, 10, 14, 0, 24, 3, 9]
+
+
+def shifted_inputs(n, offset):
+    """x, and a y covering every shift in SHIFTS, correlated best at shift 9."""
+    rng = np.random.default_rng(11)
+    y = offset + rng.standard_normal(n + max(SHIFTS))
+    x = 0.6 * y[9 : 9 + n] + 0.8 * rng.standard_normal(n) - 0.5 * offset
+    return x, y
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e9, -1e9])
+def test_shifted_covariances_match_rolling_covariance_per_shift(offset):
+    n, window = 3000, 50
+    x, y = shifted_inputs(n, offset)
+    got = collect_shifted(x, y, window, SHIFTS)
+    assert got.shape == (len(SHIFTS), n - window + 1)
+    for j, s in enumerate(SHIFTS):
+        want = rolling_covariance(x, y[s : s + n], window)
+        # covariances cross zero, so the tolerance is relative to the series' scale
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got[j] - want)) <= 1e-12 * scale, s
+
+
+def test_shifted_covariances_across_renorm_boundary():
+    # Over a 1e5-point block the prefix sums' rounding reaches ~2e-12 of the
+    # covariance scale for the single-shift kernel too, so both are held to
+    # the direct per-window arithmetic instead of to each other.
+    n, window = RENORM_INTERVAL + 321, 7
+    x, y = shifted_inputs(n, 0.0)
+    got = collect_shifted(x, y, window, SHIFTS)
+    assert got.shape[1] > RENORM_INTERVAL
+    wx = np.lib.stride_tricks.sliding_window_view(x, window)
+    for j, s in enumerate(SHIFTS):
+        ys = y[s : s + n]
+        wy = np.lib.stride_tricks.sliding_window_view(ys, window)
+        direct = ((wx - wx.mean(axis=1, keepdims=True)) * (wy - wy.mean(axis=1, keepdims=True))).sum(
+            axis=1
+        ) / (window - 1)
+        bound = 1e-11 * np.max(np.abs(direct))
+        assert np.max(np.abs(rolling_covariance(x, ys, window) - direct)) <= bound, s
+        assert np.max(np.abs(got[j] - direct)) <= bound, s
+
+
+def test_shifted_covariances_validation():
+    x = np.zeros(10)
+    with pytest.raises(InvalidArgumentError):
+        shifted_covariances(x, np.zeros(12), 4, [], lambda *a: None)
+    with pytest.raises(InvalidArgumentError):
+        shifted_covariances(x, np.zeros(12), 4, [0, -1], lambda *a: None)
+    with pytest.raises(DimensionMismatchError):
+        shifted_covariances(x, np.zeros(12), 4, [0, 3], lambda *a: None)
+    with pytest.raises(InvalidArgumentError):
+        shifted_covariances(x, np.zeros(12), 11, [0], lambda *a: None)
+
+
+def test_delay_objectives_do_not_depend_on_the_worker(monkeypatch):
+    rng = np.random.default_rng(12)
+    n = RENORM_INTERVAL + 20_000
+    base = rng.standard_normal(n + 10)
+    a = base[5 : 5 + n] + 0.3 * rng.standard_normal(n)
+    b = base[2 : 2 + n] + 0.3 * rng.standard_normal(n)
+    threaded = list(_delay_objectives(a, b, 6, 500))
+    monkeypatch.setattr(_kernels, "run_both", sequential)
+    alone = list(_delay_objectives(a, b, 6, 500))
+    assert threaded == alone
+    assert max(alone, key=lambda pair: pair[1])[0] == 3
+
+
+def test_run_both_runs_first_on_another_thread():
+    here = threading.get_ident()
+    first, second = run_both(threading.get_ident, threading.get_ident)
+    assert second == here != first
+
+
+def test_run_both_reraises_the_worker_exception_and_recovers():
+    ran = []
+
+    def second():
+        ran.append(True)
+        return 2
+
+    with pytest.raises(ZeroDivisionError):
+        run_both(lambda: 1 / 0, second)
+    assert ran == [True]  # the calling thread's half still ran
+    with pytest.raises(KeyError):
+        run_both(lambda: 1, lambda: {}["missing"])
+    assert run_both(lambda: 1, second) == (1, 2)
+
+
+def test_run_both_nested_and_concurrent_calls_finish():
+    # a call from inside the worker's half, or while another thread holds
+    # the worker, runs both halves on its own thread instead of waiting
+    assert run_both(lambda: run_both(lambda: 1, lambda: 2), lambda: 3) == ((1, 2), 3)
+
+    errors, results = [], {}
+
+    def client(k):
+        try:
+            for i in range(200):
+                got = run_both(lambda: (k, i, "first"), lambda: (k, i, "second"))
+                assert got == ((k, i, "first"), (k, i, "second"))
+            results[k] = True
+        except BaseException as exc:  # reported below, on the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sorted(results) == list(range(6))
+
+
+def _run_both_in_child():
+    sys.exit(0 if run_both(lambda: 1, lambda: 2) == (1, 2) else 1)
+
+
+def test_run_both_works_in_a_forked_child():
+    run_both(lambda: 1, lambda: 2)  # this process now has a worker thread
+    child = multiprocessing.get_context("fork").Process(target=_run_both_in_child)
+    child.start()
+    child.join(timeout=60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+    assert not hung and child.exitcode == 0
+
+
+def test_delay_search_memory_stays_below_sixteen_traces():
+    # numpy reports its buffers to tracemalloc from every thread; a
+    # (shifts x n) array alone would be 51 traces here
+    rng = np.random.default_rng(13)
+    n = 475_000
+    a = rng.standard_normal(n)
+    b = 0.6 * np.roll(a, 3) + 0.8 * rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        found = delay_search(a, b, 25, 10_000)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found[0] == 3
+    assert peak < 16 * 8 * n, (peak / (8 * n), elapsed)

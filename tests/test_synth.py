@@ -3,12 +3,13 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import signal as sig
 
-from sqzkit import cli, synth
+from sqzkit import _kernels, cli, synth
 from sqzkit.errors import InvalidArgumentError
 from sqzkit.synth import (
     FILTER_TAPS,
@@ -196,7 +197,12 @@ def test_fft_filter_matches_direct_convolution():
     cfg = small_config(duration=2e-5, relative_delay_samples=37, electronics_noise_db=None)
     n_ext = cfg.n_samples + 37 + FILTER_TAPS - 1
     x = np.random.default_rng(4).standard_normal(n_ext)
-    got = synth._filter_valid(x, cfg.detector_band, cfg.sample_rate)
+    nfft = synth._fast_fft_length(n_ext)
+    buf = np.zeros(nfft)
+    buf[:n_ext] = x
+    spectrum = synth._filter_spectrum(*cfg.detector_band, cfg.sample_rate, nfft)
+    work = np.empty(nfft // 2 + 1, dtype=complex)
+    got = synth._filter_valid(buf, n_ext, spectrum, work)
     want = np.convolve(x, synth._bandpass_taps(*cfg.detector_band, cfg.sample_rate), "valid")
     assert got.shape == want.shape == (cfg.n_samples + 37,)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -261,3 +267,54 @@ def test_config_dict_round_trip():
     del synthesis["t_b"], synthesis["t_c"]
     doc = {"name": "round trip", "source": {"r": r}, "budget": {}, "synthesis": synthesis}
     assert cli.scenario_synth_config(doc) == cfg
+
+
+def _samples(traces):
+    return [t.samples for t in traces]
+
+
+@pytest.mark.parametrize("delay", [0, 12, -36])
+@pytest.mark.parametrize("scenario", ["reference", "spools5km", "deployed"])
+def test_two_threads_change_no_bit(scenario, delay, monkeypatch):
+    base = cli.scenario_synth_config(cli.load_scenario(scenario))
+    variants = [
+        dict(),
+        dict(detector_band=None),
+        dict(electronics_noise_db=None),
+    ]
+    for kw in variants:
+        cfg = dataclasses.replace(base, duration=2e-5, relative_delay_samples=delay, rng_seed=3, **kw)
+        for fn in (synthesize_pair, synthesize_shot_noise):
+            threaded = _samples(fn(cfg))
+            again = _samples(fn(cfg))
+            with monkeypatch.context() as m:
+                m.setattr(_kernels, "run_both", lambda first, second: (first(), second()))
+                alone = _samples(fn(cfg))
+            for got in (again, alone):
+                assert all(np.array_equal(u, v) for u, v in zip(threaded, got)), (kw, fn.__name__)
+            assert all(u.shape == (cfg.n_samples,) for u in threaded)
+
+
+def test_electronics_noise_chunks_match_one_normal_draw():
+    x = np.linspace(-1.0, 1.0, 2 * synth._NOISE_CHUNK + 17)
+    want = x + synth._rng(5, 0, 2).normal(0.0, 0.2, x.size)
+    got = x.copy()
+    synth._add_scaled_normals(got, synth._rng(5, 0, 2), 0.2, np.empty(synth._NOISE_CHUNK))
+    assert np.array_equal(got, want)
+
+
+def test_synthesis_peak_memory_stays_below_nine_traces():
+    # Both channels are filtered in place in FFT-length buffers; keeping the
+    # draws, the padded FFT inputs and the filter outputs apart needs 12
+    # extended-grid traces on this input.
+    cfg = cli.scenario_synth_config(cli.load_scenario("reference"))
+    n_ext = cfg.n_samples + FILTER_TAPS - 1
+    synth._filter_spectrum.cache_clear()
+    tracemalloc.start()
+    try:
+        traces = synthesize_pair(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traces[0].samples.shape == (cfg.n_samples,)
+    assert peak < 9 * 8 * n_ext, peak / (8 * n_ext)

@@ -109,18 +109,30 @@ def test_analysis_csv(tmp_path):
         traceio.write_analysis_csv(p, t, t, t, t, t[:-1])
 
 
-def test_csv_writers_match_a_row_by_row_rendering(tmp_path):
+def test_csv_writers_match_a_row_by_row_rendering(tmp_path, monkeypatch):
     values = np.array([0.1, -0.0, 2.0, 1e-300, -1.5e300, 123456789.0, np.inf, -np.inf, np.nan])
     other = np.roll(values, 3)
-    traceio.write_trace_csv(tmp_path / "t.csv", values, other, 1e6)
     rows = "".join(f"{i},{v:.9g},{m:.9g}\n" for i, (v, m) in enumerate(zip(values, other)))
-    assert (tmp_path / "t.csv").read_text() == "index,volts,monitor_volts\n" + rows
-
     cols = [np.roll(values, k) for k in range(5)]
-    traceio.write_analysis_csv(tmp_path / "s.csv", *cols)
     header = "time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus\n"
-    rows = "".join(",".join(f"{c[i]:.9g}" for c in cols) + "\n" for i in range(values.size))
-    assert (tmp_path / "s.csv").read_text() == header + rows
+    series = "".join(",".join(f"{c[i]:.9g}" for c in cols) + "\n" for i in range(values.size))
+    # one chunk, and chunks of 4 rows ending in a partial one
+    for chunk_rows in (traceio._CHUNK_ROWS, 4):
+        monkeypatch.setattr(traceio, "_CHUNK_ROWS", chunk_rows)
+        traceio.write_trace_csv(tmp_path / "t.csv", values, other, 1e6)
+        assert (tmp_path / "t.csv").read_text() == "index,volts,monitor_volts\n" + rows
+        traceio.write_analysis_csv(tmp_path / "s.csv", *cols)
+        assert (tmp_path / "s.csv").read_text() == header + series
+
+
+def test_binary_writer_writes_volts_then_monitor(tmp_path, monkeypatch):
+    volts = np.linspace(-1.0, 1.0, 11) / 3.0
+    monitor = np.arange(11.0)
+    want = volts.astype("<f4").tobytes() + monitor.astype("<f4").tobytes()
+    for chunk_rows in (traceio._CHUNK_ROWS, 4):
+        monkeypatch.setattr(traceio, "_CHUNK_ROWS", chunk_rows)
+        traceio.write_trace_binary(tmp_path / "t.f32", volts, monitor, 1e6)
+        assert (tmp_path / "t.f32").read_bytes() == want
 
 
 def test_sweep_csv(tmp_path):
