@@ -45,7 +45,6 @@ from .pipeline import (
     align,
     analysis_report,
     average4,
-    band_power_to_variance,
     delay_search,
     dip_fwhm,
     discard_trigger_region,
@@ -120,6 +119,5 @@ __all__ = [
     "squeezing_report",
     "variance_vs_delay",
     "dip_fwhm",
-    "band_power_to_variance",
     "analysis_report",
 ]

@@ -330,13 +330,6 @@ def dip_fwhm(delays, values) -> float:
     return crossing(+1) - crossing(-1)
 
 
-def band_power_to_variance(power_dbm: float, load_ohms: float = 50.0) -> float:
-    """Electrical band power in dBm -> voltage variance across a load (V^2)."""
-    if load_ohms <= 0:
-        raise InvalidArgumentError("load must be positive")
-    return 10.0 ** ((power_dbm - 30.0) / 10.0) * load_ohms
-
-
 def analysis_report(
     q1,
     q2,

@@ -11,6 +11,20 @@ an object with ``format`` ("csv" or "f32"), ``sample_rate_hz`` (finite, > 0)
 and ``n_samples`` (an integer >= 0, matching the payload).  All writes are
 atomic (temp file + rename) so a crashed run never leaves a half-written
 file behind.
+
+CSV rows (``%d`` and ``%.9g`` fields) are rendered by numpy, one chunk of
+rows per thread, into the bytes %-formatting gives.  Each field fills a
+fixed set of character slots in a (slots x rows) uint8 block, NUL where a
+row has no character; the block is transposed into lines and the NULs are
+deleted.  A ``%.9g`` value x gets e = floor(log10 |x|) and the mantissa
+rint(|x| * 10**(8 - e)).  For |x| in [1e-14, 1e9) the power of ten is exact
+and the product correctly rounded, so that is the correctly rounded
+nine-digit mantissa unless the product lies within 1e-6 of a tie.  %g's
+layout follows: fixed for -4 <= e < 9, else scientific, trailing zeros
+dropped.  A row holding a value numpy does not render this way (not
+finite, outside that range and not zero, near a tie, or an integer of
+magnitude 1e9 or more) is %-formatted on its own and spliced in at its
+place.
 """
 
 from __future__ import annotations
@@ -24,12 +38,15 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .errors import ScenarioFormatError
 
 _BINARY_DTYPE = "<f4"
 DEFAULT_SAMPLE_RATE = 5e8
 #: Trace and series writes are rendered and written this many rows at a time.
-_CHUNK_ROWS = 65_536
+#: Each of the two CSV render lanes holds about 240 bytes per trace row (4 MB
+#: here); longer chunks render faster but raise the peak memory of simulate.
+_CHUNK_ROWS = 16_384
 
 
 def _atomic_write(path: Path, chunks) -> None:
@@ -92,18 +109,265 @@ def _read_sidecar(path: Path) -> dict | None:
     return sidecar
 
 
+#: Powers of ten, 10**k at index k + 1 for k in [-1, 23]; exact for k in [0, 22].
+_POW10 = np.array([10.0**k for k in range(-1, 24)])
+_ZERO, _POINT, _MINUS = b"0.-"
+_COMMA, _NEWLINE = b",\n"
+#: Character slots of one ``%.9g`` field: a sign; the "0." and up to three
+#: zeros that start a fixed-layout value below 1; nine digits, each followed
+#: by a slot for the point; "e", the exponent's sign and two digits.
+_G_SLOTS = 27
+_G_DIGITS, _G_POINTS = slice(6, 23, 2), slice(7, 22, 2)
+
+
+def _slot_table(texts) -> np.ndarray:
+    """Column i holds ``texts[i]`` padded with NUL: a lookup table of slots."""
+    width = max(map(len, texts))
+    return np.array([list(t.ljust(width, b"\0")) for t in texts], np.uint8).T
+
+
+#: Column -X: what starts a fixed-layout value with decimal exponent X < 0.
+_G_PREFIX = _slot_table([b"", b"0.", b"0.0", b"0.00", b"0.000"])
+#: Column X + 15: the exponent of a scientific-layout value; column 0 blank.
+_G_EXPONENT = _slot_table([b""] + [b"e%+03d" % x for x in range(-14, 10)])
+_DIGIT_INDEX = np.arange(9)[:, None]
+_POW10_INT = (10 ** np.arange(9, dtype=np.uint32))[:, None]
+
+
+class _CsvLane:
+    """One thread's scratch for `_csv_table`, for chunks of up to `rows`
+    rows: a block with one row per character slot (NUL where a row of the
+    CSV has no character), that block transposed into lines, and the
+    numeric buffers of the field renderers."""
+
+    def __init__(self, rows: int, fields, slots: int):
+        self.rows, self.fields = rows, fields
+        self.block = np.empty((slots, rows), np.uint8)
+        for _, _, stop in fields:
+            self.block[stop] = _COMMA
+        self.block[-1] = _NEWLINE
+        self.text = bytearray(rows * slots)
+        self.lines = np.frombuffer(self.text, np.uint8).reshape(rows, slots)
+        self.iota = np.arange(rows, dtype=np.int64)
+        self.ints = np.empty(rows, np.int64)
+        self.f = np.empty((3, rows))
+        self.index = np.empty(rows, np.intp)
+        self.q = np.empty((10, rows), np.uint32)
+        self.i8 = np.empty((2, rows), np.int8)
+        self.b = np.empty((3, rows), bool)
+        self.bb = np.empty((2, 8, rows), bool)
+        self.bad = np.empty(rows, bool)
+
+    def render(self, row_format: str, columns, i: int) -> bytearray:
+        """Rows i, i+1, ... of `columns`, at most `rows` of them, as text."""
+        k = min(self.rows, len(columns[0]) - i)
+        misses = np.flatnonzero(self.fill(columns, i, k))
+        # the rows past k, and the rows left to the %-format, are NUL throughout
+        np.copyto(self.lines[:k], self.block[:, :k].T)
+        self.lines[k:] = 0
+        self.lines[misses] = 0
+        text = self.text.translate(None, b"\0")
+        if misses.size == 0:
+            return text
+        ends = np.cumsum(np.count_nonzero(self.lines[:k], axis=1))
+        pieces, at = [], 0
+        for r in misses.tolist():
+            end = int(ends[r])  # where row r goes: it is blank
+            pieces += [text[at:end], (row_format % tuple(c[i + r] for c in columns)).encode("ascii")]
+            at = end
+        pieces.append(text[at:])
+        return bytearray().join(pieces)
+
+    def fill(self, columns, i: int, k: int) -> np.ndarray:
+        """Render rows i to i + k - 1 of `columns` into the first k columns
+        of the block; returns the mask of the rows left to the %-format."""
+        bad = self.bad[:k]
+        bad.fill(False)
+        for column, (kind, start, stop) in zip(columns, self.fields):
+            slots = self.block[start:stop, :k]
+            if kind == "%.9g":
+                self._render_g(column[i : i + k], slots, bad)
+                continue
+            values = self.ints[:k]
+            if isinstance(column, range):
+                np.multiply(self.iota[:k], column.step, out=values)
+                values += column[i]
+            else:
+                values[:] = column[i : i + k]
+            self._render_d(values, slots, bad)
+        return bad
+
+    def _digits(self, slots) -> None:
+        """The decimal digits of ``q[0]`` into the n rows of `slots`, most
+        significant first, leaving ``q[t] = q[0] // 10**t`` for t <= n."""
+        n, k = slots.shape
+        q, digits = self.q[: n + 1, :k], slots[::-1]  # digits[t]: that of 10**t
+        for t in range(1, n + 1):
+            np.floor_divide(q[t - 1], 10, out=q[t])
+        # q[t] - 10 * q[t + 1], in uint8 arithmetic: exact modulo 256
+        np.multiply(q[1:], 10, out=digits, casting="unsafe")
+        np.subtract(q[:-1], digits, out=digits, casting="unsafe")
+        digits += _ZERO
+
+    def _render_d(self, v, slots, bad) -> None:
+        """``%d`` of the int64 values `v`: a sign, then as many digits as
+        `slots` has rows left (at most 9), leading zeros blank.  Rows with
+        |v| >= 1e9 are or-ed into `bad`."""
+        k = v.size
+        b = self.b[0, :k]
+        np.less(v, 0, out=b)
+        np.multiply(b, _MINUS, out=slots[0], casting="unsafe")
+        np.abs(v, out=v)
+        np.greater_equal(v, 10**9, out=b)
+        bad |= b
+        np.less(v, 0, out=b)  # np.abs leaves int64's minimum negative
+        bad |= b
+        np.copyto(v, 0, where=bad)
+        np.copyto(self.q[0, :k], v, casting="unsafe")
+        digits = slots[1:]
+        self._digits(digits)
+        n = len(digits)
+        # digit j shows if v // 10**(n - 1 - j) > 0, and the last one always
+        shown = self.bb[0, : n - 1, :k]
+        np.not_equal(self.q[n - 1 : 0 : -1, :k], 0, out=shown)
+        np.multiply(digits[:-1], shown, out=digits[:-1])
+
+    def _render_g(self, x, slots, bad) -> None:
+        """``%.9g`` of the float64 values `x` into the `_G_SLOTS` rows of
+        `slots`.  Rows the numpy path cannot render exactly are or-ed into
+        `bad`: non-finite values, |x| >= 1e9, 0 < |x| < 1e-14, and values
+        whose scaled mantissa lies within 1e-6 of a rounding tie."""
+        k = x.size
+        a, e, s = self.f[:, :k]
+        index = self.index[:k]
+        X, after = self.i8[:, :k]
+        b, c, zero = self.b[:, :k]
+
+        np.signbit(x, out=b)
+        np.multiply(b, _MINUS, out=slots[0], casting="unsafe")
+        np.abs(x, out=a)
+        np.equal(a, 0.0, out=zero)
+        np.greater_equal(a, 1e-14, out=b)
+        b |= zero
+        np.less(a, 1e9, out=c)  # False for nan
+        b &= c
+        np.logical_not(b, out=c)
+        bad |= c
+        c |= zero
+        np.copyto(a, 1.0, where=c)
+        # e = floor(log10 |x|), so that s = |x| * 10**(8 - e) lies in [1e8, 1e9).
+        # 10**(8 - e) is exact and the product correctly rounded, so rint(s)
+        # is the correctly rounded nine-digit mantissa unless s is near a tie.
+        # Where log10 rounds across an integer, |x| is within a few ulps of a
+        # power of ten, and s rounds to 1e8 (e is right for the rounded value)
+        # or to 1e9, the carry below.
+        np.log10(a, out=e)
+        np.floor(e, out=e)
+        np.subtract(9.0, e, out=s)  # the index of 10**(8 - e) in _POW10
+        np.copyto(index, s, casting="unsafe")
+        np.take(_POW10, index, out=s)
+        s *= a
+        np.rint(s, out=a)
+        np.subtract(s, a, out=s)
+        np.abs(s, out=s)
+        np.greater(s, 0.5 - 1e-6, out=b)
+        bad |= b
+        np.equal(a, 1e9, out=b)  # rounding carried into a tenth digit
+        np.copyto(a, 1e8, where=b)
+        e += b
+        np.logical_or(zero, bad, out=c)
+        np.copyto(a, 0.0, where=c)
+        np.copyto(e, 0.0, where=c)
+        np.copyto(X, e, casting="unsafe")
+        np.copyto(self.q[0, :k], a, casting="unsafe")
+        digits = slots[_G_DIGITS]
+        self._digits(digits)
+
+        # %g's rule: fixed layout for -4 <= X < 9 (b), else scientific (c)
+        np.greater_equal(X, -4, out=b)
+        np.less(X, 9, out=c)
+        b &= c
+        np.logical_not(b, out=c)
+        # the digit the point follows: X in fixed layout, 0 in scientific,
+        # and -1 for a fixed value below 1, which begins "0." and -X - 1 zeros
+        np.maximum(X, -1, out=after)
+        np.copyto(after, 0, where=c)
+        np.equal(after, -1, out=zero)
+        np.negative(X, out=index, casting="unsafe")
+        index *= zero
+        np.take(_G_PREFIX, index, axis=1, out=slots[1:6], mode="clip")
+        # drop digit j > after when it and every digit after it are zero,
+        # that is when the mantissa q[0] is divisible by 10**(9 - j)
+        q = self.q[:, :k]
+        divisible, dropped = self.bb[:, :, :k]
+        q[1:9] *= _POW10_INT[1:]
+        np.equal(q[1:9], q[0], out=divisible)  # row t - 1: divisible by 10**t
+        np.greater(_DIGIT_INDEX[1:], after, out=dropped)
+        dropped &= divisible[::-1]
+        np.copyto(digits[1:], 0, where=dropped)
+        # the point follows digit j when j == after and digit j + 1 stays
+        point = divisible
+        np.equal(_DIGIT_INDEX[:8], after, out=point)
+        np.greater(point, dropped, out=point)
+        np.multiply(point, _POINT, out=slots[_G_POINTS], casting="unsafe")
+        np.add(X, 15, out=index, casting="unsafe")
+        index *= c
+        np.take(_G_EXPONENT, index, axis=1, out=slots[23:27], mode="clip")
+
+
+def _csv_layout(row_format: str, columns):
+    """The fields of `row_format` as (kind, first slot, separator slot),
+    and the number of slots in a row.
+
+    `row_format` is comma-separated ``%d`` and ``%.9g`` fields ending in a
+    newline.  A ``%d`` column is a `range` or an integer array; it gets a
+    sign slot and as many digit slots as its widest value needs, at most
+    nine.  A ``%.9g`` column is a float64 array.
+    """
+    kinds = row_format[:-1].split(",")
+    if not row_format.endswith("\n") or len(kinds) != len(columns) or any(
+        kind not in ("%d", "%.9g") for kind in kinds
+    ):
+        raise ValueError(f"unsupported CSV row format {row_format!r}")
+    fields, slots = [], 0
+    for kind, column in zip(kinds, columns):
+        if kind == "%d":
+            if not len(column):
+                ends = (0,)
+            elif isinstance(column, range):
+                ends = (column[0], column[-1])
+            else:
+                ends = (column.min(), column.max())
+            width = 1 + min(9, max(len(str(abs(int(end)))) for end in ends))
+        else:
+            width = _G_SLOTS
+        fields.append((kind, slots, slots + width))
+        slots += width + 1
+    return fields, slots
+
+
 def _csv_table(header: str, row_format: str, *columns):
-    """Header, then one ``row_format`` line per row, as ASCII chunks of
-    `_CHUNK_ROWS` rows; each chunk is rendered by a single %-format over the
-    row-major interleaving of its slice of ``columns``."""
+    """Header, then one ``row_format`` line per row (see `_csv_layout`), as
+    ASCII chunks of `_CHUNK_ROWS` rows.
+
+    numpy renders the chunks into the same bytes as ``row_format % row``,
+    two at a time, one on the worker thread (`_kernels.run_both`); a row
+    holding a value its renderer does not take is rendered by that
+    %-format instead.
+    """
+    fields, slots = _csv_layout(row_format, columns)
     yield header.encode("ascii")
     n = len(columns[0])
-    table = np.empty((min(n, _CHUNK_ROWS), len(columns)), dtype=object)
-    for i in range(0, n, _CHUNK_ROWS):
-        rows = table[: min(_CHUNK_ROWS, n - i)]
-        for k, column in enumerate(columns):
-            rows[:, k] = column[i : i + rows.shape[0]]
-        yield ((row_format * rows.shape[0]) % tuple(rows.ravel())).encode("ascii")
+    rows = min(n, _CHUNK_ROWS)
+    lanes = [_CsvLane(rows, fields, slots) for _ in range(1 if n <= rows else 2)]
+    for i in range(0, n, 2 * rows):
+        if i + rows < n:
+            yield from _kernels.run_both(
+                lambda: lanes[0].render(row_format, columns, i),
+                lambda: lanes[1].render(row_format, columns, i + rows),
+            )
+        else:
+            yield lanes[0].render(row_format, columns, i)
 
 
 def write_trace_csv(path, volts, monitor, sample_rate: float, meta: dict | None = None) -> None:

@@ -17,7 +17,6 @@ from sqzkit.pipeline import (
     align,
     analysis_report,
     average4,
-    band_power_to_variance,
     delay_search,
     dip_fwhm,
     discard_trigger_region,
@@ -247,14 +246,6 @@ def test_dip_fwhm_rejects_unresolved():
         dip_fwhm([0, 1, 2], [1, 0, 1])  # too few points
     with pytest.raises(InvalidArgumentError):
         dip_fwhm([0, 1, 1, 2, 3], [1, 0, 0, 1, 1])  # non-increasing axis
-
-
-def test_band_power_to_variance():
-    assert band_power_to_variance(0.0, 50.0) == pytest.approx(0.05)
-    assert band_power_to_variance(-30.0, 50.0) == pytest.approx(5e-5)
-    assert band_power_to_variance(30.0, 1.0) == pytest.approx(1.0)
-    with pytest.raises(InvalidArgumentError):
-        band_power_to_variance(0.0, 0.0)
 
 
 # ------------------------------------------------------------ full analysis

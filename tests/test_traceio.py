@@ -1,11 +1,16 @@
 """Trace/CSV file formats: round trips, sidecars, malformed-input errors."""
 
+import dataclasses
 import json
+import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sqzkit import traceio
+from sqzkit import _kernels, cli, synth, traceio
 from sqzkit.errors import ScenarioFormatError
 
 
@@ -116,13 +121,106 @@ def test_csv_writers_match_a_row_by_row_rendering(tmp_path, monkeypatch):
     cols = [np.roll(values, k) for k in range(5)]
     header = "time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus\n"
     series = "".join(",".join(f"{c[i]:.9g}" for c in cols) + "\n" for i in range(values.size))
-    # one chunk, and chunks of 4 rows ending in a partial one
-    for chunk_rows in (traceio._CHUNK_ROWS, 4):
-        monkeypatch.setattr(traceio, "_CHUNK_ROWS", chunk_rows)
-        traceio.write_trace_csv(tmp_path / "t.csv", values, other, 1e6)
-        assert (tmp_path / "t.csv").read_text() == "index,volts,monitor_volts\n" + rows
-        traceio.write_analysis_csv(tmp_path / "s.csv", *cols)
-        assert (tmp_path / "s.csv").read_text() == header + series
+    for sequential in (False, True):
+        # 1, 2, 3, 5 and 9 chunks: an odd count leaves the last pair a half
+        for chunk_rows in (traceio._CHUNK_ROWS, 5, 4, 2, 1):
+            with monkeypatch.context() as m:
+                m.setattr(traceio, "_CHUNK_ROWS", chunk_rows)
+                if sequential:
+                    m.setattr(_kernels, "run_both", lambda first, second: (first(), second()))
+                traceio.write_trace_csv(tmp_path / "t.csv", values, other, 1e6)
+                assert (tmp_path / "t.csv").read_text() == "index,volts,monitor_volts\n" + rows
+                traceio.write_analysis_csv(tmp_path / "s.csv", *cols)
+                assert (tmp_path / "s.csv").read_text() == header + series
+
+
+def _numpy_rows(row_format, *columns):
+    """Each row as numpy renders it, or None where it leaves the row to the
+    %-format."""
+    n = len(columns[0])
+    lane = traceio._CsvLane(n, *traceio._csv_layout(row_format, columns))
+    misses = lane.fill(columns, 0, n)
+    lines = lane.block[:, :n].T
+    return [None if miss else bytes(line).replace(b"\0", b"").decode() for line, miss in zip(lines, misses)]
+
+
+def _near_a_tie(v: float) -> bool:
+    """Whether |v|, scaled to nine integer digits, lies within 2e-6 of a
+    half: the only finite values in [1e-14, 1e9) numpy may leave."""
+    d = abs(Decimal(v))
+    t = d.scaleb(8 - d.adjusted())
+    return abs(t - math.floor(t) - Decimal("0.5")) < Decimal("2e-6")
+
+
+def _may_leave(v: float) -> bool:
+    return not (v == 0.0 or 1e-14 <= abs(v) < 1e9) or _near_a_tie(v)
+
+
+_carries_and_edges = [9.9999999995, 99999.99995, 999999999.6, 1e-5, 1e-4, 1e8, 1e9]
+_near_ties = st.builds(
+    lambda k, j, sign: sign * (k + 0.5) * 10.0**j,
+    st.integers(10**8, 10**9 - 1),
+    st.integers(-22, 0),
+    st.sampled_from([1.0, -1.0]),
+)
+_powers_of_ten = st.builds(
+    lambda k, toward: math.nextafter(10.0**k, toward * math.inf) if toward else 10.0**k,
+    st.integers(-16, 10),
+    st.sampled_from([-1, 0, 1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.floats(), st.floats(-1e9, 1e9), st.floats(-1e-4, 1e-4), _near_ties, _powers_of_ten),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example(_carries_and_edges + [-v for v in _carries_and_edges] + [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324])
+def test_numpy_rendering_is_percent_g(values):
+    x = np.array(values, dtype=np.float64)
+    for v, got in zip(values, _numpy_rows("%.9g\n", x)):
+        if got is None:
+            assert _may_leave(v), v
+        else:
+            assert got == "%.9g\n" % v, v
+    rendered = b"".join(traceio._csv_table("", "%.9g,%.9g\n", x, x[::-1].copy())).decode()
+    assert rendered == "".join("%.9g,%.9g\n" % pair for pair in zip(values, values[::-1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(-(10**9), 10**9), min_size=1, max_size=40))
+@example([0, -1, 9, 10, 999_999_999, 10**9, -(2**63), 2**63 - 1])
+def test_numpy_rendering_is_percent_d(values):
+    ints = np.array(values, dtype=np.int64)
+    for i, got in zip(values, _numpy_rows("%d\n", ints)):
+        if got is None:
+            assert abs(i) >= 10**9, i
+        else:
+            assert got == "%d\n" % i, i
+    rendered = b"".join(traceio._csv_table("", "%d,%d\n", ints, range(-3, 3 * len(values) - 3, 3))).decode()
+    assert rendered == "".join("%d,%d\n" % (i, 3 * k - 3) for k, i in enumerate(values))
+
+
+def test_a_synthesized_trace_takes_the_numpy_path(tmp_path, monkeypatch):
+    cfg = cli.scenario_synth_config(cli.load_scenario("deployed"))
+    cfg = dataclasses.replace(cfg, duration=4e-5, rng_seed=5)
+    monkeypatch.setattr(traceio, "_CHUNK_ROWS", 4096)
+    for trace in synth.synthesize_pair(cfg) + synth.synthesize_shot_noise(cfg):
+        volts, monitor = trace.samples, trace.monitor
+        rows = _numpy_rows("%d,%.9g,%.9g\n", range(volts.size), volts, monitor)
+        assert sum(row is None for row in rows) <= 0.001 * volts.size
+        traceio.write_trace_csv(tmp_path / "t.csv", volts, monitor, trace.sample_rate)
+        want = "".join(f"{i},{v:.9g},{m:.9g}\n" for i, (v, m) in enumerate(zip(volts, monitor)))
+        assert (tmp_path / "t.csv").read_text() == "index,volts,monitor_volts\n" + want
+
+
+def test_csv_table_rejects_other_formats():
+    for row_format in ("%d,%.9g", "%d;%.9g\n", "%.6g\n", "%d\n"):
+        with pytest.raises(ValueError, match="row format"):
+            b"".join(traceio._csv_table("", row_format, range(3), np.zeros(3)))
 
 
 def test_binary_writer_writes_volts_then_monitor(tmp_path, monkeypatch):
