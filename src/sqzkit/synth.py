@@ -10,6 +10,16 @@ linear-phase FIR filter so the two channels stay sample-aligned.
 Everything is reproducible: one integer seed, expanded through named
 counter-based streams, so individual noise sources can be regenerated
 independently of each other.
+
+A draw runs in three steps, each split over the two threads of
+`_kernels.run_both`: the two channels' normal draws; the Cholesky mixing of
+channel 2 (and the phase angles it needs), by halves of the grid, 65 536
+samples at a time; then each channel's band filter and electronics noise.
+The filter is overlap-save convolution (Stockham, AFIPS SJCC 1966) in
+fixed `BLOCK`-point FFTs that fit in cache, done in place in the channel's
+own buffer.  Phase models that draw from a random stream get their angles
+for the whole grid on the calling thread first, so the draw order, and so
+every sample, does not depend on the split.
 """
 
 from __future__ import annotations
@@ -30,6 +40,10 @@ PHASE_KINDS = ("constant", "drift_sinusoid", "triangle_sweep", "noise_injected")
 #: Length of the linear-phase band-pass FIR (odd => integer group delay).
 FILTER_TAPS = 16385
 
+#: FFT length of one overlap-save block of the band filter; each block
+#: yields BLOCK - FILTER_TAPS + 1 output samples.
+BLOCK = 65_536
+
 # Stream numbering for the counter-based RNG: families separate statistically
 # independent trace draws, streams separate noise sources within one draw.
 _FAMILY_SIGNAL = 0
@@ -41,8 +55,9 @@ _STREAM_ELEC2 = 3
 _STREAM_PHASE_B = 4
 _STREAM_PHASE_C = 5
 
-#: Electronics noise is drawn this many samples at a time.
-_NOISE_CHUNK = 65_536
+#: Channel mixing runs, and electronics noise is drawn, this many samples
+#: at a time.
+_CHUNK = 65_536
 
 
 def _rng(seed: int, family: int, stream: int) -> np.random.Generator:
@@ -226,42 +241,34 @@ def _bandpass_taps(low_hz: float, high_hz: float, fs: float) -> np.ndarray:
     return taps
 
 
-def _fast_fft_length(n: int) -> int:
-    """Smallest 5-smooth integer (2^a 3^b 5^c) that is at least n."""
-    best = 1 << max(0, (n - 1).bit_length())
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            m = p35
-            while m < n:
-                m *= 2
-            best = min(best, m)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 @lru_cache(maxsize=4)
-def _filter_spectrum(low_hz: float, high_hz: float, fs: float, nfft: int) -> np.ndarray:
-    spectrum = np.fft.rfft(_bandpass_taps(low_hz, high_hz, fs), nfft)
+def _filter_spectrum(low_hz: float, high_hz: float, fs: float) -> np.ndarray:
+    spectrum = np.fft.rfft(_bandpass_taps(low_hz, high_hz, fs), BLOCK)
     spectrum.setflags(write=False)
     return spectrum
 
 
-def _filter_valid(x: np.ndarray, n: int, spectrum: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """'valid' part of the convolution of x[:n] with the band-pass taps,
-    filtered in place.
+def _filter_valid(x: np.ndarray, spectrum: np.ndarray, buf: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """'valid' part of the convolution of x with the band-pass taps,
+    filtered in place by overlap-save; returns the output, x[:x.size -
+    FILTER_TAPS + 1].
 
-    `x` has an FFT length at least n, with zeros past n; `spectrum` is
-    `_filter_spectrum` at that length and `work` holds x's spectrum.  Output
-    samples [taps-1, n) of the circular convolution never wrap, so they
-    equal the linear ones.  Returns that range of `x`.
+    `spectrum` is `_filter_spectrum`; `buf` (BLOCK floats) and `work`
+    (BLOCK // 2 + 1 complex) are scratch.  Each block transforms
+    x[j : j + BLOCK], zero-padded past the end of x; its circular outputs
+    [FILTER_TAPS - 1, BLOCK) never wrap, so they are the linear outputs
+    j onwards.  Output j reads only x[j : j + FILTER_TAPS], so writing it
+    into x[j] leaves every input a later block reads untouched.
     """
-    np.fft.rfft(x, out=work)
-    work *= spectrum
-    np.fft.irfft(work, x.size, out=x)
-    return x[FILTER_TAPS - 1 : n]
+    step = BLOCK - FILTER_TAPS + 1
+    n_out = x.size - FILTER_TAPS + 1
+    for j in range(0, n_out, step):
+        k = min(step, n_out - j)
+        np.fft.rfft(x[j : j + BLOCK], BLOCK, out=work)
+        work *= spectrum
+        np.fft.irfft(work, BLOCK, out=buf)
+        x[j : j + k] = buf[FILTER_TAPS - 1 : FILTER_TAPS - 1 + k]
+    return x[:n_out]
 
 
 def _add_scaled_normals(x: np.ndarray, rng: np.random.Generator, sigma: float, chunk: np.ndarray) -> None:
@@ -274,6 +281,11 @@ def _add_scaled_normals(x: np.ndarray, rng: np.random.Generator, sigma: float, c
         x[i : i + part.size] += part
 
 
+def _draws(phase: PhaseModel) -> bool:
+    """Whether `phase.angles` draws from its random stream."""
+    return phase.kind == "noise_injected" or phase.transient_jitter_rms > 0
+
+
 def _synthesize(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
     n = config.n_samples
     fs = config.sample_rate
@@ -284,61 +296,72 @@ def _synthesize(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
     pad = FILTER_TAPS - 1 if band is not None else 0
     n_ext = n + abs(delay) + pad
 
-    # Each channel lives in one buffer from its draw to its volts; a filtered
-    # channel's buffer has the FFT length, so it is filtered in place.  The
-    # channels are independent streams, so their draws, and later their
-    # filters and electronics noise, run on two threads.  Every large buffer
-    # is allocated here, on the calling thread (see `_kernels`).
-    size = _fast_fft_length(n_ext) if band is not None else n_ext
-    x1, x2 = np.empty(size), np.empty(size)
-    x1[n_ext:] = x2[n_ext:] = 0.0  # FFT padding
-    g1, g2 = x1[:n_ext], x2[:n_ext]
+    # Each channel lives in one n_ext-sample buffer from its draw to its
+    # volts, and is filtered in place.  The channels are independent streams,
+    # so their draws, and later their filters and electronics noise, run on
+    # two threads; the mixing in between splits the grid in two halves.
+    # Every buffer is allocated here, on the calling thread (see `_kernels`).
+    x1, x2 = np.empty(n_ext), np.empty(n_ext)
     seed = config.rng_seed
     _kernels.run_both(
-        lambda: _rng(seed, family, _STREAM_G1).standard_normal(out=g1),
-        lambda: _rng(seed, family, _STREAM_G2).standard_normal(out=g2),
+        lambda: _rng(seed, family, _STREAM_G1).standard_normal(out=x1),
+        lambda: _rng(seed, family, _STREAM_G2).standard_normal(out=x2),
     )
 
     v1, v2, cross = lossy_tmsv_moments(config.r, config.t_b, config.t_c)
-    sd1 = math.sqrt(v1)
-    if cross == 0.0:
-        # Uncorrelated quadratures (r = 0, or no light on one arm): the
-        # mixing below reduces to exactly this at cov == 0.
-        g2 *= math.sqrt(v2)
-    else:
+    sd1, sd2 = math.sqrt(v1), math.sqrt(v2)
+    phase_b, phase_c = config.phase_b, config.phase_c
+    theta = None
+    if cross != 0.0 and (_draws(phase_b) or _draws(phase_c)):
+        # A phase that draws from its stream takes its angles here, over the
+        # whole grid, so its draws come in one order whatever the split.
         t = (np.arange(n_ext) - pad // 2) / fs
-        theta = config.phase_b.angles(t, _rng(seed, family, _STREAM_PHASE_B))
-        theta += config.phase_c.angles(t, _rng(seed, family, _STREAM_PHASE_C))
+        theta = phase_b.angles(t, _rng(seed, family, _STREAM_PHASE_B))
+        theta += phase_c.angles(t, _rng(seed, family, _STREAM_PHASE_C))
         del t
-        # Per-sample 2x2 covariance of the two detector quadratures: the
-        # cross term swings with cos(theta_b + theta_c), so sweeping either
-        # phase moves the joint variance between the squeezed and
-        # anti-squeezed values.  Cholesky mixing of the two unit-variance
-        # streams gives that covariance:
-        # x2 = (cov / sd1) * g1 + sqrt(max(v2 - cov^2 / v1, 0)) * g2, in place.
-        cov = np.cos(theta, out=theta)
-        cov *= cross
-        resid = cov * cov
-        resid /= v1
-        np.subtract(v2, resid, out=resid)
-        np.maximum(resid, 0.0, out=resid)
-        g2 *= np.sqrt(resid, out=resid)
-        del resid
-        cov /= sd1
-        cov *= g1
-        g2 += cov
-        del cov, theta
-    g1 *= sd1
+
+    def mix(lo, hi, resid):
+        for i in range(lo, hi, _CHUNK):
+            j = min(i + _CHUNK, hi)
+            g1, g2 = x1[i:j], x2[i:j]
+            if cross == 0.0:
+                # Uncorrelated quadratures (r = 0, or no light on one arm):
+                # the mixing below reduces to exactly this at cov == 0.
+                g2 *= sd2
+            else:
+                if theta is None:
+                    t = (np.arange(i, j) - pad // 2) / fs
+                    cov = phase_b.angles(t, None)
+                    cov += phase_c.angles(t, None)
+                else:
+                    cov = theta[i:j]
+                # Per-sample 2x2 covariance of the two detector quadratures:
+                # the cross term swings with cos(theta_b + theta_c), so
+                # sweeping either phase moves the joint variance between the
+                # squeezed and anti-squeezed values.  Cholesky mixing of the
+                # two unit-variance streams gives that covariance:
+                # x2 = (cov / sd1) * g1 + sqrt(max(v2 - cov^2 / v1, 0)) * g2.
+                np.cos(cov, out=cov)
+                cov *= cross
+                r = np.multiply(cov, cov, out=resid[: j - i])
+                r /= v1
+                np.subtract(v2, r, out=r)
+                np.maximum(r, 0.0, out=r)
+                g2 *= np.sqrt(r, out=r)
+                cov /= sd1
+                cov *= g1
+                g2 += cov
+            g1 *= sd1
 
     if band is not None:
-        spectrum = _filter_spectrum(band[0], band[1], fs, size)
+        spectrum = _filter_spectrum(band[0], band[1], fs)
     sigma_e = None
     if config.electronics_noise_db is not None:
         sigma_e = 10.0 ** (-config.electronics_noise_db / 20.0)
 
-    def finish(x, start, stream, work, chunk):
+    def finish(x, start, stream, chunk, buf, work):
         if band is not None:
-            x = _filter_valid(x, n_ext, spectrum, work)
+            x = _filter_valid(x, spectrum, buf, work)
         # Channel 2 lags channel 1 by `delay` samples: x2[i] pairs with x1[i - delay].
         x = x[start : start + n]
         # Electronics noise is white and unfiltered: it originates after the
@@ -349,10 +372,16 @@ def _synthesize(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
         return x
 
     def scratch():
-        work = np.empty(size // 2 + 1, dtype=complex) if band is not None else None
-        return work, np.empty(min(_NOISE_CHUNK, n))
+        """One thread's scratch: a chunk, and the filter's block buffers."""
+        chunk = np.empty(min(_CHUNK, n_ext))
+        if band is None:
+            return chunk, None, None
+        return chunk, np.empty(BLOCK), np.empty(BLOCK // 2 + 1, dtype=complex)
 
     scratch1, scratch2 = scratch(), scratch()
+    half = n_ext // 2
+    _kernels.run_both(lambda: mix(0, half, scratch1[0]), lambda: mix(half, n_ext, scratch2[0]))
+    del theta
     volts1, volts2 = _kernels.run_both(
         lambda: finish(x1, max(delay, 0), _STREAM_ELEC1, *scratch1),
         lambda: finish(x2, max(-delay, 0), _STREAM_ELEC2, *scratch2),

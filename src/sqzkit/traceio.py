@@ -383,7 +383,10 @@ def write_trace_csv(path, volts, monitor, sample_rate: float, meta: dict | None 
 def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray, float]:
     """Returns (volts, monitor, sample_rate); rate falls back to 500 MS/s."""
     path = Path(path)
-    sidecar = _read_sidecar(path)
+    return _read_csv(path, _read_sidecar(path))
+
+
+def _read_csv(path: Path, sidecar: dict | None) -> tuple[np.ndarray, np.ndarray, float]:
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
     except (OSError, ValueError) as exc:
@@ -412,7 +415,10 @@ def write_trace_binary(path, volts, monitor, sample_rate: float, meta: dict | No
 def read_trace_binary(path) -> tuple[np.ndarray, np.ndarray, float]:
     """Reads the float32 pair format; the sidecar supplies the sample count."""
     path = Path(path)
-    sidecar = _read_sidecar(path)
+    return _read_binary(path, _read_sidecar(path))
+
+
+def _read_binary(path: Path, sidecar: dict | None) -> tuple[np.ndarray, np.ndarray, float]:
     raw = np.fromfile(path, dtype=_BINARY_DTYPE)
     if sidecar is not None:
         n = sidecar["n_samples"]
@@ -435,9 +441,7 @@ def read_trace(path) -> tuple[np.ndarray, np.ndarray, float]:
     path = Path(path)
     sidecar = _read_sidecar(path)
     fmt = sidecar["format"] if sidecar else ("csv" if path.suffix.lower() == ".csv" else "f32")
-    if fmt == "csv":
-        return read_trace_csv(path)
-    return read_trace_binary(path)
+    return (_read_csv if fmt == "csv" else _read_binary)(path, sidecar)
 
 
 def write_analysis_csv(path, time_ms, v_plus, v_minus, v_sn_plus, v_sn_minus) -> None:

@@ -11,6 +11,7 @@ from scipy import signal as sig
 
 from sqzkit import _kernels, cli, synth
 from sqzkit.errors import InvalidArgumentError
+from sqzkit.gaussian import lossy_tmsv_moments
 from sqzkit.synth import (
     FILTER_TAPS,
     PhaseModel,
@@ -193,32 +194,63 @@ def test_bandpass_taps_match_scipy_design(band, fs):
     assert np.max(np.abs(taps - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_fft_filter_matches_direct_convolution():
-    cfg = small_config(duration=2e-5, relative_delay_samples=37, electronics_noise_db=None)
-    n_ext = cfg.n_samples + 37 + FILTER_TAPS - 1
-    x = np.random.default_rng(4).standard_normal(n_ext)
-    nfft = synth._fast_fft_length(n_ext)
-    buf = np.zeros(nfft)
-    buf[:n_ext] = x
-    spectrum = synth._filter_spectrum(*cfg.detector_band, cfg.sample_rate, nfft)
-    work = np.empty(nfft // 2 + 1, dtype=complex)
-    got = synth._filter_valid(buf, n_ext, spectrum, work)
+_STEP = synth.BLOCK - FILTER_TAPS + 1  # outputs per overlap-save block
+
+
+@pytest.mark.parametrize(
+    "n_out",
+    [10_037, _STEP, _STEP + 1, 2 * _STEP + 777],
+    ids=["shorter-than-a-block", "one-step", "one-step-plus-one", "several-blocks"],
+)
+def test_fft_filter_matches_direct_convolution(n_out):
+    cfg = small_config()
+    x = np.random.default_rng(4).standard_normal(n_out + FILTER_TAPS - 1)
     want = np.convolve(x, synth._bandpass_taps(*cfg.detector_band, cfg.sample_rate), "valid")
-    assert got.shape == want.shape == (cfg.n_samples + 37,)
+    spectrum = synth._filter_spectrum(*cfg.detector_band, cfg.sample_rate)
+    buf, work = np.empty(synth.BLOCK), np.empty(synth.BLOCK // 2 + 1, dtype=complex)
+    got = synth._filter_valid(x, spectrum, buf, work)
+    assert got.shape == want.shape == (n_out,)
+    assert np.shares_memory(got, x)  # filtered in place
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_fft_length_is_the_next_5_smooth_number():
-    def smooth(m):
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        return m == 1
+def _whole_array_mixing(cfg):
+    """Both channels' samples with no band and no electronics noise, mixed
+    over the whole grid at once in the order `synth` mixes each chunk."""
+    seed, n = cfg.rng_seed, cfg.n_samples
+    g1 = synth._rng(seed, synth._FAMILY_SIGNAL, synth._STREAM_G1).standard_normal(n)
+    g2 = synth._rng(seed, synth._FAMILY_SIGNAL, synth._STREAM_G2).standard_normal(n)
+    v1, v2, cross = lossy_tmsv_moments(cfg.r, cfg.t_b, cfg.t_c)
+    t = np.arange(n) / cfg.sample_rate
+    theta = cfg.phase_b.angles(t, synth._rng(seed, synth._FAMILY_SIGNAL, synth._STREAM_PHASE_B))
+    theta = theta + cfg.phase_c.angles(t, synth._rng(seed, synth._FAMILY_SIGNAL, synth._STREAM_PHASE_C))
+    cov = np.cos(theta) * cross
+    sd1 = math.sqrt(v1)
+    x2 = np.sqrt(np.maximum(v2 - cov * cov / v1, 0.0)) * g2 + cov / sd1 * g1
+    return g1 * sd1 * cfg.shot_noise_volts_rms, x2 * cfg.shot_noise_volts_rms
 
-    for n in (1, 2, 7, 97, 1000, 2_016_484, 2_097_153):
-        got = synth._fast_fft_length(n)
-        assert got >= n and smooth(got)
-        assert not any(smooth(m) for m in range(n, got))
+
+@pytest.mark.parametrize("n", [1000, synth._CHUNK, 2 * synth._CHUNK + 4321])
+@pytest.mark.parametrize(
+    "phase_b",
+    [
+        PhaseModel(offset=0.4),
+        PhaseModel(kind="drift_sinusoid", frequency=1e5, amplitude=0.6, offset=0.2),
+        PhaseModel(kind="triangle_sweep", frequency=1e5, amplitude=2.0, offset=0.1),
+        PhaseModel(kind="noise_injected", frequency=2e4, amplitude=0.5, offset=0.3),
+        PhaseModel(offset=0.4, transient_jitter_rms=0.05),
+    ],
+    ids=["constant", "drift_sinusoid", "triangle_sweep", "noise_injected", "jittered"],
+)
+def test_chunked_two_thread_mixing_is_the_whole_array_mixing(phase_b, n):
+    cfg = small_config(
+        duration=n / SMALL["sample_rate"], detector_band=None, electronics_noise_db=None,
+        phase_b=phase_b, phase_c=PhaseModel(kind="drift_sinusoid", frequency=3e4, amplitude=0.3),
+    )
+    assert cfg.n_samples == n
+    got = _samples(synthesize_pair(cfg))
+    want = _whole_array_mixing(cfg)
+    assert all(np.array_equal(u, v) for u, v in zip(got, want))
 
 
 def test_phase_model_validation():
@@ -296,17 +328,18 @@ def test_two_threads_change_no_bit(scenario, delay, monkeypatch):
 
 
 def test_electronics_noise_chunks_match_one_normal_draw():
-    x = np.linspace(-1.0, 1.0, 2 * synth._NOISE_CHUNK + 17)
+    x = np.linspace(-1.0, 1.0, 2 * synth._CHUNK + 17)
     want = x + synth._rng(5, 0, 2).normal(0.0, 0.2, x.size)
     got = x.copy()
-    synth._add_scaled_normals(got, synth._rng(5, 0, 2), 0.2, np.empty(synth._NOISE_CHUNK))
+    synth._add_scaled_normals(got, synth._rng(5, 0, 2), 0.2, np.empty(synth._CHUNK))
     assert np.array_equal(got, want)
 
 
-def test_synthesis_peak_memory_stays_below_nine_traces():
-    # Both channels are filtered in place in FFT-length buffers; keeping the
-    # draws, the padded FFT inputs and the filter outputs apart needs 12
-    # extended-grid traces on this input.
+def test_synthesis_peak_memory_stays_below_four_traces():
+    # Both channels are filtered in place in their extended-grid buffers,
+    # with block-sized filter scratch and chunk-sized mixing scratch; the
+    # traced peak is about 3.2 extended-grid traces on this input (the
+    # two channels and the monitor).
     cfg = cli.scenario_synth_config(cli.load_scenario("reference"))
     n_ext = cfg.n_samples + FILTER_TAPS - 1
     synth._filter_spectrum.cache_clear()
@@ -317,4 +350,4 @@ def test_synthesis_peak_memory_stays_below_nine_traces():
     finally:
         tracemalloc.stop()
     assert traces[0].samples.shape == (cfg.n_samples,)
-    assert peak < 9 * 8 * n_ext, peak / (8 * n_ext)
+    assert peak < 4 * 8 * n_ext, peak / (8 * n_ext)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +57,23 @@ def test_read_trace_dispatch(tmp_path, trace):
         v, _, rate = traceio.read_trace(tmp_path / name)
         assert v.size == 500
         assert rate == 1e6
+
+
+def test_read_trace_reads_the_sidecar_once(tmp_path, trace, monkeypatch):
+    volts, monitor = trace
+    traceio.write_trace_csv(tmp_path / "a.csv", volts, monitor, 1e6)
+    traceio.write_trace_binary(tmp_path / "b.f32", volts, monitor, 1e6)
+    reads = []
+    read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self.name)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    for name in ("a.csv", "b.f32"):
+        traceio.read_trace(tmp_path / name)
+    assert reads == ["a.csv.json", "b.f32.json"]
 
 
 def test_missing_sidecar_defaults_rate(tmp_path, trace):
