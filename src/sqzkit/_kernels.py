@@ -16,7 +16,9 @@ interpreter lock, so the two independent detector channels, or two halves of
 a set of shifts, use two cores.  Large buffers are allocated on the calling
 thread and the worker only fills them (``out=``): a buffer freed on the
 worker would stay cached in that thread's malloc arena and raise the
-process's peak memory.
+process's peak memory.  For the same reason the worker lets go of a task
+before `run_both` returns, so every buffer a task reaches is freed on the
+calling thread, in program order.
 
 The public functions validate their arguments; the block loop runs
 unchecked.
@@ -64,6 +66,12 @@ class _Worker:
             try:
                 task()
             finally:
+                # Drop the task before the caller resumes.  An idle worker
+                # that still held it would keep every buffer its closure
+                # reaches alive until the next hand-over, and then free them
+                # at a moment set by thread scheduling, in the middle of
+                # the caller's next allocations.
+                del task
                 self._idle.release()
                 done.release()
 

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -385,6 +386,20 @@ def test_run_both_nested_and_concurrent_calls_finish():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert sorted(results) == list(range(6))
+
+
+def _reader(buf):
+    return lambda: float(buf[0])
+
+
+def test_idle_worker_keeps_nothing_of_its_last_task():
+    # a worker that held on to its task would free the task's buffers at its
+    # next hand-over, at a moment set by thread scheduling
+    buf = np.zeros(1000)
+    gone = weakref.ref(buf)
+    assert run_both(_reader(buf), _reader(buf)) == (0.0, 0.0)
+    del buf
+    assert gone() is None
 
 
 def _run_both_in_child():
