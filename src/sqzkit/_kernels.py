@@ -1,4 +1,5 @@
-"""Rolling-statistics kernel, and the worker thread that runs half of it.
+"""Rolling-statistics kernel, and `run_both`, which runs half of it on a
+second thread.
 
 Covariances (and so variances) of sliding windows are vectorized numpy over
 prefix sums of anchor-subtracted values, restarted every `RENORM_INTERVAL`
@@ -10,21 +11,19 @@ anchor a few samples (a shift) away from the block start keeps that property,
 so one anchor and one prefix sum per trace and block serve a whole set of
 shifts of the second trace.
 
-`run_both` runs two callables at once, one on a persistent worker thread.
-numpy's random generators, its FFT and its array loops release the
-interpreter lock, so the two independent detector channels, or two halves of
-a set of shifts, use two cores.  Large buffers are allocated on the calling
-thread and the worker only fills them (``out=``): a buffer freed on the
-worker would stay cached in that thread's malloc arena and raise the
-process's peak memory.  For the same reason the worker lets go of a task
-before `run_both` returns, so every buffer a task reaches is freed on the
-calling thread, in program order.
+`run_both` runs two callables at once, one on a thread it starts and joins
+before it returns.  numpy's random generators, its FFT and its array loops
+release the interpreter lock, so the two independent detector channels, or
+two halves of a set of shifts, use two cores.  Large buffers are allocated
+on the calling thread and the second thread only fills them (``out=``): a
+buffer freed on that thread would stay cached in its malloc arena and raise
+the process's peak memory.  The thread drops its task before `join`
+returns, so what a task reaches is freed on the calling thread as well.
 
 The public functions validate their arguments; the block loop runs
 unchecked.
 """
 
-import os
 import threading
 
 import numpy as np
@@ -34,68 +33,12 @@ from .errors import DimensionMismatchError, InvalidArgumentError
 RENORM_INTERVAL = 100_000
 
 
-class _Worker:
-    """A daemon thread that runs one handed-over task at a time.
-
-    The thread starts on the first hand-over, not at import.
-    """
-
-    def __init__(self):
-        self._idle = threading.Lock()  # held from hand-over until the task has run
-        self._go = threading.Lock()
-        self._go.acquire()
-        self._task = None
-        self._thread = None
-
-    def try_hand_over(self, task, done: threading.Lock) -> bool:
-        """Start `task` on the worker and release `done` after it has run;
-        False, and nothing started, while the worker is busy."""
-        if not self._idle.acquire(blocking=False):
-            return False
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._serve, name="sqzkit-worker", daemon=True)
-            self._thread.start()
-        self._task = (task, done)
-        self._go.release()
-        return True
-
-    def _serve(self):
-        while True:
-            self._go.acquire()
-            (task, done), self._task = self._task, None
-            try:
-                task()
-            finally:
-                # Drop the task before the caller resumes.  An idle worker
-                # that still held it would keep every buffer its closure
-                # reaches alive until the next hand-over, and then free them
-                # at a moment set by thread scheduling, in the middle of
-                # the caller's next allocations.
-                del task
-                self._idle.release()
-                done.release()
-
-
-_WORKER = _Worker()
-
-
-def _forget_worker_after_fork():
-    global _WORKER
-    _WORKER = _Worker()  # the forked child has no worker thread
-
-
-os.register_at_fork(after_in_child=_forget_worker_after_fork)
-
-
 def run_both(first, second):
-    """``(first(), second())``, with `first` run on the worker thread.
+    """``(first(), second())``, with `first` run on a new thread.
 
-    Both have finished when this returns or raises, and an exception raised
-    by `first` is re-raised here.  When the worker is busy (a call from
-    another thread, or from inside `first`), both run here in turn.
+    The thread has been joined when this returns or raises, and an exception
+    raised by `first` is re-raised here.
     """
-    done = threading.Lock()
-    done.acquire()
     outcome = []
 
     def task():
@@ -104,12 +47,12 @@ def run_both(first, second):
         except BaseException as exc:
             outcome.append((None, exc))
 
-    if not _WORKER.try_hand_over(task, done):
-        return first(), second()
+    thread = threading.Thread(target=task, name="sqzkit-run-both")
+    thread.start()
     try:
         mine = second()
     finally:
-        done.acquire()
+        thread.join()
     theirs, exc = outcome.pop()
     if exc is not None:
         raise exc
@@ -154,7 +97,7 @@ def shifted_covariances(x, y, window: int, shifts, reduce) -> None:
     x[i0] and y at y[i0 + shifts[0]] and builds one prefix sum of each;
     every shift then costs one product and one cumulative sum.  With more
     than one shift, the shifts are split in two halves and the first half
-    is reduced on the worker thread, so `reduce` is called from two threads
+    is reduced on a second thread, so `reduce` is called from two threads
     at once, never for the same j.
     """
     x, y = _as_f64(x), _as_f64(y)

@@ -351,7 +351,7 @@ def _csv_table(header: str, row_format: str, *columns):
     ASCII chunks of `_CHUNK_ROWS` rows.
 
     numpy renders the chunks into the same bytes as ``row_format % row``,
-    two at a time, one on the worker thread (`_kernels.run_both`); a row
+    two at a time, one on a second thread (`_kernels.run_both`); a row
     holding a value its renderer does not take is rendered by that
     %-format instead.
     """
@@ -380,12 +380,6 @@ def write_trace_csv(path, volts, monitor, sample_rate: float, meta: dict | None 
     _write_sidecar(Path(path), "csv", sample_rate, volts.size, meta)
 
 
-def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray, float]:
-    """Returns (volts, monitor, sample_rate); rate falls back to 500 MS/s."""
-    path = Path(path)
-    return _read_csv(path, _read_sidecar(path))
-
-
 def _read_csv(path: Path, sidecar: dict | None) -> tuple[np.ndarray, np.ndarray, float]:
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
@@ -412,14 +406,11 @@ def write_trace_binary(path, volts, monitor, sample_rate: float, meta: dict | No
     _write_sidecar(Path(path), "f32", sample_rate, volts.size, meta)
 
 
-def read_trace_binary(path) -> tuple[np.ndarray, np.ndarray, float]:
-    """Reads the float32 pair format; the sidecar supplies the sample count."""
-    path = Path(path)
-    return _read_binary(path, _read_sidecar(path))
-
-
 def _read_binary(path: Path, sidecar: dict | None) -> tuple[np.ndarray, np.ndarray, float]:
-    raw = np.fromfile(path, dtype=_BINARY_DTYPE)
+    try:
+        raw = np.fromfile(path, dtype=_BINARY_DTYPE)
+    except OSError as exc:
+        raise ScenarioFormatError(f"{path}: not a readable float32 trace: {exc}") from exc
     if sidecar is not None:
         n = sidecar["n_samples"]
         if raw.size != 2 * n:
@@ -437,7 +428,9 @@ def _read_binary(path: Path, sidecar: dict | None) -> tuple[np.ndarray, np.ndarr
 
 
 def read_trace(path) -> tuple[np.ndarray, np.ndarray, float]:
-    """Dispatch on the sidecar's format field, else the file extension."""
+    """(volts, monitor, sample_rate) of a CSV or float32 trace, by the
+    sidecar's format field, else the file extension.  With no sidecar the
+    rate is 500 MS/s, and a float32 file holds volts then monitor in halves."""
     path = Path(path)
     sidecar = _read_sidecar(path)
     fmt = sidecar["format"] if sidecar else ("csv" if path.suffix.lower() == ".csv" else "f32")
@@ -456,59 +449,46 @@ def write_analysis_csv(path, time_ms, v_plus, v_minus, v_sn_plus, v_sn_minus) ->
     _atomic_write(Path(path), rows)
 
 
+def _read_rows(path, what: str, row_name: str, columns, make) -> list:
+    """``make(*fields)`` for each data row of the CSV `path`, with the fields
+    of `columns` in that order; errors name the file, and the row."""
+    path = Path(path)
+    items = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+                raise ScenarioFormatError(f"{path}: {what} CSV needs columns {', '.join(columns)}")
+            for k, row in enumerate(reader, start=2):
+                try:
+                    fields = [row[c] for c in columns]
+                    if None in fields:  # a short row
+                        raise ValueError(f"no {columns[fields.index(None)]} field")
+                    items.append(make(*fields))
+                except ValueError as exc:
+                    raise ScenarioFormatError(f"{path}:{k}: bad {row_name} row: {exc}") from exc
+    except OSError as exc:
+        raise ScenarioFormatError(f"{path}: cannot read {what} CSV: {exc}") from exc
+    if not items:
+        raise ScenarioFormatError(f"{path}: {what} CSV has no data rows")
+    return items
+
+
 def read_sweep_csv(path):
     """Pump-power sweep rows: columns p_w_watts, level_db, branch."""
     from .fitting import PowerSweepPoint
 
-    path = Path(path)
-    points = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"p_w_watts", "level_db", "branch"} <= set(
-                reader.fieldnames
-            ):
-                raise ScenarioFormatError(
-                    f"{path}: sweep CSV needs columns p_w_watts, level_db, branch"
-                )
-            for k, row in enumerate(reader, start=2):
-                try:
-                    points.append(
-                        PowerSweepPoint(
-                            float(row["p_w_watts"]), float(row["level_db"]), row["branch"].strip()
-                        )
-                    )
-                except (TypeError, ValueError, KeyError) as exc:
-                    raise ScenarioFormatError(f"{path}:{k}: bad sweep row: {exc}") from exc
-    except OSError as exc:
-        raise ScenarioFormatError(f"{path}: cannot read sweep CSV: {exc}") from exc
-    if not points:
-        raise ScenarioFormatError(f"{path}: sweep CSV has no data rows")
-    return points
+    return _read_rows(
+        path, "sweep", "sweep", ("p_w_watts", "level_db", "branch"),
+        lambda power, level, branch: PowerSweepPoint(float(power), float(level), branch.strip()),
+    )
 
 
 def read_peaks_csv(path):
     """Spectrum peak rows: columns freq_hz, power_dbm, kind."""
     from .sideband import SpectralPeak
 
-    path = Path(path)
-    peaks = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"freq_hz", "power_dbm", "kind"} <= set(
-                reader.fieldnames
-            ):
-                raise ScenarioFormatError(f"{path}: peaks CSV needs columns freq_hz, power_dbm, kind")
-            for k, row in enumerate(reader, start=2):
-                try:
-                    peaks.append(
-                        SpectralPeak(float(row["freq_hz"]), float(row["power_dbm"]), row["kind"].strip())
-                    )
-                except (TypeError, ValueError, KeyError) as exc:
-                    raise ScenarioFormatError(f"{path}:{k}: bad peak row: {exc}") from exc
-    except OSError as exc:
-        raise ScenarioFormatError(f"{path}: cannot read peaks CSV: {exc}") from exc
-    if not peaks:
-        raise ScenarioFormatError(f"{path}: peaks CSV has no data rows")
-    return peaks
+    return _read_rows(
+        path, "peaks", "peak", ("freq_hz", "power_dbm", "kind"),
+        lambda freq, power, kind: SpectralPeak(float(freq), float(power), kind.strip()),
+    )

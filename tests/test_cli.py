@@ -350,6 +350,22 @@ def test_analyze_rejects_malformed_sidecars(capsys, tmp_path, fmt, mutate):
     assert f"signal_C43.{fmt}.json" in diag["message"]
 
 
+@pytest.mark.parametrize("fmt", ["f32", "csv"])
+def test_analyze_rejects_a_missing_trace(capsys, tmp_path, fmt):
+    scen = write_scenario(tmp_path, minimal_scenario(synthesis={"duration": 1e-4}))
+    files = run_json(
+        capsys, "simulate", "--scenario", scen, "--out-dir", str(tmp_path / "r"),
+        "--trace-format", fmt,
+    )["files"]
+    files["signal_C45"] = str(tmp_path / f"nope.{fmt}")
+
+    code, _, err = run_cli(capsys, *_analyze_args(files))
+    assert code == 1
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "ScenarioFormatError"
+    assert f"nope.{fmt}" in diag["message"]
+
+
 def test_analyze_requires_two_of_each(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--trace", "x.f32", "--shot-noise", "y.f32")
     assert code == 1
@@ -421,21 +437,36 @@ def test_console_script_entry_point():
     assert json.loads(out.stdout)["squeezing_db"] == pytest.approx(-0.478, abs=0.001)
 
 
+def _simulate_then_analyze_csv(out_dir):
+    traces = [f"{out_dir}/{name}.csv" for name in ("signal_C43", "signal_C45")]
+    shots = [f"{out_dir}/shot_noise_{arm}.csv" for arm in ("C43", "C45")]
+    return [
+        ["simulate", "--scenario", "deployed", "--duration", "2e-4",
+         "--trace-format", "csv", "--out-dir", out_dir],
+        ["analyze", "--scenario", "deployed", "--trace", traces[0], "--trace", traces[1],
+         "--shot-noise", shots[0], "--shot-noise", shots[1]],
+    ]
+
+
 @pytest.mark.parametrize(
-    "argv", [[], ["expect", "--scenario", "deployed"]], ids=["import", "expect"]
+    "commands",
+    [lambda _: [], lambda _: [["expect", "--scenario", "deployed"]], _simulate_then_analyze_csv],
+    ids=["import", "expect", "simulate-analyze-csv"],
 )
-def test_cli_leaves_scipy_signal_and_fft_unimported(argv):
-    # concurrent.futures alone costs ~10 ms of import, and importing starts
-    # no thread: synthesis starts its worker thread on first use
+def test_cli_leaves_scipy_signal_and_fft_unimported(commands, tmp_path):
+    # concurrent.futures alone costs ~10 ms of import.  Importing starts no
+    # thread, and no command leaves one behind: each `run_both` call joins
+    # the thread it starts before it returns.
     probe = (
-        "import sys, threading\n"
+        "import json, sys, threading\n"
         "from sqzkit import cli\n"
-        "if sys.argv[1:]:\n"
-        "    assert cli.main(sys.argv[1:]) == 0\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(argv) == 0\n"
         "assert threading.active_count() == 1, threading.enumerate()\n"
         "unwanted = {'scipy.signal', 'scipy.fft', 'concurrent.futures', 'queue'}\n"
         "print(sorted(unwanted & set(sys.modules)), file=sys.stderr)\n"
     )
-    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+    argv = json.dumps(commands(str(tmp_path / "run")))
+    out = subprocess.run([sys.executable, "-c", probe, argv], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stderr.splitlines()[-1] == "[]"

@@ -358,8 +358,8 @@ def test_run_both_reraises_the_worker_exception_and_recovers():
 
 
 def test_run_both_nested_and_concurrent_calls_finish():
-    # a call from inside the worker's half, or while another thread holds
-    # the worker, runs both halves on its own thread instead of waiting
+    # a call from inside the second thread's half, or from several threads
+    # at once, starts a thread of its own, so none waits on another
     assert run_both(lambda: run_both(lambda: 1, lambda: 2), lambda: 3) == ((1, 2), 3)
 
     errors, results = [], {}
@@ -393,8 +393,8 @@ def _reader(buf):
 
 
 def test_idle_worker_keeps_nothing_of_its_last_task():
-    # a worker that held on to its task would free the task's buffers at its
-    # next hand-over, at a moment set by thread scheduling
+    # a thread that held on to its task would free the task's buffers at a
+    # moment set by thread scheduling, not when the caller drops them
     buf = np.zeros(1000)
     gone = weakref.ref(buf)
     assert run_both(_reader(buf), _reader(buf)) == (0.0, 0.0)
@@ -407,7 +407,7 @@ def _run_both_in_child():
 
 
 def test_run_both_works_in_a_forked_child():
-    run_both(lambda: 1, lambda: 2)  # this process now has a worker thread
+    run_both(lambda: 1, lambda: 2)  # the fork comes after a call has run
     child = multiprocessing.get_context("fork").Process(target=_run_both_in_child)
     child.start()
     child.join(timeout=60)

@@ -28,7 +28,7 @@ def test_csv_round_trip(tmp_path, trace):
     volts, monitor = trace
     p = tmp_path / "t.csv"
     traceio.write_trace_csv(p, volts, monitor, 5e8, meta={"channel": 1})
-    v, m, rate = traceio.read_trace_csv(p)
+    v, m, rate = traceio.read_trace(p)
     np.testing.assert_allclose(v, volts, rtol=1e-8)
     np.testing.assert_allclose(m, monitor, rtol=1e-8)
     assert rate == 5e8
@@ -42,7 +42,7 @@ def test_binary_round_trip(tmp_path, trace):
     volts, monitor = trace
     p = tmp_path / "t.f32"
     traceio.write_trace_binary(p, volts, monitor, 2.5e8)
-    v, m, rate = traceio.read_trace_binary(p)
+    v, m, rate = traceio.read_trace(p)
     np.testing.assert_allclose(v, volts, atol=1e-8)  # float32 storage
     np.testing.assert_allclose(m, monitor, atol=1e-8)
     assert rate == 2.5e8
@@ -81,7 +81,7 @@ def test_missing_sidecar_defaults_rate(tmp_path, trace):
     p = tmp_path / "t.f32"
     traceio.write_trace_binary(p, volts, monitor, 1e6)
     (tmp_path / "t.f32.json").unlink()
-    v, m, rate = traceio.read_trace_binary(p)
+    v, m, rate = traceio.read_trace(p)
     assert v.size == 500
     assert rate == traceio.DEFAULT_SAMPLE_RATE
 
@@ -92,7 +92,7 @@ def test_corrupt_sidecar_raises(tmp_path, trace):
     traceio.write_trace_binary(p, volts, monitor, 1e6)
     (tmp_path / "t.f32.json").write_text("{not json")
     with pytest.raises(ScenarioFormatError):
-        traceio.read_trace_binary(p)
+        traceio.read_trace(p)
 
 
 def test_truncated_binary_raises(tmp_path, trace):
@@ -102,14 +102,14 @@ def test_truncated_binary_raises(tmp_path, trace):
     data = p.read_bytes()
     p.write_bytes(data[:-8])
     with pytest.raises(ScenarioFormatError):
-        traceio.read_trace_binary(p)
+        traceio.read_trace(p)
 
 
 def test_unreadable_csv_raises(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("index,volts,monitor_volts\n0,abc,def\n")
     with pytest.raises(ScenarioFormatError):
-        traceio.read_trace_csv(p)
+        traceio.read_trace(p)
 
 
 def test_no_leftover_temp_files(tmp_path, trace):
@@ -275,6 +275,9 @@ def test_sweep_csv_bad_rows(tmp_path):
     p.write_text("p_w_watts,level_db,branch\n")
     with pytest.raises(ScenarioFormatError, match="no data"):
         traceio.read_sweep_csv(p)
+    p.write_text("p_w_watts,level_db,branch\n0.1,-3.0\n")
+    with pytest.raises(ScenarioFormatError, match=":2: bad sweep row"):
+        traceio.read_sweep_csv(p)
 
 
 def test_peaks_csv(tmp_path):
@@ -293,4 +296,7 @@ def test_peaks_csv_bad_kind(tmp_path):
     p = tmp_path / "peaks.csv"
     p.write_text("freq_hz,power_dbm,kind\n10e6,0.0,sideways\n")
     with pytest.raises(ScenarioFormatError, match=":2:"):
+        traceio.read_peaks_csv(p)
+    p.write_text("freq_hz,power_dbm,kind\n10e6,0.0\n")
+    with pytest.raises(ScenarioFormatError, match=":2: bad peak row"):
         traceio.read_peaks_csv(p)
