@@ -59,7 +59,6 @@ from .synth import (
     PhaseModel,
     RawTrace,
     SynthConfig,
-    TriggerSpec,
     synthesize_pair,
     synthesize_shot_noise,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "predict",
     # synthesis
     "PhaseModel",
-    "TriggerSpec",
     "SynthConfig",
     "RawTrace",
     "synthesize_pair",

@@ -69,8 +69,8 @@ class LossItem:
 
     def __post_init__(self):
         object.__setattr__(self, "loss_db", float(self.loss_db))
-        if self.loss_db < 0:
-            raise InvalidArgumentError(f"loss_db must be >= 0 ({self.label!r}: {self.loss_db})")
+        if not 0 <= self.loss_db < math.inf:
+            raise InvalidArgumentError(f"loss_db must be finite and >= 0 ({self.label!r}: {self.loss_db})")
         if self.arm not in ARMS:
             raise InvalidArgumentError(f"arm must be one of {ARMS}, got {self.arm!r}")
 
@@ -94,10 +94,10 @@ class ChannelBudget:
         for arm, db in stated.items():
             if arm not in (ARM_FIRST, ARM_SECOND):
                 raise InvalidArgumentError(f"stated_total_db key must name an arm, got {arm!r}")
-            if db < 0:
-                raise InvalidArgumentError(f"stated_total_db must be >= 0 ({arm}: {db})")
-        if self.electronics_noise_db is not None and self.electronics_noise_db <= 0:
-            raise InvalidArgumentError("electronics_noise_db must be positive (or None)")
+            if not 0 <= db < math.inf:
+                raise InvalidArgumentError(f"stated_total_db must be finite and >= 0 ({arm}: {db})")
+        if self.electronics_noise_db is not None and not 0 < self.electronics_noise_db < math.inf:
+            raise InvalidArgumentError("electronics_noise_db must be positive and finite (or None)")
         # A stated total includes the electronics penalty, so it cannot be
         # smaller: the optical path left over would have gain (T > 1).
         electronics_t = electronics_effective_transmittance(self.electronics_noise_db)

@@ -154,17 +154,17 @@ def scenario_r(doc: dict, origin: str = "scenario") -> float:
     if "r" in source:
         with _at(path):
             r = float(source["r"])
-        if not r >= 0:
-            raise ScenarioFormatError(f"{path}: r must be non-negative, got {r}")
-        return r
-    path += "/pump"
-    pump = _as_dict(source["pump"], path)
-    _check_keys(pump, set(_PUMP_FIELDS), path)
-    with _at(path):
-        params = fitting.SqueezeParams(
-            **{field: float(_need(pump, key, path)) for key, field in _PUMP_FIELDS.items()}
-        )
-    return fitting.r_from_power(params)
+    else:
+        path += "/pump"
+        pump = _as_dict(source["pump"], path)
+        _check_keys(pump, set(_PUMP_FIELDS), path)
+        with _at(path):
+            r = fitting.r_from_power(fitting.SqueezeParams(
+                **{field: float(_need(pump, key, path)) for key, field in _PUMP_FIELDS.items()}
+            ))
+    if not 0 <= r < math.inf:
+        raise ScenarioFormatError(f"{path}: r must be finite and non-negative, got {r}")
+    return r
 
 
 def scenario_budget(doc: dict, origin: str = "scenario") -> ChannelBudget:
@@ -180,18 +180,16 @@ def scenario_budget(doc: dict, origin: str = "scenario") -> ChannelBudget:
 def scenario_synth_config(
     doc: dict, seed: int | None = None, duration: float | None = None, origin: str = "scenario"
 ) -> synth.SynthConfig:
-    """Synthesis config for a scenario: optical transmittances from the budget,
-    electronics noise from the synthesis section (falling back to the budget's
-    ratio), optional seed/duration overrides."""
+    """Synthesis config for a scenario: the source's r; from the budget, the
+    optical transmittances and the electronics clearance, which the synthesis
+    section may not set; optional seed/duration overrides."""
     r = scenario_r(doc, origin)
     budget = scenario_budget(doc, origin)
-    path = f"{origin}/synthesis"
-    spec = {"electronics_noise_db": budget.electronics_noise_db}
-    spec.update(_as_dict(doc.get("synthesis", {}), path))
     config = _build(
-        synth.SynthConfig, spec, path, r=r,
+        synth.SynthConfig, doc.get("synthesis", {}), f"{origin}/synthesis", r=r,
         t_b=budget.optical_transmittance(ARM_FIRST),
         t_c=budget.optical_transmittance(ARM_SECOND),
+        electronics_noise_db=budget.electronics_noise_db,
     )
     overrides = {"rng_seed": seed, "duration": duration}
     return replace(config, **{k: v for k, v in overrides.items() if v is not None})
@@ -452,7 +450,7 @@ def _cmd_sideband(args) -> dict:
         report["optimized_order"] = args.optimize
     else:
         theta = args.theta
-    drive = sb.SidebandDrive(theta, args.v_pi, args.drive_freq, args.load)
+    drive = sb.SidebandDrive(theta, args.v_pi, args.load)
     powers = sb.sideband_powers(theta, args.n_max)
     report.update(
         {
@@ -545,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instead of --theta, maximize this sideband order")
     p.add_argument("--v-pi", type=float, default=5.65, help="half-wave voltage (volts)")
     p.add_argument("--load", type=float, default=50.0, help="drive load in ohms")
-    p.add_argument("--drive-freq", type=float, default=25e9, help="drive frequency in Hz")
     p.add_argument("--n-max", type=int, default=6, help="report sidebands up to this order")
     _add_common(p)
     p.set_defaults(func=_cmd_sideband)

@@ -35,6 +35,9 @@ DISCARD_FRACTION = 0.05
 #: Rolling window (quadrature samples) used when a command needs one and the
 #: caller didn't choose: matches the usual visual-analysis window.
 DEFAULT_WINDOW = 10_000
+#: `analysis_report` scans the coherence dip over delays of -DIP_DELAY_SPAN
+#: to +DIP_DELAY_SPAN quadrature samples.
+DIP_DELAY_SPAN = 25
 
 
 def default_window(n_points: int) -> int:
@@ -338,7 +341,6 @@ def analysis_report(
     window: int | None = None,
     max_delay: int = 25,
     quadrature_rate: float = 1.25e8,
-    fwhm_delay_span: int = 25,
 ) -> dict:
     """Delay search + alignment + squeezing report + coherence-dip width.
 
@@ -355,10 +357,10 @@ def analysis_report(
 
     # Coherence dip: single-window variance scan around the trace midpoint.
     fwhm = None
-    w_dip = min(window or 30_000, a1.size - 2 * fwhm_delay_span)
-    if w_dip >= 2 and a1.size > 2 * fwhm_delay_span + w_dip:
+    w_dip = min(window or 30_000, a1.size - 2 * DIP_DELAY_SPAN)
+    if w_dip >= 2 and a1.size > 2 * DIP_DELAY_SPAN + w_dip:
         at = (a1.size - w_dip) // 2
-        delays = range(-fwhm_delay_span, fwhm_delay_span + 1)
+        delays = range(-DIP_DELAY_SPAN, DIP_DELAY_SPAN + 1)
         scan = variance_vs_delay(a1, b1, w_dip, at, delays)
         d_axis = [row[0] for row in scan]
         v_plus = np.array([row[1] for row in scan])

@@ -16,25 +16,24 @@ from dataclasses import dataclass
 from scipy import special
 
 from ._optim import golden_section_min
-from .errors import DegenerateInputError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 PEAK_KINDS = ("fundamental", "harmonic", "spur")
 
 
 @dataclass(frozen=True)
 class SidebandDrive:
-    """RF drive for a phase modulator: depth theta and hardware constants."""
+    """RF drive for a phase modulator: depth theta, half-wave voltage, load."""
 
     theta: float
     v_pi: float
-    drive_freq: float = 25e9
     load_ohms: float = 50.0
 
     def __post_init__(self):
         if self.theta < 0:
             raise InvalidArgumentError("modulation depth must be non-negative")
-        if self.v_pi <= 0 or self.drive_freq <= 0 or self.load_ohms <= 0:
-            raise InvalidArgumentError("v_pi, drive_freq and load must be positive")
+        if self.v_pi <= 0 or self.load_ohms <= 0:
+            raise InvalidArgumentError("v_pi and load must be positive")
 
 
 @dataclass(frozen=True)
@@ -64,28 +63,17 @@ def sideband_powers(theta: float, n_max: int) -> list[float]:
     return [bessel_j(n, theta) ** 2 for n in range(n_max + 1)]
 
 
-def optimal_theta(order: int, search_range: tuple[float, float] | None = None) -> float:
+def optimal_theta(order: int) -> float:
     """Modulation depth maximizing power in the given sideband order.
 
-    The default bracket (0, n + 1.8*n^(1/3)] ends before the first zero of
-    J_n, where |J_n| is unimodal, so the golden-section search is exact.  A
-    caller-supplied range must bracket a single interior maximum; hitting
-    either endpoint raises.
+    The bracket (0, n + 1.8*n^(1/3)] holds the first maximum of |J_n|, at
+    n + 0.81*n^(1/3) asymptotically, and ends before J_n's first zero, so
+    |J_n| is unimodal on it and the golden-section search is exact.
     """
     if order < 1:
         raise InvalidArgumentError("order must be >= 1")
-    if search_range is None:
-        lo, hi = 1e-3, order + 1.8 * order ** (1.0 / 3.0)
-    else:
-        lo, hi = search_range
-        if not 0 <= lo < hi:
-            raise InvalidArgumentError("search range must satisfy 0 <= low < high")
-        lo = max(lo, 1e-6)
-    best = golden_section_min(lambda th: -bessel_j(order, th) ** 2, lo, hi, tol=1e-9)
-    span = hi - lo
-    if best - lo < 1e-6 * span or hi - best < 1e-6 * span:
-        raise DegenerateInputError("maximum sits at the search boundary; widen the range")
-    return best
+    hi = order + 1.8 * order ** (1.0 / 3.0)
+    return golden_section_min(lambda th: -bessel_j(order, th) ** 2, 1e-3, hi, tol=1e-9)
 
 
 def rf_power_required(drive: SidebandDrive) -> float:

@@ -59,6 +59,11 @@ _STREAM_PHASE_C = 5
 #: at a time.
 _CHUNK = 65_536
 
+#: Width and height of the monitor channel's trigger pulse, which starts at
+#: the middle sample of every acquisition.
+TRIGGER_WIDTH_S = 2e-8
+TRIGGER_VOLTS = 2.0
+
 
 def _rng(seed: int, family: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, family, stream))))
@@ -86,8 +91,8 @@ class PhaseModel:
     def __post_init__(self):
         if self.kind not in PHASE_KINDS:
             raise InvalidArgumentError(f"unknown phase kind {self.kind!r}; expected one of {PHASE_KINDS}")
-        if self.frequency < 0 or self.transient_jitter_rms < 0:
-            raise InvalidArgumentError("frequency and jitter must be non-negative")
+        if not (0 <= self.frequency < math.inf and 0 <= self.transient_jitter_rms < math.inf):
+            raise InvalidArgumentError("frequency and jitter must be finite and non-negative")
         if not (math.isfinite(self.amplitude) and math.isfinite(self.offset)):
             raise InvalidArgumentError("amplitude and offset must be finite")
 
@@ -119,21 +124,6 @@ class PhaseModel:
 
 
 @dataclass(frozen=True)
-class TriggerSpec:
-    """Monitor-channel trigger pulse marking the scope acquisition center."""
-
-    width_s: float = 2e-8
-    amplitude_v: float = 2.0
-    position: str = "center"
-
-    def __post_init__(self):
-        if self.width_s <= 0 or self.amplitude_v <= 0:
-            raise InvalidArgumentError("trigger width and amplitude must be positive")
-        if self.position != "center":
-            raise InvalidArgumentError("only a centered trigger is supported")
-
-
-@dataclass(frozen=True)
 class SynthConfig:
     """Everything needed to synthesize one dual-detector acquisition.
 
@@ -161,18 +151,17 @@ class SynthConfig:
     phase_b: PhaseModel = field(default_factory=lambda: PhaseModel(offset=math.pi / 2))
     phase_c: PhaseModel = field(default_factory=lambda: PhaseModel(offset=math.pi / 2))
     relative_delay_samples: int = 0
-    trigger: TriggerSpec = field(default_factory=TriggerSpec)
     shot_noise_volts_rms: float = 0.05
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.r < 0:
-            raise InvalidArgumentError("r must be non-negative")
+        if not 0 <= self.r < math.inf:
+            raise InvalidArgumentError("r must be finite and non-negative")
         for name, t in (("t_b", self.t_b), ("t_c", self.t_c)):
             if not 0.0 <= t <= 1.0:
                 raise InvalidArgumentError(f"{name} must lie in [0, 1]")
-        if self.sample_rate <= 0 or self.duration <= 0:
-            raise InvalidArgumentError("sample_rate and duration must be positive")
+        if not (self.sample_rate > 0 and self.duration > 0 and self.sample_rate * self.duration < math.inf):
+            raise InvalidArgumentError("sample_rate and duration must be positive, with a finite product")
         if self.detector_band is not None:
             band = tuple(float(f) for f in self.detector_band)
             if len(band) != 2:
@@ -181,10 +170,10 @@ class SynthConfig:
             lo, hi = band
             if not 0.0 < lo < hi < self.sample_rate / 2.0:
                 raise InvalidArgumentError("detector band must satisfy 0 < low < high < Nyquist")
-        if self.electronics_noise_db is not None and self.electronics_noise_db <= 0:
-            raise InvalidArgumentError("electronics clearance must be positive (dB)")
-        if self.shot_noise_volts_rms <= 0:
-            raise InvalidArgumentError("shot_noise_volts_rms must be positive")
+        if self.electronics_noise_db is not None and not 0 < self.electronics_noise_db < math.inf:
+            raise InvalidArgumentError("electronics clearance must be positive and finite (dB)")
+        if not 0 < self.shot_noise_volts_rms < math.inf:
+            raise InvalidArgumentError("shot_noise_volts_rms must be positive and finite")
         for name in ("relative_delay_samples", "rng_seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise InvalidArgumentError(f"{name} must be an integer")
@@ -388,9 +377,7 @@ def _synthesize(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
     )
 
     monitor = np.zeros(n)
-    width = max(1, int(round(config.trigger.width_s * fs)))
-    i0 = n // 2
-    monitor[i0 : min(n, i0 + width)] = config.trigger.amplitude_v
+    monitor[n // 2 : n // 2 + max(1, round(TRIGGER_WIDTH_S * fs))] = TRIGGER_VOLTS
 
     meta = {
         "r": config.r,
@@ -418,8 +405,8 @@ def synthesize_shot_noise(config: SynthConfig) -> tuple[RawTrace, RawTrace]:
     """Reference traces with the signal beam blocked (r=0, full loss).
 
     Drawn from an independent stream family, as a separate acquisition
-    would be; the detection band, electronics noise, trigger, and voltage
-    scale all match the signal configuration.
+    would be; the detection band, electronics noise, trigger pulse, and
+    voltage scale all match the signal configuration.
     """
     blocked = replace(config, r=0.0, relative_delay_samples=0)
     return _synthesize(blocked, _FAMILY_SHOT)

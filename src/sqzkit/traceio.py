@@ -464,6 +464,8 @@ def _read_rows(path, what: str, row_name: str, columns, make) -> list:
                     fields = [row[c] for c in columns]
                     if None in fields:  # a short row
                         raise ValueError(f"no {columns[fields.index(None)]} field")
+                    if None in row:  # a long row: DictReader keeps the extra fields under None
+                        raise ValueError(f"{len(row[None])} field(s) past the header")
                     items.append(make(*fields))
                 except ValueError as exc:
                     raise ScenarioFormatError(f"{path}:{k}: bad {row_name} row: {exc}") from exc

@@ -141,14 +141,25 @@ PUMP = {"a": 0.24, "L": 2.5, "eta_w": 0.53, "eta_p": 0.49019, "p_w": 0.7008}
 MALFORMED = {
     "phase_b-unknown-key": ("/synthesis/phase_b", {"synthesis": {"phase_b": {"wobble": 1.0}}}),
     "phase_b-bad-kind": ("/synthesis/phase_b", {"synthesis": {"phase_b": {"kind": "ramp"}}}),
-    "trigger-unknown-key": ("/synthesis/trigger", {"synthesis": {"trigger": {"edge": "rising"}}}),
+    "trigger-unknown-key": ("/synthesis", {"synthesis": {"trigger": {"edge": "rising"}}}),
+    "synthesis-sets-electronics": ("/synthesis", {"synthesis": {"electronics_noise_db": 13.0}}),
     "band-scalar": ("/synthesis", {"synthesis": {"detector_band": 1e6}}),
+    "rate-infinite": ("/synthesis", {"synthesis": {"sample_rate": math.inf, "detector_band": None}}),
+    "volts-nan": ("/synthesis", {"synthesis": {"shot_noise_volts_rms": math.nan}}),
+    "phase-frequency-nan": ("/synthesis/phase_c", {"synthesis": {"phase_c": {"frequency": math.nan}}}),
+    "jitter-infinite": (
+        "/synthesis/phase_b", {"synthesis": {"phase_b": {"transient_jitter_rms": math.inf}}}
+    ),
     "band-one-element": ("/synthesis", {"synthesis": {"detector_band": [1e6]}}),
     "r-string": ("/source", {"source": {"r": "high"}}),
     "r-negative": ("/source", {"source": {"r": -1}}),
+    "r-infinite": ("/source", {"source": {"r": math.inf}}),
     "pump-string": ("/source/pump", {"source": {"pump": {**PUMP, "p_w": "max"}}}),
+    "pump-nan": ("/source/pump", {"source": {"pump": {**PUMP, "a": math.nan}}}),
     "loss-string": ("/budget/items/0", {"budget": {"items": [{"label": "x", "loss_db": "lots"}]}}),
     "loss-negative": ("/budget/items/0", {"budget": {"items": [{"label": "x", "loss_db": -1}]}}),
+    "loss-nan": ("/budget/items/0", {"budget": {"items": [{"label": "x", "loss_db": math.nan}]}}),
+    "electronics-infinite": ("/budget", {"budget": {"electronics_noise_db": math.inf}}),
     "stated-string": ("/budget", {"budget": {"stated_total_db": {"C43": "three"}}}),
     "stated-negative": ("/budget", {"budget": {"stated_total_db": {"C43": -3.0}}}),
     "stated-below-electronics": (
@@ -186,6 +197,13 @@ def test_scenario_synth_config_splits_electronics(tmp_path):
     assert cfg.t_b == pytest.approx(10**-0.3 / elec_t)
     assert cfg.electronics_noise_db == 15.0
     assert cfg.rng_seed == 1
+
+
+@pytest.mark.parametrize("name", cli.bundled_scenario_names())
+def test_synthesis_injects_the_budget_clearance(capsys, name):
+    report = run_json(capsys, "expect", "--scenario", name)
+    config = cli.scenario_synth_config(cli.load_scenario(name))
+    assert report["electronics_noise_db"] == config.electronics_noise_db
 
 
 # ------------------------------------------------- simulate / analyze

@@ -16,7 +16,6 @@ from sqzkit.synth import (
     FILTER_TAPS,
     PhaseModel,
     SynthConfig,
-    TriggerSpec,
     synthesize_pair,
     synthesize_shot_noise,
 )
@@ -58,9 +57,9 @@ def test_trigger_pulse_placement():
     cfg = small_config()
     tr, _ = synthesize_pair(cfg)
     n = cfg.n_samples
-    width = int(round(cfg.trigger.width_s * cfg.sample_rate))
+    width = round(synth.TRIGGER_WIDTH_S * cfg.sample_rate)
     assert width == 10
-    assert np.all(tr.monitor[n // 2 : n // 2 + width] == cfg.trigger.amplitude_v)
+    assert np.all(tr.monitor[n // 2 : n // 2 + width] == synth.TRIGGER_VOLTS)
     assert np.count_nonzero(tr.monitor) == width
     assert np.all(tr.samples != 0)  # signal channel carries no pulse
 
@@ -281,8 +280,17 @@ def test_config_validation():
         small_config(detector_band=(1e6,))
     with pytest.raises(InvalidArgumentError):
         small_config(relative_delay_samples=1.5)
+    for kw in (
+        dict(sample_rate=math.inf, detector_band=None),
+        dict(duration=math.inf),
+        dict(sample_rate=1e200, duration=1e200, detector_band=None),  # n_samples overflows
+        dict(shot_noise_volts_rms=math.nan),
+        dict(electronics_noise_db=math.inf),
+    ):
+        with pytest.raises(InvalidArgumentError):
+            small_config(**kw)
     with pytest.raises(InvalidArgumentError):
-        TriggerSpec(width_s=0.0)
+        PhaseModel(frequency=math.nan)
 
 
 def test_config_dict_round_trip():
@@ -296,7 +304,7 @@ def test_config_dict_round_trip():
     )
     synthesis = json.loads(json.dumps(dataclasses.asdict(cfg)))
     r = synthesis.pop("r")
-    del synthesis["t_b"], synthesis["t_c"]
+    del synthesis["t_b"], synthesis["t_c"], synthesis["electronics_noise_db"]
     doc = {"name": "round trip", "source": {"r": r}, "budget": {}, "synthesis": synthesis}
     assert cli.scenario_synth_config(doc) == cfg
 

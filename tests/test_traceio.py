@@ -275,9 +275,10 @@ def test_sweep_csv_bad_rows(tmp_path):
     p.write_text("p_w_watts,level_db,branch\n")
     with pytest.raises(ScenarioFormatError, match="no data"):
         traceio.read_sweep_csv(p)
-    p.write_text("p_w_watts,level_db,branch\n0.1,-3.0\n")
-    with pytest.raises(ScenarioFormatError, match=":2: bad sweep row"):
-        traceio.read_sweep_csv(p)
+    for row in ("0.1,-3.0", "0.1,-0.5,squeezed,9"):
+        p.write_text(f"p_w_watts,level_db,branch\n{row}\n")
+        with pytest.raises(ScenarioFormatError, match=":2: bad sweep row"):
+            traceio.read_sweep_csv(p)
 
 
 def test_peaks_csv(tmp_path):
@@ -297,6 +298,7 @@ def test_peaks_csv_bad_kind(tmp_path):
     p.write_text("freq_hz,power_dbm,kind\n10e6,0.0,sideways\n")
     with pytest.raises(ScenarioFormatError, match=":2:"):
         traceio.read_peaks_csv(p)
-    p.write_text("freq_hz,power_dbm,kind\n10e6,0.0\n")
-    with pytest.raises(ScenarioFormatError, match=":2: bad peak row"):
-        traceio.read_peaks_csv(p)
+    for row in ("10e6,0.0", "10e6,0.0,fundamental,9"):
+        p.write_text(f"freq_hz,power_dbm,kind\n{row}\n")
+        with pytest.raises(ScenarioFormatError, match=":2: bad peak row"):
+            traceio.read_peaks_csv(p)
