@@ -313,7 +313,7 @@ def _cmd_simulate(args) -> dict:
         (f"shot_noise_{ARM_SECOND}", ref[1]),
     ):
         path = out_dir / (stem + ext)
-        write(path, trace.samples, trace.monitor, trace.sample_rate, trace.meta)
+        write(path, trace.samples, trace.sample_rate, trace.meta)
         files[stem] = str(path)
     meta = {
         "scenario": doc.get("name", ""),
@@ -355,28 +355,23 @@ def _cmd_analyze(args) -> dict:
     )
 
     paths = [*args.trace, *args.shot_noise]
-    traces = [traceio.read_trace(p) for p in paths]
-    rate = traces[0][2]
-    for path, (_, _, other) in zip(paths[1:], traces[1:]):
+    volts, rates = zip(*(traceio.read_trace(p) for p in paths))
+    rate = rates[0]
+    for path, other in zip(paths[1:], rates[1:]):
         if other != rate:
             raise ScenarioFormatError(
                 f"{path}: sample rate {other:g} Hz differs from {rate:g} Hz of {paths[0]}"
             )
-    volts, refs = traces[:2], traces[2:]
-    for names, (first, second) in ((args.trace, volts), (args.shot_noise, refs)):
-        if first[0].size != second[0].size:
+    for names, (first, second) in ((args.trace, volts[:2]), (args.shot_noise, volts[2:])):
+        if first.size != second.size:
             raise ScenarioFormatError(
-                f"{names[1]}: {second[0].size} samples, but {names[0]} has {first[0].size}"
+                f"{names[1]}: {second.size} samples, but {names[0]} has {first.size}"
             )
-    sn_stats = [pipeline.shot_noise_stats(v, fraction) for v, _, _ in refs]
-    quads = [
-        pipeline.raw_to_quadratures(v, sn, rate, fraction)
-        for (v, _, _), sn in zip(volts, sn_stats)
-    ]
-    sn_quads = [
-        pipeline.raw_to_quadratures(v, sn, rate, fraction)
-        for (v, _, _), sn in zip(refs, sn_stats)
-    ]
+    sn_stats = [pipeline.shot_noise_stats(v, fraction) for v in volts[2:]]
+    quads, sn_quads = (
+        [pipeline.raw_to_quadratures(v, sn, rate, fraction) for v, sn in zip(part, sn_stats)]
+        for part in (volts[:2], volts[2:])
+    )
 
     report = pipeline.analysis_report(
         quads[0].q,

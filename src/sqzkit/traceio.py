@@ -1,16 +1,16 @@
 """File formats for traces, analysis series, and tabular inputs.
 
-Trace files come in two flavors:
-
-* CSV: header ``index,volts,monitor_volts``, one row per sample.
-* Binary: little-endian float32, all volts then all monitor samples.
-
-Both carry a JSON sidecar (``<file>.json``) recording the sample rate and
-channel layout, since neither payload is self-describing.  A sidecar must be
-an object with ``format`` ("csv" or "f32"), ``sample_rate_hz`` (finite, > 0)
-and ``n_samples`` (an integer >= 0, matching the payload).  All writes are
-atomic (temp file + rename) so a crashed run never leaves a half-written
-file behind.
+A trace file holds one channel, the detector volts, as CSV (header
+``index,volts``, one row per sample) or as little-endian float32.  A JSON
+sidecar (``<file>.json``) records what neither payload says itself: an
+object with ``format`` ("csv" or "f32"), ``sample_rate_hz`` (finite, > 0),
+``n_samples`` (an integer >= 0, matching the payload) and ``channels``.
+Files of older versions carry a second channel, ``monitor_volts``: a third
+CSV column, or a float32 block after the volts.  The readers take the volts
+alone from either layout, by the sidecar's ``channels``, which must be
+``["volts"]`` (the default) or ``["volts", "monitor_volts"]``.  A sample
+that is not finite fails the read.  All writes are atomic (temp file +
+rename) so a crashed run never leaves a half-written file behind.
 
 CSV rows (``%d`` and ``%.9g`` fields) are rendered by numpy, one chunk of
 rows per thread, into the bytes %-formatting gives.  Each field fills a
@@ -43,8 +43,11 @@ from .errors import ScenarioFormatError
 
 _BINARY_DTYPE = "<f4"
 DEFAULT_SAMPLE_RATE = 5e8
+#: The channel lists a sidecar may give: this version's, and the older one
+#: with a trigger monitor after the volts.
+_CHANNELS = (["volts"], ["volts", "monitor_volts"])
 #: Trace and series writes are rendered and written this many rows at a time.
-#: Each of the two CSV render lanes holds about 240 bytes per trace row (4 MB
+#: Each of the two CSV render lanes holds about 180 bytes per trace row (3 MB
 #: here); longer chunks render faster but raise the peak memory of simulate.
 _CHUNK_ROWS = 16_384
 
@@ -80,7 +83,7 @@ def _write_sidecar(path: Path, fmt: str, sample_rate: float, n: int, meta: dict 
         "format": fmt,
         "sample_rate_hz": sample_rate,
         "n_samples": n,
-        "channels": ["volts", "monitor_volts"],
+        "channels": ["volts"],
         "meta": meta or {},
     }
     atomic_write_text(_sidecar_path(path), json.dumps(sidecar, indent=2) + "\n")
@@ -105,6 +108,10 @@ def _read_sidecar(path: Path) -> dict | None:
     if sidecar.get("format") not in ("csv", "f32"):
         raise ScenarioFormatError(
             f"{sp}: format must be 'csv' or 'f32', got {sidecar.get('format')!r}"
+        )
+    if sidecar.setdefault("channels", ["volts"]) not in _CHANNELS:
+        raise ScenarioFormatError(
+            f"{sp}: channels must be one of {_CHANNELS}, got {sidecar['channels']!r}"
         )
     return sidecar
 
@@ -370,71 +377,62 @@ def _csv_table(header: str, row_format: str, *columns):
             yield lanes[0].render(row_format, columns, i)
 
 
-def write_trace_csv(path, volts, monitor, sample_rate: float, meta: dict | None = None) -> None:
+def write_trace_csv(path, volts, sample_rate: float, meta: dict | None = None) -> None:
     volts = np.asarray(volts, dtype=np.float64)
-    monitor = np.asarray(monitor, dtype=np.float64)
-    rows = _csv_table(
-        "index,volts,monitor_volts\n", "%d,%.9g,%.9g\n", range(volts.size), volts, monitor
-    )
-    _atomic_write(Path(path), rows)
+    _atomic_write(Path(path), _csv_table("index,volts\n", "%d,%.9g\n", range(volts.size), volts))
     _write_sidecar(Path(path), "csv", sample_rate, volts.size, meta)
 
 
-def _read_csv(path: Path, sidecar: dict | None) -> tuple[np.ndarray, np.ndarray, float]:
+def _read_csv(path: Path, sidecar: dict | None) -> np.ndarray:
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
+        volts = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1,), ndmin=1)
     except (OSError, ValueError) as exc:
         raise ScenarioFormatError(f"{path}: not a readable trace CSV: {exc}") from exc
-    if sidecar is None:
-        return data[:, 0].copy(), data[:, 1].copy(), DEFAULT_SAMPLE_RATE
-    if data.shape[0] != sidecar["n_samples"]:
+    if sidecar and volts.size != sidecar["n_samples"]:
         raise ScenarioFormatError(
-            f"{path}: {data.shape[0]} rows, but {_sidecar_path(path)} says "
+            f"{path}: {volts.size} rows, but {_sidecar_path(path)} says "
             f"n_samples = {sidecar['n_samples']}"
         )
-    return data[:, 0].copy(), data[:, 1].copy(), float(sidecar["sample_rate_hz"])
+    return volts
 
 
-def write_trace_binary(path, volts, monitor, sample_rate: float, meta: dict | None = None) -> None:
-    volts, monitor = np.ravel(volts), np.ravel(monitor)
+def write_trace_binary(path, volts, sample_rate: float, meta: dict | None = None) -> None:
+    volts = np.ravel(volts)
     chunks = (
-        column[i : i + _CHUNK_ROWS].astype(_BINARY_DTYPE)
-        for column in (volts, monitor)
-        for i in range(0, column.size, _CHUNK_ROWS)
+        volts[i : i + _CHUNK_ROWS].astype(_BINARY_DTYPE) for i in range(0, volts.size, _CHUNK_ROWS)
     )
     _atomic_write(Path(path), chunks)
     _write_sidecar(Path(path), "f32", sample_rate, volts.size, meta)
 
 
-def _read_binary(path: Path, sidecar: dict | None) -> tuple[np.ndarray, np.ndarray, float]:
+def _read_binary(path: Path, sidecar: dict | None) -> np.ndarray:
+    """The first n float32 values of a file that must hold n per channel."""
     try:
-        raw = np.fromfile(path, dtype=_BINARY_DTYPE)
+        size = path.stat().st_size
+        n, channels = (sidecar["n_samples"], len(sidecar["channels"])) if sidecar else (size // 4, 1)
+        if size != 4 * channels * n:
+            raise ScenarioFormatError(
+                f"{path}: {size} bytes, not the {channels} x {n} float32 values of "
+                f"{_sidecar_path(path) if sidecar else 'a trace with no sidecar'}"
+            )
+        volts = np.fromfile(path, dtype=_BINARY_DTYPE, count=n)
     except OSError as exc:
         raise ScenarioFormatError(f"{path}: not a readable float32 trace: {exc}") from exc
-    if sidecar is not None:
-        n = sidecar["n_samples"]
-        if raw.size != 2 * n:
-            raise ScenarioFormatError(
-                f"{path}: expected {2 * n} float32 values per {_sidecar_path(path)}, "
-                f"found {raw.size}"
-            )
-        rate = float(sidecar["sample_rate_hz"])
-    else:
-        if raw.size % 2:
-            raise ScenarioFormatError(f"{path}: odd float32 count with no sidecar")
-        n = raw.size // 2
-        rate = DEFAULT_SAMPLE_RATE
-    return raw[:n].astype(np.float64), raw[n:].astype(np.float64), rate
+    return volts.astype(np.float64)
 
 
-def read_trace(path) -> tuple[np.ndarray, np.ndarray, float]:
-    """(volts, monitor, sample_rate) of a CSV or float32 trace, by the
-    sidecar's format field, else the file extension.  With no sidecar the
-    rate is 500 MS/s, and a float32 file holds volts then monitor in halves."""
+def read_trace(path) -> tuple[np.ndarray, float]:
+    """(volts, sample_rate) of a CSV or float32 trace, by the sidecar's
+    format field, else the file extension.  With no sidecar the rate is
+    500 MS/s and the file holds one channel."""
     path = Path(path)
     sidecar = _read_sidecar(path)
     fmt = sidecar["format"] if sidecar else ("csv" if path.suffix.lower() == ".csv" else "f32")
-    return (_read_csv if fmt == "csv" else _read_binary)(path, sidecar)
+    volts = (_read_csv if fmt == "csv" else _read_binary)(path, sidecar)
+    finite = np.isfinite(volts)
+    if not finite.all():
+        raise ScenarioFormatError(f"{path}: sample {int(finite.argmin())} is not finite")
+    return volts, float(sidecar["sample_rate_hz"]) if sidecar else DEFAULT_SAMPLE_RATE
 
 
 def write_analysis_csv(path, time_ms, v_plus, v_minus, v_sn_plus, v_sn_minus) -> None:

@@ -255,7 +255,7 @@ def test_simulate_csv_format_and_seed_override(capsys, tmp_path):
     sig = tmp_path / "r2" / "signal_C43.csv"
     assert sig.exists()
     header = sig.read_text().splitlines()[0]
-    assert header == "index,volts,monitor_volts"
+    assert header == "index,volts"
     meta = json.loads((tmp_path / "r2" / "meta.json").read_text())
     assert meta["synthesis"]["rng_seed"] == 77
 
@@ -316,8 +316,8 @@ def test_analyze_rejects_mismatched_sample_rate(capsys, tmp_path):
 def test_analyze_rejects_mismatched_lengths(capsys, tmp_path):
     scen = write_scenario(tmp_path, minimal_scenario(synthesis={"duration": 1e-4}))
     files = run_json(capsys, "simulate", "--scenario", scen, "--out-dir", str(tmp_path / "r"))["files"]
-    volts, monitor, rate = traceio.read_trace(files["shot_noise_C45"])
-    traceio.write_trace_binary(files["shot_noise_C45"], volts[:-400], monitor[:-400], rate)
+    volts, rate = traceio.read_trace(files["shot_noise_C45"])
+    traceio.write_trace_binary(files["shot_noise_C45"], volts[:-400], rate)
 
     code, _, err = run_cli(capsys, *_analyze_args(files))
     assert code == 1
@@ -344,6 +344,8 @@ def _with(key, value):
         pytest.param("f32", _with("sample_rate_hz", -5e8), id="rate-negative"),
         pytest.param("f32", _with("sample_rate_hz", math.nan), id="rate-nan"),
         pytest.param("f32", _with("format", "wav"), id="format-unknown"),
+        pytest.param("f32", _with("channels", ["monitor_volts"]), id="channels-monitor"),
+        pytest.param("f32", _with("channels", ["volts", "monitor_volts"]), id="f32-size"),
         pytest.param(
             "csv",
             lambda sidecar: {**sidecar, "n_samples": sidecar["n_samples"] - 1},
@@ -366,6 +368,35 @@ def test_analyze_rejects_malformed_sidecars(capsys, tmp_path, fmt, mutate):
     diag = json.loads(err)["error"]
     assert diag["type"] == "ScenarioFormatError"
     assert f"signal_C43.{fmt}.json" in diag["message"]
+
+
+@pytest.mark.parametrize(
+    "fmt, stem, value",
+    [("f32", "signal_C45", math.nan), ("csv", "shot_noise_C43", math.inf)],
+    ids=["f32-signal-nan", "csv-shot-inf"],
+)
+def test_analyze_rejects_non_finite_samples(capsys, tmp_path, fmt, stem, value):
+    scen = write_scenario(tmp_path, minimal_scenario(synthesis={"duration": 1e-4}))
+    files = run_json(
+        capsys, "simulate", "--scenario", scen, "--out-dir", str(tmp_path / "r"),
+        "--trace-format", fmt,
+    )["files"]
+    path = Path(files[stem])
+    if fmt == "f32":
+        volts = np.fromfile(path, "<f4")
+        volts[123] = value
+        volts.tofile(path)
+    else:
+        lines = path.read_text().splitlines(keepends=True)
+        index, _, *rest = lines[124].rstrip("\n").split(",")
+        lines[124] = ",".join([index, str(value), *rest]) + "\n"
+        path.write_text("".join(lines))
+
+    code, _, err = run_cli(capsys, *_analyze_args(files))
+    assert code == 1
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "ScenarioFormatError"
+    assert diag["message"] == f"{path}: sample 123 is not finite"
 
 
 @pytest.mark.parametrize("fmt", ["f32", "csv"])

@@ -17,52 +17,48 @@ from sqzkit.errors import ScenarioFormatError
 
 @pytest.fixture
 def trace():
-    rng = np.random.default_rng(0)
-    volts = 0.05 * rng.standard_normal(500)
-    monitor = np.zeros(500)
-    monitor[250:260] = 2.0
-    return volts, monitor
+    return 0.05 * np.random.default_rng(0).standard_normal(500)
 
 
 def test_csv_round_trip(tmp_path, trace):
-    volts, monitor = trace
     p = tmp_path / "t.csv"
-    traceio.write_trace_csv(p, volts, monitor, 5e8, meta={"channel": 1})
-    v, m, rate = traceio.read_trace(p)
-    np.testing.assert_allclose(v, volts, rtol=1e-8)
-    np.testing.assert_allclose(m, monitor, rtol=1e-8)
+    traceio.write_trace_csv(p, trace, 5e8, meta={"channel": 1})
+    v, rate = traceio.read_trace(p)
+    np.testing.assert_allclose(v, trace, rtol=1e-8)
     assert rate == 5e8
     sidecar = json.loads((tmp_path / "t.csv.json").read_text())
     assert sidecar["format"] == "csv"
     assert sidecar["n_samples"] == 500
+    assert sidecar["channels"] == ["volts"]
     assert sidecar["meta"]["channel"] == 1
 
 
 def test_binary_round_trip(tmp_path, trace):
-    volts, monitor = trace
     p = tmp_path / "t.f32"
-    traceio.write_trace_binary(p, volts, monitor, 2.5e8)
-    v, m, rate = traceio.read_trace(p)
-    np.testing.assert_allclose(v, volts, atol=1e-8)  # float32 storage
-    np.testing.assert_allclose(m, monitor, atol=1e-8)
+    traceio.write_trace_binary(p, trace, 2.5e8)
+    v, rate = traceio.read_trace(p)
+    np.testing.assert_allclose(v, trace, atol=1e-8)  # float32 storage
     assert rate == 2.5e8
-    assert p.stat().st_size == 2 * 500 * 4
+    assert p.stat().st_size == 500 * 4
+    # a sidecar with no channels list describes one channel
+    sidecar = json.loads((tmp_path / "t.f32.json").read_text())
+    del sidecar["channels"]
+    (tmp_path / "t.f32.json").write_text(json.dumps(sidecar))
+    assert np.array_equal(traceio.read_trace(p)[0], v)
 
 
 def test_read_trace_dispatch(tmp_path, trace):
-    volts, monitor = trace
-    traceio.write_trace_csv(tmp_path / "a.csv", volts, monitor, 1e6)
-    traceio.write_trace_binary(tmp_path / "b.f32", volts, monitor, 1e6)
+    traceio.write_trace_csv(tmp_path / "a.csv", trace, 1e6)
+    traceio.write_trace_binary(tmp_path / "b.f32", trace, 1e6)
     for name in ("a.csv", "b.f32"):
-        v, _, rate = traceio.read_trace(tmp_path / name)
+        v, rate = traceio.read_trace(tmp_path / name)
         assert v.size == 500
         assert rate == 1e6
 
 
 def test_read_trace_reads_the_sidecar_once(tmp_path, trace, monkeypatch):
-    volts, monitor = trace
-    traceio.write_trace_csv(tmp_path / "a.csv", volts, monitor, 1e6)
-    traceio.write_trace_binary(tmp_path / "b.f32", volts, monitor, 1e6)
+    traceio.write_trace_csv(tmp_path / "a.csv", trace, 1e6)
+    traceio.write_trace_binary(tmp_path / "b.f32", trace, 1e6)
     reads = []
     read_text = Path.read_text
 
@@ -77,28 +73,56 @@ def test_read_trace_reads_the_sidecar_once(tmp_path, trace, monkeypatch):
 
 
 def test_missing_sidecar_defaults_rate(tmp_path, trace):
-    volts, monitor = trace
     p = tmp_path / "t.f32"
-    traceio.write_trace_binary(p, volts, monitor, 1e6)
+    traceio.write_trace_binary(p, trace, 1e6)
     (tmp_path / "t.f32.json").unlink()
-    v, m, rate = traceio.read_trace(p)
+    v, rate = traceio.read_trace(p)
     assert v.size == 500
     assert rate == traceio.DEFAULT_SAMPLE_RATE
 
 
+@pytest.mark.parametrize(
+    "name, with_sidecar",
+    [("t.csv", True), ("t.csv", False), ("t.f32", True)],
+    ids=["csv", "csv-no-sidecar", "f32"],
+)
+def test_two_channel_files_of_older_versions_read_back_their_volts(tmp_path, trace, name, with_sidecar):
+    # the bytes older versions wrote: the volts, then a trigger monitor
+    monitor = np.zeros(trace.size)
+    monitor[250:260] = 2.0
+    p = tmp_path / name
+    if p.suffix == ".csv":
+        rows = "".join(f"{i},{v:.9g},{m:.9g}\n" for i, (v, m) in enumerate(zip(trace, monitor)))
+        p.write_text("index,volts,monitor_volts\n" + rows)
+        want = np.array([float(f"{v:.9g}") for v in trace])
+    else:
+        p.write_bytes(trace.astype("<f4").tobytes() + monitor.astype("<f4").tobytes())
+        want = trace.astype("<f4").astype(np.float64)
+    if with_sidecar:
+        sidecar = {
+            "format": p.suffix[1:],
+            "sample_rate_hz": 2.5e8,
+            "n_samples": trace.size,
+            "channels": ["volts", "monitor_volts"],
+            "meta": {},
+        }
+        (tmp_path / f"{name}.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    volts, rate = traceio.read_trace(p)
+    assert np.array_equal(volts, want)
+    assert rate == (2.5e8 if with_sidecar else traceio.DEFAULT_SAMPLE_RATE)
+
+
 def test_corrupt_sidecar_raises(tmp_path, trace):
-    volts, monitor = trace
     p = tmp_path / "t.f32"
-    traceio.write_trace_binary(p, volts, monitor, 1e6)
+    traceio.write_trace_binary(p, trace, 1e6)
     (tmp_path / "t.f32.json").write_text("{not json")
     with pytest.raises(ScenarioFormatError):
         traceio.read_trace(p)
 
 
 def test_truncated_binary_raises(tmp_path, trace):
-    volts, monitor = trace
     p = tmp_path / "t.f32"
-    traceio.write_trace_binary(p, volts, monitor, 1e6)
+    traceio.write_trace_binary(p, trace, 1e6)
     data = p.read_bytes()
     p.write_bytes(data[:-8])
     with pytest.raises(ScenarioFormatError):
@@ -113,9 +137,8 @@ def test_unreadable_csv_raises(tmp_path):
 
 
 def test_no_leftover_temp_files(tmp_path, trace):
-    volts, monitor = trace
-    traceio.write_trace_binary(tmp_path / "t.f32", volts, monitor, 1e6)
-    traceio.write_trace_csv(tmp_path / "t.csv", volts, monitor, 1e6)
+    traceio.write_trace_binary(tmp_path / "t.f32", trace, 1e6)
+    traceio.write_trace_csv(tmp_path / "t.csv", trace, 1e6)
     names = sorted(q.name for q in tmp_path.iterdir())
     assert names == ["t.csv", "t.csv.json", "t.f32", "t.f32.json"]
 
@@ -134,8 +157,7 @@ def test_analysis_csv(tmp_path):
 
 def test_csv_writers_match_a_row_by_row_rendering(tmp_path, monkeypatch):
     values = np.array([0.1, -0.0, 2.0, 1e-300, -1.5e300, 123456789.0, np.inf, -np.inf, np.nan])
-    other = np.roll(values, 3)
-    rows = "".join(f"{i},{v:.9g},{m:.9g}\n" for i, (v, m) in enumerate(zip(values, other)))
+    rows = "".join(f"{i},{v:.9g}\n" for i, v in enumerate(values))
     cols = [np.roll(values, k) for k in range(5)]
     header = "time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus\n"
     series = "".join(",".join(f"{c[i]:.9g}" for c in cols) + "\n" for i in range(values.size))
@@ -146,8 +168,8 @@ def test_csv_writers_match_a_row_by_row_rendering(tmp_path, monkeypatch):
                 m.setattr(traceio, "_CHUNK_ROWS", chunk_rows)
                 if sequential:
                     m.setattr(_kernels, "run_both", lambda first, second: (first(), second()))
-                traceio.write_trace_csv(tmp_path / "t.csv", values, other, 1e6)
-                assert (tmp_path / "t.csv").read_text() == "index,volts,monitor_volts\n" + rows
+                traceio.write_trace_csv(tmp_path / "t.csv", values, 1e6)
+                assert (tmp_path / "t.csv").read_text() == "index,volts\n" + rows
                 traceio.write_analysis_csv(tmp_path / "s.csv", *cols)
                 assert (tmp_path / "s.csv").read_text() == header + series
 
@@ -227,12 +249,12 @@ def test_a_synthesized_trace_takes_the_numpy_path(tmp_path, monkeypatch):
     cfg = dataclasses.replace(cfg, duration=4e-5, rng_seed=5)
     monkeypatch.setattr(traceio, "_CHUNK_ROWS", 4096)
     for trace in synth.synthesize_pair(cfg) + synth.synthesize_shot_noise(cfg):
-        volts, monitor = trace.samples, trace.monitor
-        rows = _numpy_rows("%d,%.9g,%.9g\n", range(volts.size), volts, monitor)
+        volts = trace.samples
+        rows = _numpy_rows("%d,%.9g\n", range(volts.size), volts)
         assert sum(row is None for row in rows) <= 0.001 * volts.size
-        traceio.write_trace_csv(tmp_path / "t.csv", volts, monitor, trace.sample_rate)
-        want = "".join(f"{i},{v:.9g},{m:.9g}\n" for i, (v, m) in enumerate(zip(volts, monitor)))
-        assert (tmp_path / "t.csv").read_text() == "index,volts,monitor_volts\n" + want
+        traceio.write_trace_csv(tmp_path / "t.csv", volts, trace.sample_rate)
+        want = "".join(f"{i},{v:.9g}\n" for i, v in enumerate(volts))
+        assert (tmp_path / "t.csv").read_text() == "index,volts\n" + want
 
 
 def test_csv_table_rejects_other_formats():
@@ -241,14 +263,14 @@ def test_csv_table_rejects_other_formats():
             b"".join(traceio._csv_table("", row_format, range(3), np.zeros(3)))
 
 
-def test_binary_writer_writes_volts_then_monitor(tmp_path, monkeypatch):
+def test_binary_writer_writes_volts(tmp_path, monkeypatch):
     volts = np.linspace(-1.0, 1.0, 11) / 3.0
-    monitor = np.arange(11.0)
-    want = volts.astype("<f4").tobytes() + monitor.astype("<f4").tobytes()
+    want = volts.astype("<f4").tobytes()
     for chunk_rows in (traceio._CHUNK_ROWS, 4):
         monkeypatch.setattr(traceio, "_CHUNK_ROWS", chunk_rows)
-        traceio.write_trace_binary(tmp_path / "t.f32", volts, monitor, 1e6)
+        traceio.write_trace_binary(tmp_path / "t.f32", volts, 1e6)
         assert (tmp_path / "t.f32").read_bytes() == want
+        assert (tmp_path / "t.f32").stat().st_size == 4 * volts.size
 
 
 def test_sweep_csv(tmp_path):
