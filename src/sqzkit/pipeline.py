@@ -357,8 +357,9 @@ def analysis_report(
 
     # Coherence dip: single-window variance scan around the trace midpoint.
     fwhm = None
+    # w_dip leaves 2 * DIP_DELAY_SPAN samples for the scan's delays, so it always fits
     w_dip = min(window or 30_000, a1.size - 2 * DIP_DELAY_SPAN)
-    if w_dip >= 2 and a1.size > 2 * DIP_DELAY_SPAN + w_dip:
+    if w_dip >= 2:
         at = (a1.size - w_dip) // 2
         delays = range(-DIP_DELAY_SPAN, DIP_DELAY_SPAN + 1)
         scan = variance_vs_delay(a1, b1, w_dip, at, delays)

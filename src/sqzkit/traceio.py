@@ -1,29 +1,30 @@
 """File formats for traces, analysis series, and tabular inputs.
 
 A trace file holds one channel, the detector volts, as CSV (header
-``index,volts``, one row per sample) or as little-endian float32.  A JSON
+``volts``, one ``%.9g`` row per sample) or as little-endian float32.  A JSON
 sidecar (``<file>.json``) records what neither payload says itself: an
 object with ``format`` ("csv" or "f32"), ``sample_rate_hz`` (finite, > 0),
 ``n_samples`` (an integer >= 0, matching the payload) and ``channels``.
-Files of older versions carry a second channel, ``monitor_volts``: a third
-CSV column, or a float32 block after the volts.  The readers take the volts
-alone from either layout, by the sidecar's ``channels``, which must be
-``["volts"]`` (the default) or ``["volts", "monitor_volts"]``.  A sample
-that is not finite fails the read.  All writes are atomic (temp file +
-rename) so a crashed run never leaves a half-written file behind.
+Files of older versions start each CSV row with an ``index`` column, and
+may carry a second channel, ``monitor_volts``: a last CSV column, or a
+float32 block after the volts.  The CSV reader takes the column its header
+names ``volts``; the float32 reader takes the first block, by the sidecar's
+``channels``, which must be ``["volts"]`` (the default) or
+``["volts", "monitor_volts"]``.  A sample that is not finite fails the
+read.  All writes are atomic (temp file + rename) so a crashed run never
+leaves a half-written file behind.
 
-CSV rows (``%d`` and ``%.9g`` fields) are rendered by numpy, one chunk of
-rows per thread, into the bytes %-formatting gives.  Each field fills a
-fixed set of character slots in a (slots x rows) uint8 block, NUL where a
-row has no character; the block is transposed into lines and the NULs are
-deleted.  A ``%.9g`` value x gets e = floor(log10 |x|) and the mantissa
-rint(|x| * 10**(8 - e)).  For |x| in [1e-14, 1e9) the power of ten is exact
-and the product correctly rounded, so that is the correctly rounded
-nine-digit mantissa unless the product lies within 1e-6 of a tie.  %g's
-layout follows: fixed for -4 <= e < 9, else scientific, trailing zeros
-dropped.  A row holding a value numpy does not render this way (not
-finite, outside that range and not zero, near a tie, or an integer of
-magnitude 1e9 or more) is %-formatted on its own and spliced in at its
+CSV rows of ``%.9g`` fields are rendered by numpy, one chunk of rows per
+thread, into the bytes %-formatting gives.  Each field fills 27 character
+slots in a (slots x rows) uint8 block, NUL where a row has no character;
+the block is transposed into lines and the NULs are deleted.  A value x
+gets e = floor(log10 |x|) and the mantissa rint(|x| * 10**(8 - e)).  For
+|x| in [1e-14, 1e9) the power of ten is exact and the product correctly
+rounded, so that is the correctly rounded nine-digit mantissa unless the
+product lies within 1e-6 of a tie.  %g's layout follows: fixed for
+-4 <= e < 9, else scientific, trailing zeros dropped.  A row holding a
+value numpy does not render this way (not finite, outside that range and
+not zero, or near a tie) is %-formatted on its own and spliced in at its
 place.
 """
 
@@ -47,7 +48,7 @@ DEFAULT_SAMPLE_RATE = 5e8
 #: with a trigger monitor after the volts.
 _CHANNELS = (["volts"], ["volts", "monitor_volts"])
 #: Trace and series writes are rendered and written this many rows at a time.
-#: Each of the two CSV render lanes holds about 180 bytes per trace row (3 MB
+#: Each of the two CSV render lanes holds 150 bytes per trace row (2.5 MB
 #: here); longer chunks render faster but raise the peak memory of simulate.
 _CHUNK_ROWS = 16_384
 
@@ -143,20 +144,18 @@ _POW10_INT = (10 ** np.arange(9, dtype=np.uint32))[:, None]
 
 class _CsvLane:
     """One thread's scratch for `_csv_table`, for chunks of up to `rows`
-    rows: a block with one row per character slot (NUL where a row of the
-    CSV has no character), that block transposed into lines, and the
-    numeric buffers of the field renderers."""
+    rows of `width` columns: a block with one row per character slot (NUL
+    where a row of the CSV has no character), that block transposed into
+    lines, and the numeric buffers of the field renderer."""
 
-    def __init__(self, rows: int, fields, slots: int):
-        self.rows, self.fields = rows, fields
-        self.block = np.empty((slots, rows), np.uint8)
-        for _, _, stop in fields:
-            self.block[stop] = _COMMA
+    def __init__(self, rows: int, width: int):
+        self.rows = rows
+        self.row_format = ",".join(["%.9g"] * width) + "\n"
+        self.block = np.empty((width * (_G_SLOTS + 1), rows), np.uint8)
+        self.block[_G_SLOTS :: _G_SLOTS + 1] = _COMMA
         self.block[-1] = _NEWLINE
-        self.text = bytearray(rows * slots)
-        self.lines = np.frombuffer(self.text, np.uint8).reshape(rows, slots)
-        self.iota = np.arange(rows, dtype=np.int64)
-        self.ints = np.empty(rows, np.int64)
+        self.text = bytearray(self.block.size)
+        self.lines = np.frombuffer(self.text, np.uint8).reshape(rows, -1)
         self.f = np.empty((3, rows))
         self.index = np.empty(rows, np.intp)
         self.q = np.empty((10, rows), np.uint32)
@@ -165,7 +164,7 @@ class _CsvLane:
         self.bb = np.empty((2, 8, rows), bool)
         self.bad = np.empty(rows, bool)
 
-    def render(self, row_format: str, columns, i: int) -> bytearray:
+    def render(self, columns, i: int) -> bytearray:
         """Rows i, i+1, ... of `columns`, at most `rows` of them, as text."""
         k = min(self.rows, len(columns[0]) - i)
         misses = np.flatnonzero(self.fill(columns, i, k))
@@ -180,7 +179,8 @@ class _CsvLane:
         pieces, at = [], 0
         for r in misses.tolist():
             end = int(ends[r])  # where row r goes: it is blank
-            pieces += [text[at:end], (row_format % tuple(c[i + r] for c in columns)).encode("ascii")]
+            row = self.row_format % tuple(c[i + r] for c in columns)
+            pieces += [text[at:end], row.encode("ascii")]
             at = end
         pieces.append(text[at:])
         return bytearray().join(pieces)
@@ -190,18 +190,9 @@ class _CsvLane:
         of the block; returns the mask of the rows left to the %-format."""
         bad = self.bad[:k]
         bad.fill(False)
-        for column, (kind, start, stop) in zip(columns, self.fields):
-            slots = self.block[start:stop, :k]
-            if kind == "%.9g":
-                self._render_g(column[i : i + k], slots, bad)
-                continue
-            values = self.ints[:k]
-            if isinstance(column, range):
-                np.multiply(self.iota[:k], column.step, out=values)
-                values += column[i]
-            else:
-                values[:] = column[i : i + k]
-            self._render_d(values, slots, bad)
+        for j, column in enumerate(columns):
+            start = j * (_G_SLOTS + 1)
+            self._render_g(column[i : i + k], self.block[start : start + _G_SLOTS, :k], bad)
         return bad
 
     def _digits(self, slots) -> None:
@@ -215,29 +206,6 @@ class _CsvLane:
         np.multiply(q[1:], 10, out=digits, casting="unsafe")
         np.subtract(q[:-1], digits, out=digits, casting="unsafe")
         digits += _ZERO
-
-    def _render_d(self, v, slots, bad) -> None:
-        """``%d`` of the int64 values `v`: a sign, then as many digits as
-        `slots` has rows left (at most 9), leading zeros blank.  Rows with
-        |v| >= 1e9 are or-ed into `bad`."""
-        k = v.size
-        b = self.b[0, :k]
-        np.less(v, 0, out=b)
-        np.multiply(b, _MINUS, out=slots[0], casting="unsafe")
-        np.abs(v, out=v)
-        np.greater_equal(v, 10**9, out=b)
-        bad |= b
-        np.less(v, 0, out=b)  # np.abs leaves int64's minimum negative
-        bad |= b
-        np.copyto(v, 0, where=bad)
-        np.copyto(self.q[0, :k], v, casting="unsafe")
-        digits = slots[1:]
-        self._digits(digits)
-        n = len(digits)
-        # digit j shows if v // 10**(n - 1 - j) > 0, and the last one always
-        shown = self.bb[0, : n - 1, :k]
-        np.not_equal(self.q[n - 1 : 0 : -1, :k], 0, out=shown)
-        np.multiply(digits[:-1], shown, out=digits[:-1])
 
     def _render_g(self, x, slots, bad) -> None:
         """``%.9g`` of the float64 values `x` into the `_G_SLOTS` rows of
@@ -322,70 +290,44 @@ class _CsvLane:
         np.take(_G_EXPONENT, index, axis=1, out=slots[23:27], mode="clip")
 
 
-def _csv_layout(row_format: str, columns):
-    """The fields of `row_format` as (kind, first slot, separator slot),
-    and the number of slots in a row.
+def _csv_table(header: str, *columns):
+    """Header, then one line per row of the float64 `columns`, their
+    ``%.9g`` fields comma-separated, as ASCII chunks of `_CHUNK_ROWS` rows.
 
-    `row_format` is comma-separated ``%d`` and ``%.9g`` fields ending in a
-    newline.  A ``%d`` column is a `range` or an integer array; it gets a
-    sign slot and as many digit slots as its widest value needs, at most
-    nine.  A ``%.9g`` column is a float64 array.
+    numpy renders the chunks into the same bytes as that %-format, two at a
+    time, one on a second thread (`_kernels.run_both`); a row holding a
+    value its renderer does not take is %-formatted instead.
     """
-    kinds = row_format[:-1].split(",")
-    if not row_format.endswith("\n") or len(kinds) != len(columns) or any(
-        kind not in ("%d", "%.9g") for kind in kinds
-    ):
-        raise ValueError(f"unsupported CSV row format {row_format!r}")
-    fields, slots = [], 0
-    for kind, column in zip(kinds, columns):
-        if kind == "%d":
-            if not len(column):
-                ends = (0,)
-            elif isinstance(column, range):
-                ends = (column[0], column[-1])
-            else:
-                ends = (column.min(), column.max())
-            width = 1 + min(9, max(len(str(abs(int(end)))) for end in ends))
-        else:
-            width = _G_SLOTS
-        fields.append((kind, slots, slots + width))
-        slots += width + 1
-    return fields, slots
-
-
-def _csv_table(header: str, row_format: str, *columns):
-    """Header, then one ``row_format`` line per row (see `_csv_layout`), as
-    ASCII chunks of `_CHUNK_ROWS` rows.
-
-    numpy renders the chunks into the same bytes as ``row_format % row``,
-    two at a time, one on a second thread (`_kernels.run_both`); a row
-    holding a value its renderer does not take is rendered by that
-    %-format instead.
-    """
-    fields, slots = _csv_layout(row_format, columns)
     yield header.encode("ascii")
     n = len(columns[0])
     rows = min(n, _CHUNK_ROWS)
-    lanes = [_CsvLane(rows, fields, slots) for _ in range(1 if n <= rows else 2)]
+    lanes = [_CsvLane(rows, len(columns)) for _ in range(1 if n <= rows else 2)]
     for i in range(0, n, 2 * rows):
         if i + rows < n:
             yield from _kernels.run_both(
-                lambda: lanes[0].render(row_format, columns, i),
-                lambda: lanes[1].render(row_format, columns, i + rows),
+                lambda: lanes[0].render(columns, i),
+                lambda: lanes[1].render(columns, i + rows),
             )
         else:
-            yield lanes[0].render(row_format, columns, i)
+            yield lanes[0].render(columns, i)
 
 
 def write_trace_csv(path, volts, sample_rate: float, meta: dict | None = None) -> None:
     volts = np.asarray(volts, dtype=np.float64)
-    _atomic_write(Path(path), _csv_table("index,volts\n", "%d,%.9g\n", range(volts.size), volts))
+    _atomic_write(Path(path), _csv_table("volts\n", volts))
     _write_sidecar(Path(path), "csv", sample_rate, volts.size, meta)
 
 
 def _read_csv(path: Path, sidecar: dict | None) -> np.ndarray:
+    """The column named ``volts`` of a trace CSV, whichever others it has."""
     try:
-        volts = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1,), ndmin=1)
+        with open(path) as fh:
+            header = fh.readline().rstrip("\r\n").split(",")
+        if "volts" not in header:
+            raise ScenarioFormatError(f"{path}: trace CSV header {header!r} has no volts column")
+        # loadtxt reads a path faster than an open text file
+        column = header.index("volts")
+        volts = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(column,), ndmin=1)
     except (OSError, ValueError) as exc:
         raise ScenarioFormatError(f"{path}: not a readable trace CSV: {exc}") from exc
     if sidecar and volts.size != sidecar["n_samples"]:
@@ -441,10 +383,7 @@ def write_analysis_csv(path, time_ms, v_plus, v_minus, v_sn_plus, v_sn_minus) ->
     n = cols[0].size
     if any(c.size != n for c in cols):
         raise ScenarioFormatError("analysis columns must share one length")
-    rows = _csv_table(
-        "time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus\n", "%.9g,%.9g,%.9g,%.9g,%.9g\n", *cols
-    )
-    _atomic_write(Path(path), rows)
+    _atomic_write(Path(path), _csv_table("time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus\n", *cols))
 
 
 def _read_rows(path, what: str, row_name: str, columns, make) -> list:

@@ -244,6 +244,17 @@ def test_simulate_then_analyze_round_trip(capsys, tmp_path):
     assert report["window"] == "full"
 
 
+def test_a_short_full_window_run_measures_the_dip(capsys, tmp_path):
+    # 2e-4 s leaves a window the dip scan's delays fit around exactly
+    files = run_json(
+        capsys, "simulate", "--scenario", "deployed", "--duration", "2e-4",
+        "--out-dir", str(tmp_path / "r"),
+    )["files"]
+    report = run_json(capsys, *_analyze_args(files), "--scenario", "deployed")
+    assert report["window"] == "full"
+    assert math.isfinite(report["fwhm_samples"])
+
+
 def test_simulate_csv_format_and_seed_override(capsys, tmp_path):
     doc = minimal_scenario()
     scen = write_scenario(tmp_path, doc)
@@ -255,7 +266,7 @@ def test_simulate_csv_format_and_seed_override(capsys, tmp_path):
     sig = tmp_path / "r2" / "signal_C43.csv"
     assert sig.exists()
     header = sig.read_text().splitlines()[0]
-    assert header == "index,volts"
+    assert header == "volts"
     meta = json.loads((tmp_path / "r2" / "meta.json").read_text())
     assert meta["synthesis"]["rng_seed"] == 77
 
@@ -388,8 +399,7 @@ def test_analyze_rejects_non_finite_samples(capsys, tmp_path, fmt, stem, value):
         volts.tofile(path)
     else:
         lines = path.read_text().splitlines(keepends=True)
-        index, _, *rest = lines[124].rstrip("\n").split(",")
-        lines[124] = ",".join([index, str(value), *rest]) + "\n"
+        lines[124] = f"{value}\n"
         path.write_text("".join(lines))
 
     code, _, err = run_cli(capsys, *_analyze_args(files))
