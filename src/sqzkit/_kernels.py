@@ -9,7 +9,12 @@ block) is the shifted-data method of Chan, Golub & LeVeque, Am. Stat. 37
 (1983); it also makes a constant input produce exactly zero variance.  An
 anchor a few samples (a shift) away from the block start keeps that property,
 so one anchor and one prefix sum per trace and block serve a whole set of
-shifts of the second trace.
+shifts of the second trace, and the second trace's window sums are taken once
+per block over every shift, each shift reading a slice of them.  A variance
+is the diagonal of that loop: the trace's own differences, prefix sum and
+window sums stand in for the second trace's, its differences are squared in
+place, and each block is written straight into the output, so it builds one
+set of block sums where a covariance builds two.
 
 `run_both` runs two callables at once, one on a thread it starts and joins
 before it returns.  numpy's random generators, its FFT and its array loops
@@ -94,61 +99,88 @@ def shifted_covariances(x, y, window: int, shifts, reduce) -> None:
     spare)`` gets the block's covariances for ``shifts[j]`` in `cov`, and
     `spare`, a buffer of the same length.  Both are scratch that `reduce`
     may overwrite and that the next call reuses.  Each block anchors x at
-    x[i0] and y at y[i0 + shifts[0]] and builds one prefix sum of each;
-    every shift then costs one product and one cumulative sum.  With more
-    than one shift, the shifts are split in two halves and the first half
-    is reduced on a second thread, so `reduce` is called from two threads
-    at once, never for the same j.
+    x[i0] and y at y[i0 + shifts[0]] and builds one prefix sum and the
+    window sums of each, y's over every shift at once; every shift then
+    costs one product and one cumulative sum.  With more than one shift,
+    the shifts are split in two halves and the first half is reduced on a
+    second thread, so `reduce` is called from two threads at once, never
+    for the same j.
     """
     x, y = _as_f64(x), _as_f64(y)
     window = _check_window(window, x.size)
     shifts = [int(s) for s in shifts]
     if not shifts or min(shifts) < 0:
         raise InvalidArgumentError("shifts must be a non-empty set of integers >= 0")
-    s_lo, s_hi = min(shifts), max(shifts)
+    s_hi = max(shifts)
     if y.size < x.size + s_hi:
         raise DimensionMismatchError(
             f"y has {y.size} samples; shift {s_hi} of {x.size} needs {x.size + s_hi}"
         )
+    _block_loop(x, window, y, shifts, reduce)
+
+
+def _block_loop(x, window: int, y=None, shifts=None, reduce=None, out=None) -> None:
+    """`shifted_covariances` on checked arguments or, with `y` None, the
+    variance of every window of x, written block by block into `out`.
+
+    The variance takes the covariance path with x in the place of y: x's
+    differences, prefix sum and window sums serve for both, and the
+    differences are squared in place once their prefix sum is taken."""
     m = x.size - window + 1
     block = min(RENORM_INTERVAL, m)
     denom = window - 1.0
     dx = np.empty(block + window - 1)
-    dy = np.empty(block + window - 1 + s_hi - s_lo)
     sx = np.zeros(dx.size + 1)
-    sy = np.zeros(dy.size + 1)
     sums_x = np.empty(block)
-    half = (len(shifts) + 1) // 2
-    lanes = [
-        (indices, _Lane(block, window))
-        for indices in (range(half), range(half, len(shifts)))
-        if indices
-    ]
+    if y is not None:
+        s_lo = min(shifts)
+        span = max(shifts) - s_lo
+        dy = np.empty(block + window - 1 + span)
+        sy = np.zeros(dy.size + 1)
+        sums_y = np.empty(block + span)
+        half = (len(shifts) + 1) // 2
+        lanes = [
+            (indices, _Lane(block, window))
+            for indices in (range(half), range(half, len(shifts)))
+            if indices
+        ]
 
     def reduce_lane(indices, lane, i0, k):
         nx = k + window - 1
-        prod, sxy, cov, sums_y = lane.prod[:nx], lane.sxy, lane.cov[:k], lane.spare[:k]
+        prod, sxy, cov, spare = lane.prod[:nx], lane.sxy, lane.cov[:k], lane.spare[:k]
         for j in indices:
             o = shifts[j] - s_lo
             np.multiply(dx[:nx], dy[o : o + nx], out=prod)
             np.cumsum(prod, out=sxy[1 : nx + 1])
-            np.subtract(sy[o + window : o + window + k], sy[o : o + k], out=sums_y)
             # (sum xy - sum x * sum y / window) / (window - 1)
             np.subtract(sxy[window : window + k], sxy[:k], out=cov)
-            np.multiply(sums_x[:k], sums_y, out=sums_y)
-            sums_y /= window
-            cov -= sums_y
+            np.multiply(sums_x[:k], sums_y[o : o + k], out=spare)
+            spare /= window
+            cov -= spare
             cov /= denom
-            reduce(j, i0, cov, sums_y)
+            reduce(j, i0, cov, spare)
 
     for i0 in range(0, m, RENORM_INTERVAL):
         k = min(RENORM_INTERVAL, m - i0)
-        nx, ny = k + window - 1, k + window - 1 + s_hi - s_lo
+        nx = k + window - 1
         np.subtract(x[i0 : i0 + nx], x[i0], out=dx[:nx])
         np.cumsum(dx[:nx], out=sx[1 : nx + 1])
+        np.subtract(sx[window : window + k], sx[:k], out=sums_x[:k])
+        if y is None:
+            # the covariance arithmetic of `reduce_lane`, x's sums standing in for y's
+            squares, cov, sq_sums = dx[:nx], out[i0 : i0 + k], sums_x[:k]
+            squares *= squares
+            np.cumsum(squares, out=sx[1 : nx + 1])
+            np.subtract(sx[window : window + k], sx[:k], out=cov)
+            sq_sums *= sq_sums
+            sq_sums /= window
+            cov -= sq_sums
+            cov /= denom
+            continue
+        ny, ky = nx + span, k + span
         np.subtract(y[i0 + s_lo : i0 + s_lo + ny], y[i0 + shifts[0]], out=dy[:ny])
         np.cumsum(dy[:ny], out=sy[1 : ny + 1])
-        np.subtract(sx[window : window + k], sx[:k], out=sums_x[:k])
+        np.subtract(sy[window : window + ky], sy[:ky], out=sums_y[:ky])
         if len(lanes) == 1:
             reduce_lane(*lanes[0], i0, k)
         else:
@@ -172,5 +204,7 @@ def rolling_covariance(x, y, window: int) -> np.ndarray:
 
 def rolling_variance(x, window: int) -> np.ndarray:
     """Unbiased variance of every length-`window` slice of `x`."""
-    out = rolling_covariance(x, x, window)
+    x = _as_f64(x)
+    out = np.empty(x.size - _check_window(window, x.size) + 1)
+    _block_loop(x, window, out=out)
     return np.maximum(out, 0.0, out=out)

@@ -216,6 +216,24 @@ def test_delay_visibility_across_renorm_boundary():
     assert got == pytest.approx(want, rel=1e-10)
 
 
+def test_delay_objectives_score_zero_denominators_as_zero():
+    # a constant stretch at the head of both traces, longer than window +
+    # 2 * max_delay, gives windows whose var a + var b_d is exactly 0
+    rng = np.random.default_rng(14)
+    n, w, max_delay = 3000, 40, 6
+    base = rng.standard_normal(n + 10)
+    a = base[5 : 5 + n] + 0.3 * rng.standard_normal(n)
+    b = base[3 : 3 + n] + 0.3 * rng.standard_normal(n)
+    a[:200], b[:200] = 1.5, -0.5
+    start, stop = max_delay, n - w - max_delay + 1
+    var_a, var_b = rolling_variance(a, w), rolling_variance(b, w)
+    got = dict(_delay_objectives(a, b, max_delay, w))
+    for d in range(-max_delay, max_delay + 1):
+        assert np.any(var_a[start:stop] + var_b[start + d : stop + d] == 0.0), d
+        want = direct_visibility_mean(a, b, d, w, start, stop)
+        assert got[d] == pytest.approx(want, rel=1e-9), d
+
+
 def test_delay_objectives_follow_candidate_order():
     rng = np.random.default_rng(10)
     a = rng.standard_normal(300)

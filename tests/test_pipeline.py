@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,17 @@ def test_average4_drops_remainder():
 def test_average4_too_short():
     with pytest.raises(InvalidArgumentError):
         average4(np.array([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2, 3])
+def test_average4_is_bit_identical_to_the_reshaped_mean(extra):
+    rng = np.random.default_rng(40 + extra)
+    n = 4 * 25_001 + extra
+    frozen = rng.standard_normal(n) + 1e9
+    frozen.setflags(write=False)
+    for v in (rng.standard_normal(n), frozen, (0.05 * rng.standard_normal(n)).astype(np.float32)):
+        want = np.asarray(v, dtype=np.float64)[: n - extra].reshape(-1, 4).mean(axis=1)
+        assert np.array_equal(average4(v), want)
 
 
 def test_discard_trigger_region_center_cut():
@@ -190,6 +202,31 @@ def test_squeezing_report_windowed_error_bar():
     # pure vacuum in, so extrema straddle 0 dB and the error bar is positive
     assert report["squeezing_db"] < 0.0 < report["antisqueezing_db"]
     assert report["error_db"] > 0.0
+
+
+def test_squeezing_report_checks_a_window_longer_than_the_reference():
+    rng = np.random.default_rng(24)
+    q = rng.standard_normal(100)
+    s = rng.standard_normal(50)
+    with pytest.raises(InvalidArgumentError):
+        squeezing_report(q, q, s, s, window=80)
+
+
+@pytest.mark.parametrize("window", [10_000, None])
+def test_squeezing_report_memory_stays_below_seven_traces(window):
+    # numpy reports its buffers to tracemalloc; a full-length window must not
+    # cost whole-trace scratch beyond the rolling variance's own
+    n = 475_000
+    q1, q2 = correlated_pair(n, 1.0, 1.0, 0.5, seed=25)
+    rng = np.random.default_rng(26)
+    s1, s2 = rng.standard_normal(n), rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        squeezing_report(q1, q2, s1, s2, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 8 * n, peak / (8 * n)
 
 
 def test_squeezing_report_length_mismatch():
