@@ -1,7 +1,10 @@
 """Rolling-statistics kernel, and `run_both`, which runs half of it on a
 second thread.
 
-Covariances (and so variances) of sliding windows are vectorized numpy over
+The kernel has two entry points: `shifted_covariances`, the covariances of
+the sliding windows of one trace with those of a second trace at each of a
+set of shifts, for the delay search; and `rolling_variance`, the variance
+of the sliding windows of one trace.  Both are vectorized numpy over
 prefix sums of anchor-subtracted values, restarted every `RENORM_INTERVAL`
 output points so rounding error cannot accumulate over long traces.
 Subtracting an anchor (a trace value at the start of each renormalization
@@ -185,21 +188,6 @@ def _block_loop(x, window: int, y=None, shifts=None, reduce=None, out=None) -> N
             reduce_lane(*lanes[0], i0, k)
         else:
             run_both(lambda: reduce_lane(*lanes[0], i0, k), lambda: reduce_lane(*lanes[1], i0, k))
-
-
-def rolling_covariance(x, y, window: int) -> np.ndarray:
-    """Unbiased covariance of every pair of aligned length-`window` slices,
-    x[i : i+window] with y[i : i+window]."""
-    x, y = _as_f64(x), _as_f64(y)
-    if x.size != y.size:
-        raise DimensionMismatchError(f"trace lengths differ ({x.size} vs {y.size})")
-    out = np.empty(x.size - _check_window(window, x.size) + 1)
-
-    def store(j, i0, cov, spare):
-        out[i0 : i0 + cov.size] = cov
-
-    shifted_covariances(x, y, window, (0,), store)
-    return out
 
 
 def rolling_variance(x, window: int) -> np.ndarray:

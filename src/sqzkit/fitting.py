@@ -37,14 +37,14 @@ class SqueezeParams:
     pump_power_watts: float  # P at the tap
 
     def __post_init__(self):
-        if self.gain_per_watt_cm2 <= 0 or self.length_cm <= 0:
-            raise InvalidArgumentError("gain and length must be positive")
+        if not (0 < self.gain_per_watt_cm2 < math.inf and 0 < self.length_cm < math.inf):
+            raise InvalidArgumentError("gain and length must be positive and finite")
         if not 0.0 < self.waveguide_efficiency <= 1.0:
             raise InvalidArgumentError("waveguide_efficiency must be in (0, 1]")
         if self.pump_coupling is not None and not 0.0 < self.pump_coupling <= 1.0:
             raise InvalidArgumentError("pump_coupling must be in (0, 1]")
-        if self.pump_power_watts < 0:
-            raise InvalidArgumentError("pump power must be non-negative")
+        if not 0 <= self.pump_power_watts < math.inf:
+            raise InvalidArgumentError("pump power must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,10 @@ class PowerSweepPoint:
     branch: str
 
     def __post_init__(self):
-        if self.pump_power_watts < 0:
-            raise InvalidArgumentError("pump power must be non-negative")
+        if not 0 <= self.pump_power_watts < math.inf:
+            raise InvalidArgumentError("pump power must be non-negative and finite")
+        if not math.isfinite(self.level_db):
+            raise InvalidArgumentError("level must be finite")
         if self.branch not in BRANCHES:
             raise InvalidArgumentError(f"branch must be one of {BRANCHES}")
 

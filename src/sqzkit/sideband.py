@@ -30,10 +30,10 @@ class SidebandDrive:
     load_ohms: float = 50.0
 
     def __post_init__(self):
-        if self.theta < 0:
-            raise InvalidArgumentError("modulation depth must be non-negative")
-        if self.v_pi <= 0 or self.load_ohms <= 0:
-            raise InvalidArgumentError("v_pi and load must be positive")
+        if not 0 <= self.theta < math.inf:
+            raise InvalidArgumentError("modulation depth must be non-negative and finite")
+        if not (0 < self.v_pi < math.inf and 0 < self.load_ohms < math.inf):
+            raise InvalidArgumentError("v_pi and load must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,10 @@ class SpectralPeak:
     kind: str
 
     def __post_init__(self):
-        if self.freq_hz < 0:
-            raise InvalidArgumentError("frequency must be non-negative")
+        if not 0 <= self.freq_hz < math.inf:
+            raise InvalidArgumentError("frequency must be non-negative and finite")
+        if not math.isfinite(self.power_dbm):
+            raise InvalidArgumentError("power must be finite")
         if self.kind not in PEAK_KINDS:
             raise InvalidArgumentError(f"peak kind must be one of {PEAK_KINDS}")
 

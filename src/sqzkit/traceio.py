@@ -14,18 +14,18 @@ names ``volts``; the float32 reader takes the first block, by the sidecar's
 read.  All writes are atomic (temp file + rename) so a crashed run never
 leaves a half-written file behind.
 
-CSV rows of ``%.9g`` fields are rendered by numpy, one chunk of rows per
-thread, into the bytes %-formatting gives.  Each field fills 27 character
-slots in a (slots x rows) uint8 block, NUL where a row has no character;
-the block is transposed into lines and the NULs are deleted.  A value x
-gets e = floor(log10 |x|) and the mantissa rint(|x| * 10**(8 - e)).  For
-|x| in [1e-14, 1e9) the power of ten is exact and the product correctly
-rounded, so that is the correctly rounded nine-digit mantissa unless the
-product lies within 1e-6 of a tie.  %g's layout follows: fixed for
--4 <= e < 9, else scientific, trailing zeros dropped.  A row holding a
-value numpy does not render this way (not finite, outside that range and
-not zero, or near a tie) is %-formatted on its own and spliced in at its
-place.
+CSV rows of ``%.9g`` fields are rendered by numpy, one chunk of rows at a
+time on the calling thread, into the bytes %-formatting gives.  Each field
+fills 27 character slots in a (slots x rows) uint8 block, NUL where a row
+has no character; the block is transposed into lines and the NULs are
+deleted.  A value x gets e = floor(log10 |x|) and the mantissa
+rint(|x| * 10**(8 - e)).  For |x| in [1e-14, 1e9) the power of ten is
+exact and the product correctly rounded, so that is the correctly rounded
+nine-digit mantissa unless the product lies within 1e-6 of a tie.  %g's
+layout follows: fixed for -4 <= e < 9, else scientific, trailing zeros
+dropped.  A row holding a value numpy does not render this way (not
+finite, outside that range and not zero, or near a tie) is %-formatted on
+its own into its line, padded with NUL, before the NULs are deleted.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from .errors import ScenarioFormatError
 
 _BINARY_DTYPE = "<f4"
@@ -48,8 +47,8 @@ DEFAULT_SAMPLE_RATE = 5e8
 #: with a trigger monitor after the volts.
 _CHANNELS = (["volts"], ["volts", "monitor_volts"])
 #: Trace and series writes are rendered and written this many rows at a time.
-#: Each of the two CSV render lanes holds 150 bytes per trace row (2.5 MB
-#: here); longer chunks render faster but raise the peak memory of simulate.
+#: The CSV render scratch holds 150 bytes per trace row (2.5 MB here);
+#: longer chunks render faster but raise the peak memory of simulate.
 _CHUNK_ROWS = 16_384
 
 
@@ -143,8 +142,8 @@ _POW10_INT = (10 ** np.arange(9, dtype=np.uint32))[:, None]
 
 
 class _CsvLane:
-    """One thread's scratch for `_csv_table`, for chunks of up to `rows`
-    rows of `width` columns: a block with one row per character slot (NUL
+    """The scratch of `_csv_table`, for chunks of up to `rows` rows of
+    `width` columns: a block with one row per character slot (NUL
     where a row of the CSV has no character), that block transposed into
     lines, and the numeric buffers of the field renderer."""
 
@@ -168,22 +167,15 @@ class _CsvLane:
         """Rows i, i+1, ... of `columns`, at most `rows` of them, as text."""
         k = min(self.rows, len(columns[0]) - i)
         misses = np.flatnonzero(self.fill(columns, i, k))
-        # the rows past k, and the rows left to the %-format, are NUL throughout
         np.copyto(self.lines[:k], self.block[:, :k].T)
-        self.lines[k:] = 0
-        self.lines[misses] = 0
-        text = self.text.translate(None, b"\0")
-        if misses.size == 0:
-            return text
-        ends = np.cumsum(np.count_nonzero(self.lines[:k], axis=1))
-        pieces, at = [], 0
+        self.lines[k:] = 0  # the rows past k are NUL throughout
+        # a %.9g field is at most 16 characters ("-1.23456789e-308") and has
+        # 28 slots with its separator, so a row left to the %-format fits its line
+        width = self.lines.shape[1]
         for r in misses.tolist():
-            end = int(ends[r])  # where row r goes: it is blank
             row = self.row_format % tuple(c[i + r] for c in columns)
-            pieces += [text[at:end], row.encode("ascii")]
-            at = end
-        pieces.append(text[at:])
-        return bytearray().join(pieces)
+            self.text[r * width : (r + 1) * width] = row.encode("ascii").ljust(width, b"\0")
+        return self.text.translate(None, b"\0")
 
     def fill(self, columns, i: int, k: int) -> np.ndarray:
         """Render rows i to i + k - 1 of `columns` into the first k columns
@@ -294,22 +286,14 @@ def _csv_table(header: str, *columns):
     """Header, then one line per row of the float64 `columns`, their
     ``%.9g`` fields comma-separated, as ASCII chunks of `_CHUNK_ROWS` rows.
 
-    numpy renders the chunks into the same bytes as that %-format, two at a
-    time, one on a second thread (`_kernels.run_both`); a row holding a
-    value its renderer does not take is %-formatted instead.
+    numpy renders each chunk into the same bytes as that %-format; a row
+    holding a value its renderer does not take is %-formatted instead.
     """
     yield header.encode("ascii")
     n = len(columns[0])
-    rows = min(n, _CHUNK_ROWS)
-    lanes = [_CsvLane(rows, len(columns)) for _ in range(1 if n <= rows else 2)]
-    for i in range(0, n, 2 * rows):
-        if i + rows < n:
-            yield from _kernels.run_both(
-                lambda: lanes[0].render(columns, i),
-                lambda: lanes[1].render(columns, i + rows),
-            )
-        else:
-            yield lanes[0].render(columns, i)
+    lane = _CsvLane(min(n, _CHUNK_ROWS), len(columns))
+    for i in range(0, n, _CHUNK_ROWS):
+        yield lane.render(columns, i)
 
 
 def write_trace_csv(path, volts, sample_rate: float, meta: dict | None = None) -> None:

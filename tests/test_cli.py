@@ -434,15 +434,19 @@ def test_analyze_requires_two_of_each(capsys, tmp_path):
 # ------------------------------------------------------------ fit / RF
 
 
-def test_fit_command_recovers_coupling(capsys, tmp_path):
+def write_sweep(tmp_path, extra_rows=()):
+    """A sweep CSV of the model's 20 points, then `extra_rows`; its path."""
     params = SqueezeParams(0.24, 2.5, 0.53, None, 0.7008)
     points = synthetic_sweep(0.49019, 0.3097, 0.2576, params, np.linspace(0.05, 0.7008, 10))
     sweep = tmp_path / "sweep.csv"
     rows = ["p_w_watts,level_db,branch"]
     rows += [f"{p.pump_power_watts},{p.level_db},{p.branch}" for p in points]
-    sweep.write_text("\n".join(rows) + "\n")
+    sweep.write_text("\n".join([*rows, *extra_rows]) + "\n")
+    return str(sweep)
 
-    report = run_json(capsys, "fit", "--sweep", str(sweep))
+
+def test_fit_command_recovers_coupling(capsys, tmp_path):
+    report = run_json(capsys, "fit", "--sweep", write_sweep(tmp_path))
     assert report["eta_p"] == pytest.approx(0.49019, abs=1e-5)
     assert report["r_squared"] > 1 - 1e-9
     assert report["r_at_max_power"] == pytest.approx(0.986, abs=1e-3)
@@ -485,6 +489,49 @@ def test_rf_metrics_lone_fundamental_serializes_infinities(capsys, tmp_path):
     report = run_json(capsys, "rf-metrics", "--peaks", str(peaks))
     assert report["thd_dbc"] == "-inf"
     assert report["sfdr_dbc"] == "inf"
+
+
+def _cli_error(capsys, *argv) -> dict:
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1, out
+    return json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("option, value", [("--gain", "nan"), ("--length", "inf")])
+def test_fit_rejects_a_non_finite_source_constant(capsys, tmp_path, option, value):
+    # once reported as "r_squared": "nan" or "r_at_max_power": "inf"
+    diag = _cli_error(capsys, "fit", "--sweep", write_sweep(tmp_path), option, value)
+    assert diag["type"] == "InvalidArgumentError"
+    assert "gain and length must be positive and finite" in diag["message"]
+
+
+def test_fit_rejects_a_sweep_row_with_a_nan_power(capsys, tmp_path):
+    # once reported as "max_pump_power_watts": "nan"
+    sweep = write_sweep(tmp_path, ["nan,-0.5,squeezed"])
+    diag = _cli_error(capsys, "fit", "--sweep", sweep)
+    assert diag["type"] == "ScenarioFormatError"
+    assert diag["message"].startswith(f"{sweep}:22: bad sweep row: pump power")
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [(["--theta", "1", "--load", "nan"], "v_pi and load"), (["--theta", "nan"], "modulation depth")],
+    ids=["load-nan", "theta-nan"],
+)
+def test_sideband_rejects_a_non_finite_drive(capsys, argv, field):
+    # a nan load was reported as "rf_power_dbm": "nan", and a nan theta accepted
+    diag = _cli_error(capsys, "sideband", *argv)
+    assert diag["type"] == "InvalidArgumentError"
+    assert diag["message"].startswith(field) and "finite" in diag["message"]
+
+
+def test_rf_metrics_rejects_a_peak_row_with_a_nan_power(capsys, tmp_path):
+    # once reported as "thd_dbc": "nan"
+    peaks = tmp_path / "peaks.csv"
+    peaks.write_text("freq_hz,power_dbm,kind\n10e6,nan,fundamental\n20e6,-40.0,harmonic\n")
+    diag = _cli_error(capsys, "rf-metrics", "--peaks", str(peaks))
+    assert diag["type"] == "ScenarioFormatError"
+    assert diag["message"] == f"{peaks}:2: bad peak row: power must be finite"
 
 
 def test_console_script_entry_point():

@@ -53,6 +53,10 @@ def test_params_validation():
         SqueezeParams(0.24, 2.5, 1.5, None, 0.7)
     with pytest.raises(InvalidArgumentError):
         SqueezeParams(0.24, 2.5, 0.53, 0.0, 0.7)
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in [(bad, 2.5, 0.53, None, 0.7), (0.24, bad, 0.53, None, 0.7), (0.24, 2.5, 0.53, None, bad)]:
+            with pytest.raises(InvalidArgumentError):
+                SqueezeParams(*args)
 
 
 def test_piecewise_model_branch_signs():
@@ -103,6 +107,10 @@ def test_sweep_point_validation():
         PowerSweepPoint(-0.1, 0.0, "squeezed")
     with pytest.raises(InvalidArgumentError):
         PowerSweepPoint(0.1, 0.0, "sideways")
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in [(bad, 0.0, "squeezed"), (0.1, bad, "antisqueezed")]:
+            with pytest.raises(InvalidArgumentError):
+                PowerSweepPoint(*args)
 
 
 def test_golden_section_quadratic():

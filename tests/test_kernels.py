@@ -18,7 +18,6 @@ import pytest
 from sqzkit import _kernels
 from sqzkit._kernels import (
     RENORM_INTERVAL,
-    rolling_covariance,
     rolling_variance,
     run_both,
     shifted_covariances,
@@ -155,7 +154,7 @@ def test_rolling_covariance_matches_direct():
     for n, w, slope in [(10, 2, 0.5), (50, 7, -1.3), (200, 200, 0.9), (1000, 31, -0.2), (2048, 512, 2.0)]:
         x = rng.standard_normal(n) * rng.uniform(0.5, 2.0) + rng.uniform(-5, 5)
         y = slope * x + rng.standard_normal(n) + rng.uniform(-5, 5)
-        got = rolling_covariance(x, y, w)
+        got = collect_shifted(x, y, w, [0])[0]
         want = direct_rolling_covariance(x, y, w)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
@@ -165,7 +164,7 @@ def test_rolling_covariance_large_offset():
     rng = np.random.default_rng(8)
     x = 1e9 + rng.standard_normal(5000)
     y = -1e9 + 0.5 * (x - 1e9) + rng.standard_normal(5000)
-    got = rolling_covariance(x, y, 100)
+    got = collect_shifted(x, y, 100, [0])[0]
     want = direct_rolling_covariance(x, y, 100)
     np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9)
 
@@ -176,7 +175,7 @@ def test_rolling_covariance_across_renorm_boundary():
     x = rng.standard_normal(n) + 3.0
     y = 0.7 * x + rng.standard_normal(n) - 1.0
     w = 5
-    got = rolling_covariance(x, y, w)
+    got = collect_shifted(x, y, w, [0])[0]
     assert got.size == n - w + 1 > RENORM_INTERVAL
     wx = np.lib.stride_tricks.sliding_window_view(x, w)
     wy = np.lib.stride_tricks.sliding_window_view(y, w)
@@ -249,13 +248,13 @@ def test_wrapper_validation():
     with pytest.raises(InvalidArgumentError):
         rolling_variance(x, 11)
     with pytest.raises(InvalidArgumentError):
-        rolling_covariance(x, x, 1)
+        collect_shifted(x, x, 1, [0])
     with pytest.raises(InvalidArgumentError):
-        rolling_covariance(x, x, 11)
+        collect_shifted(x, x, 11, [0])
     with pytest.raises(DimensionMismatchError):
-        rolling_covariance(x, np.zeros(11), 4)
+        collect_shifted(x, np.zeros(9), 4, [0])
     with pytest.raises(InvalidArgumentError):
-        rolling_covariance(np.zeros((2, 5)), np.zeros((2, 5)), 2)
+        collect_shifted(np.zeros((2, 5)), np.zeros((2, 5)), 2, [0])
 
 
 def test_wrapper_accepts_readonly_and_nonfloat_input():
@@ -267,8 +266,8 @@ def test_wrapper_accepts_readonly_and_nonfloat_input():
     np.testing.assert_allclose(out, out2, atol=1e-12)
     y = (np.arange(100) % 7).astype(np.int64)
     want = direct_rolling_covariance(frozen, y.astype(np.float64), 4)
-    np.testing.assert_allclose(rolling_covariance(x, y, 4), want, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(rolling_covariance(frozen, y, 4), want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(collect_shifted(x, y, 4, [0])[0], want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(collect_shifted(frozen, y, 4, [0])[0], want, rtol=1e-12, atol=1e-12)
     assert delay_search(frozen, frozen, 0, 4) == (0, pytest.approx(1.0))
 
 
@@ -303,7 +302,7 @@ def test_shifted_covariances_match_rolling_covariance_per_shift(offset):
     got = collect_shifted(x, y, window, SHIFTS)
     assert got.shape == (len(SHIFTS), n - window + 1)
     for j, s in enumerate(SHIFTS):
-        want = rolling_covariance(x, y[s : s + n], window)
+        want = collect_shifted(x, y[s : s + n], window, [0])[0]
         # covariances cross zero, so the tolerance is relative to the series' scale
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got[j] - want)) <= 1e-12 * scale, s
@@ -325,7 +324,7 @@ def test_shifted_covariances_across_renorm_boundary():
             axis=1
         ) / (window - 1)
         bound = 1e-11 * np.max(np.abs(direct))
-        assert np.max(np.abs(rolling_covariance(x, ys, window) - direct)) <= bound, s
+        assert np.max(np.abs(collect_shifted(x, ys, window, [0])[0] - direct)) <= bound, s
         assert np.max(np.abs(got[j] - direct)) <= bound, s
 
 

@@ -121,6 +121,10 @@ def test_drive_validation():
         SidebandDrive(theta=-1.0, v_pi=5.65)
     with pytest.raises(InvalidArgumentError):
         SidebandDrive(theta=1.0, v_pi=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in [(bad, 5.65, 50.0), (1.0, bad, 50.0), (1.0, 5.65, bad)]:
+            with pytest.raises(InvalidArgumentError):
+                SidebandDrive(*args)
 
 
 def peaks(*rows):
@@ -170,3 +174,7 @@ def test_peak_validation():
         SpectralPeak(-1.0, 0.0, "spur")
     with pytest.raises(InvalidArgumentError):
         SpectralPeak(1e6, 0.0, "wibble")
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in [(bad, 0.0, "spur"), (1e6, bad, "spur")]:
+            with pytest.raises(InvalidArgumentError):
+                SpectralPeak(*args)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import threading
 from decimal import Decimal
 from pathlib import Path
 
@@ -173,23 +174,43 @@ def test_analysis_csv(tmp_path):
         traceio.write_analysis_csv(p, t, t, t, t, t[:-1])
 
 
-def test_csv_writers_match_a_row_by_row_rendering(tmp_path, monkeypatch):
-    values = np.array([0.1, -0.0, 2.0, 1e-300, -1.5e300, 123456789.0, np.inf, -np.inf, np.nan])
-    rows = "".join(f"{v:.9g}\n" for v in values)
+def _row_by_row(values):
+    """A trace of `values` and a five-column series of its rolls, each as
+    `write_trace_csv` and `write_analysis_csv` must write it."""
     cols = [np.roll(values, k) for k in range(5)]
     header = "time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus\n"
     series = "".join(",".join(f"{c[i]:.9g}" for c in cols) + "\n" for i in range(values.size))
-    for sequential in (False, True):
-        # 1, 2, 3, 5 and 9 chunks: an odd count leaves the last pair a half
-        for chunk_rows in (traceio._CHUNK_ROWS, 5, 4, 2, 1):
-            with monkeypatch.context() as m:
-                m.setattr(traceio, "_CHUNK_ROWS", chunk_rows)
-                if sequential:
-                    m.setattr(_kernels, "run_both", lambda first, second: (first(), second()))
-                traceio.write_trace_csv(tmp_path / "t.csv", values, 1e6)
-                assert (tmp_path / "t.csv").read_text() == "volts\n" + rows
-                traceio.write_analysis_csv(tmp_path / "s.csv", *cols)
-                assert (tmp_path / "s.csv").read_text() == header + series
+    return "volts\n" + "".join(f"{v:.9g}\n" for v in values), cols, header + series
+
+
+def test_csv_writers_match_a_row_by_row_rendering(tmp_path, monkeypatch):
+    values = np.array([0.1, -0.0, 2.0, 1e-300, -1.5e300, 123456789.0, np.inf, -np.inf, np.nan])
+    trace_text, cols, series_text = _row_by_row(values)
+    # 1, 2, 3, 5 and 9 chunks
+    for chunk_rows in (traceio._CHUNK_ROWS, 5, 4, 2, 1):
+        with monkeypatch.context() as m:
+            m.setattr(traceio, "_CHUNK_ROWS", chunk_rows)
+            traceio.write_trace_csv(tmp_path / "t.csv", values, 1e6)
+            assert (tmp_path / "t.csv").read_text() == trace_text
+            traceio.write_analysis_csv(tmp_path / "s.csv", *cols)
+            assert (tmp_path / "s.csv").read_text() == series_text
+
+
+def test_csv_writers_start_no_thread(tmp_path, monkeypatch):
+    values = 0.05 * np.random.default_rng(4).standard_normal(40)
+    values[[3, 17, 29]] = np.nan, np.inf, -np.inf
+    trace_text, cols, series_text = _row_by_row(values)
+
+    def no_thread(*args):
+        raise AssertionError("a CSV write started a thread")
+
+    monkeypatch.setattr(_kernels, "run_both", no_thread)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    monkeypatch.setattr(traceio, "_CHUNK_ROWS", 8)  # five chunks
+    traceio.write_trace_csv(tmp_path / "t.csv", values, 1e6)
+    assert (tmp_path / "t.csv").read_text() == trace_text
+    traceio.write_analysis_csv(tmp_path / "s.csv", *cols)
+    assert (tmp_path / "s.csv").read_text() == series_text
 
 
 def _numpy_rows(*columns):
