@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidArgumentError
-from .gaussian import analytic_squeezing
+from .tmsv import analytic_squeezing
 
 ARM_FIRST = "C43"
 ARM_SECOND = "C45"

@@ -29,11 +29,10 @@ from importlib import resources
 from pathlib import Path
 from typing import get_type_hints
 
-import numpy as np
-
-from . import __version__, fitting, pipeline, synth, traceio
+from . import __version__
 from .budget import ARM_FIRST, ARM_SECOND, ChannelBudget, LossItem, predict
 from .errors import ScenarioFormatError, SqzkitError
+from .settings import DISCARD_FRACTION, SynthConfig
 
 _TOP_KEYS = {"name", "description", "source", "budget", "synthesis", "analysis"}
 # source/pump key -> SqueezeParams field
@@ -49,7 +48,7 @@ _ANALYSIS = {
     "window": (None, lambda v: v is None or type(v) is int and v >= 2, "null or an integer >= 2"),
     "max_delay": (25, lambda v: type(v) is int and v >= 0, "an integer >= 0"),
     "discard_fraction": (
-        pipeline.DISCARD_FRACTION,
+        DISCARD_FRACTION,
         lambda v: type(v) in (int, float) and 0 <= v < 1,
         "a number in [0, 1)",
     ),
@@ -155,6 +154,8 @@ def scenario_r(doc: dict, origin: str = "scenario") -> float:
         with _at(path):
             r = float(source["r"])
     else:
+        from . import fitting
+
         path += "/pump"
         pump = _as_dict(source["pump"], path)
         _check_keys(pump, set(_PUMP_FIELDS), path)
@@ -179,14 +180,14 @@ def scenario_budget(doc: dict, origin: str = "scenario") -> ChannelBudget:
 
 def scenario_synth_config(
     doc: dict, seed: int | None = None, duration: float | None = None, origin: str = "scenario"
-) -> synth.SynthConfig:
+) -> SynthConfig:
     """Synthesis config for a scenario: the source's r; from the budget, the
     optical transmittances and the electronics clearance, which the synthesis
     section may not set; optional seed/duration overrides."""
     r = scenario_r(doc, origin)
     budget = scenario_budget(doc, origin)
     config = _build(
-        synth.SynthConfig, doc.get("synthesis", {}), f"{origin}/synthesis", r=r,
+        SynthConfig, doc.get("synthesis", {}), f"{origin}/synthesis", r=r,
         t_b=budget.optical_transmittance(ARM_FIRST),
         t_c=budget.optical_transmittance(ARM_SECOND),
         electronics_noise_db=budget.electronics_noise_db,
@@ -215,7 +216,8 @@ def _json_safe(value):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
+    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    if np is not None and isinstance(value, (np.floating, np.integer)):
         value = value.item()
     if isinstance(value, float):
         if math.isnan(value):
@@ -261,12 +263,17 @@ def _render(report: dict, fmt: str) -> str:
 def _emit(report: dict, args) -> None:
     text = _render(report, args.format)
     if args.out:
+        from . import traceio
+
         traceio.atomic_write_text(args.out, text)
     else:
         sys.stdout.write(text)
 
 
 # ------------------------------------------------------------- subcommands
+#
+# Each command imports the numeric modules it runs, so `expect` loads no
+# numpy, `simulate` no pipeline and `analyze` no synthesizer.
 
 
 def _cmd_expect(args) -> dict:
@@ -291,12 +298,16 @@ def _cmd_expect(args) -> dict:
 
 
 def _trace_writer(fmt: str):
+    from . import traceio
+
     if fmt == "csv":
         return traceio.write_trace_csv, ".csv"
     return traceio.write_trace_binary, ".f32"
 
 
 def _cmd_simulate(args) -> dict:
+    from . import synth, traceio
+
     doc = load_scenario(args.scenario)
     config = scenario_synth_config(doc, seed=args.seed, duration=args.duration)
     out_dir = Path(args.out_dir)
@@ -343,6 +354,8 @@ def _parse_window(text: str):
 
 
 def _cmd_analyze(args) -> dict:
+    from . import pipeline, traceio
+
     if len(args.trace) != 2 or len(args.shot_noise) != 2:
         raise ScenarioFormatError("analyze needs exactly two --trace and two --shot-noise files")
     defaults = scenario_analysis_defaults(load_scenario(args.scenario) if args.scenario else None)
@@ -403,6 +416,10 @@ def _cmd_analyze(args) -> dict:
 
 def _write_series(path, quads, sn_quads, window, max_delay, delay) -> None:
     """Rolling-variance traces of both combinations and their references."""
+    import numpy as np
+
+    from . import pipeline, traceio
+
     q1, q2 = pipeline.align(quads[0].q, quads[1].q, delay, max_delay)
     lo, hi = max_delay, len(sn_quads[0].q) - max_delay
     s1, s2 = sn_quads[0].q[lo:hi], sn_quads[1].q[lo:hi]
@@ -416,6 +433,8 @@ def _write_series(path, quads, sn_quads, window, max_delay, delay) -> None:
 
 
 def _cmd_fit(args) -> dict:
+    from . import fitting, traceio
+
     points = traceio.read_sweep_csv(args.sweep)
     params = fitting.SqueezeParams(
         gain_per_watt_cm2=args.gain,
@@ -461,6 +480,7 @@ def _cmd_sideband(args) -> dict:
 
 def _cmd_rf_metrics(args) -> dict:
     from . import sideband as sb
+    from . import traceio
 
     peaks = traceio.read_peaks_csv(args.peaks)
     return {

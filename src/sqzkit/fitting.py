@@ -21,7 +21,7 @@ import numpy as np
 
 from ._optim import golden_section_min
 from .errors import DegenerateInputError, InvalidArgumentError
-from .gaussian import analytic_squeezing
+from .tmsv import analytic_squeezing
 
 BRANCHES = ("squeezed", "antisqueezed")
 
@@ -81,8 +81,10 @@ def r_from_power(
     eta_p = params.pump_coupling if pump_coupling is None else pump_coupling
     if eta_p is None:
         raise InvalidArgumentError("pump_coupling unset: pass one or put it in params")
-    if p < 0:
-        raise InvalidArgumentError("pump power must be non-negative")
+    if not 0.0 < eta_p <= 1.0:
+        raise InvalidArgumentError(f"pump_coupling must be in (0, 1], got {eta_p}")
+    if not 0 <= p < math.inf:
+        raise InvalidArgumentError(f"pump power must be non-negative and finite, got {p}")
     return math.sqrt(
         params.gain_per_watt_cm2
         * params.length_cm**2

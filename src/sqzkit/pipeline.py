@@ -25,13 +25,12 @@ import numpy as np
 
 from ._kernels import rolling_variance, shifted_covariances
 from .errors import DegenerateInputError, DimensionMismatchError, InvalidArgumentError
+from .settings import DISCARD_FRACTION  # the default a scenario's analysis section overrides
 
 #: Vacuum variance of normalized quadrature values produced by `normalize`.
 QUADRATURE_VACUUM_VARIANCE = 0.5
 #: Raw samples averaged into one voltage point.
 RAW_PER_QUADRATURE = 4
-#: Fraction of raw samples discarded around the trigger by default.
-DISCARD_FRACTION = 0.05
 #: Rolling window (quadrature samples) used when a command needs one and the
 #: caller didn't choose: matches the usual visual-analysis window.
 DEFAULT_WINDOW = 10_000
@@ -89,22 +88,29 @@ class QuadratureTrace:
         return self.q.size
 
 
+def _sum4(v: np.ndarray, out: np.ndarray) -> None:
+    """out[k] = v[4k] + v[4k+1] + v[4k+2] + v[4k+3], added left to right, the
+    order `reshape(-1, 4).mean(axis=1)` takes, without its reduction loop;
+    v holds exactly 4 * out.size samples."""
+    np.add(v[0::4], v[1::4], out=out)
+    out += v[2::4]
+    out += v[3::4]
+
+
 def average4(samples) -> np.ndarray:
     """Mean of every 4 consecutive samples (trailing remainder dropped)."""
     v = _as_1d(getattr(samples, "samples", samples), "samples")
-    n = (v.size // RAW_PER_QUADRATURE) * RAW_PER_QUADRATURE
+    n = v.size // RAW_PER_QUADRATURE
     if n == 0:
         raise InvalidArgumentError("trace too short to average")
-    # the sum in the order `reshape(-1, 4).mean(axis=1)` takes, without its reduction loop
-    out = v[0:n:4] + v[1:n:4]
-    out += v[2:n:4]
-    out += v[3:n:4]
+    out = np.empty(n)
+    _sum4(v[: RAW_PER_QUADRATURE * n], out)
     out /= RAW_PER_QUADRATURE
     return out
 
 
-def discard_trigger_region(v, fraction: float = DISCARD_FRACTION) -> np.ndarray:
-    """Drop the central `fraction` of samples (the trigger neighborhood)."""
+def _kept_parts(v, fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """The samples before and after the central `fraction` of v, as views."""
     v = _as_1d(v)
     if not 0.0 <= fraction < 1.0:
         raise InvalidArgumentError("fraction must be in [0, 1)")
@@ -112,7 +118,39 @@ def discard_trigger_region(v, fraction: float = DISCARD_FRACTION) -> np.ndarray:
     if cut >= v.size:
         raise InvalidArgumentError("discard region covers the whole trace")
     start = (v.size - cut) // 2
-    return np.concatenate((v[:start], v[start + cut :]))
+    return v[:start], v[start + cut :]
+
+
+def discard_trigger_region(v, fraction: float = DISCARD_FRACTION) -> np.ndarray:
+    """Drop the central `fraction` of samples (the trigger neighborhood)."""
+    return np.concatenate(_kept_parts(v, fraction))
+
+
+def _discard_average4(raw_samples, fraction: float) -> np.ndarray:
+    """``average4(discard_trigger_region(raw_samples, fraction))``, bit for
+    bit, without copying the kept samples into one array first.
+
+    The head's whole groups and the tail's are summed in place; the one
+    group that straddles the cut (the head's last ``head.size % 4`` samples
+    and the tail's first ones) is summed on its own, in the same order.
+    The tail is never shorter than the head, so it completes that group.
+    """
+    head, tail = _kept_parts(raw_samples, fraction)
+    n = (head.size + tail.size) // RAW_PER_QUADRATURE
+    if n == 0:
+        raise InvalidArgumentError("trace too short to average")
+    out = np.empty(n)
+    k = head.size // RAW_PER_QUADRATURE
+    _sum4(head[: RAW_PER_QUADRATURE * k], out[:k])
+    rest = head.size - RAW_PER_QUADRATURE * k
+    if rest:
+        group = [*head[-rest:], *tail[: RAW_PER_QUADRATURE - rest]]
+        out[k] = ((group[0] + group[1]) + group[2]) + group[3]
+        tail = tail[RAW_PER_QUADRATURE - rest :]
+        k += 1
+    _sum4(tail[: RAW_PER_QUADRATURE * (n - k)], out[k:])
+    out /= RAW_PER_QUADRATURE
+    return out
 
 
 def normalize(v_avg, sn: ShotNoiseStats, quadrature_rate: float = 1.25e8) -> QuadratureTrace:
@@ -132,7 +170,7 @@ def normalize(v_avg, sn: ShotNoiseStats, quadrature_rate: float = 1.25e8) -> Qua
 
 def shot_noise_stats(raw_samples, fraction: float = DISCARD_FRACTION) -> ShotNoiseStats:
     """Stats of a raw shot-noise trace after discard + averaging."""
-    return ShotNoiseStats.from_samples(average4(discard_trigger_region(raw_samples, fraction)))
+    return ShotNoiseStats.from_samples(_discard_average4(raw_samples, fraction))
 
 
 def raw_to_quadratures(
@@ -142,7 +180,7 @@ def raw_to_quadratures(
     fraction: float = DISCARD_FRACTION,
 ) -> QuadratureTrace:
     """Full raw-voltage -> quadrature conversion for one detector trace."""
-    v = average4(discard_trigger_region(raw_samples, fraction))
+    v = _discard_average4(raw_samples, fraction)
     return normalize(v, sn, sample_rate / RAW_PER_QUADRATURE)
 
 

@@ -62,6 +62,8 @@ def sideband_powers(theta: float, n_max: int) -> list[float]:
     """Fractional optical power in sidebands 0..n_max: [J_n(theta)^2]."""
     if n_max < 0:
         raise InvalidArgumentError("n_max must be non-negative")
+    if not math.isfinite(theta):
+        raise InvalidArgumentError(f"modulation depth must be finite, got {theta}")
     return [bessel_j(n, theta) ** 2 for n in range(n_max + 1)]
 
 

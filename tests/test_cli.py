@@ -543,36 +543,71 @@ def test_console_script_entry_point():
     assert json.loads(out.stdout)["squeezing_db"] == pytest.approx(-0.478, abs=0.001)
 
 
-def _simulate_then_analyze_csv(out_dir):
-    traces = [f"{out_dir}/{name}.csv" for name in ("signal_C43", "signal_C45")]
-    shots = [f"{out_dir}/shot_noise_{arm}.csv" for arm in ("C43", "C45")]
-    return [
-        ["simulate", "--scenario", "deployed", "--duration", "2e-4",
-         "--trace-format", "csv", "--out-dir", out_dir],
-        ["analyze", "--scenario", "deployed", "--trace", traces[0], "--trace", traces[1],
-         "--shot-noise", shots[0], "--shot-noise", shots[1]],
-    ]
+def _simulate(out_dir, fmt="f32"):
+    return ["simulate", "--scenario", "deployed", "--duration", "2e-4",
+            "--trace-format", fmt, "--out-dir", out_dir]
+
+
+def _analyze(out_dir, fmt="f32"):
+    traces = [f"{out_dir}/{name}.{fmt}" for name in ("signal_C43", "signal_C45")]
+    shots = [f"{out_dir}/shot_noise_{arm}.{fmt}" for arm in ("C43", "C45")]
+    return ["analyze", "--scenario", "deployed", "--trace", traces[0], "--trace", traces[1],
+            "--shot-noise", shots[0], "--shot-noise", shots[1]]
+
+
+#: What `import sqzkit.cli` and `expect` must leave unloaded: the budget,
+#: the closed forms and the scenario settings need no numpy.
+_NUMERIC = {"numpy", "sqzkit.pipeline", "sqzkit.synth", "sqzkit.traceio", "sqzkit.fitting"}
 
 
 @pytest.mark.parametrize(
-    "commands",
-    [lambda _: [], lambda _: [["expect", "--scenario", "deployed"]], _simulate_then_analyze_csv],
-    ids=["import", "expect", "simulate-analyze-csv"],
+    "before, commands, unwanted",
+    [
+        (lambda _: [], lambda _: [], _NUMERIC),
+        (lambda _: [], lambda _: [["expect", "--scenario", "deployed"]], _NUMERIC),
+        (lambda _: [], lambda out: [_simulate(out, "csv"), _analyze(out, "csv")], {"sqzkit.fitting"}),
+        (lambda _: [], lambda out: [_simulate(out)], {"sqzkit.pipeline", "sqzkit.fitting"}),
+        (lambda out: [_simulate(out)], lambda out: [_analyze(out)], {"sqzkit.synth", "sqzkit.fitting"}),
+    ],
+    ids=["import", "expect", "simulate-analyze-csv", "simulate", "analyze"],
 )
-def test_cli_leaves_scipy_signal_and_fft_unimported(commands, tmp_path):
+def test_cli_leaves_scipy_signal_and_fft_unimported(before, commands, unwanted, tmp_path, capsys):
     # concurrent.futures alone costs ~10 ms of import.  Importing starts no
     # thread, and no command leaves one behind: each `run_both` call joins
-    # the thread it starts before it returns.
+    # the thread it starts before it returns.  Each command imports only the
+    # layers it runs; `before` makes its inputs in this process.
+    out_dir = str(tmp_path / "run")
+    for argv in before(out_dir):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
     probe = (
         "import json, sys, threading\n"
         "from sqzkit import cli\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert cli.main(argv) == 0\n"
         "assert threading.active_count() == 1, threading.enumerate()\n"
-        "unwanted = {'scipy.signal', 'scipy.fft', 'concurrent.futures', 'queue'}\n"
+        "unwanted = {'scipy.signal', 'scipy.fft', 'concurrent.futures', 'queue', *json.loads(sys.argv[2])}\n"
         "print(sorted(unwanted & set(sys.modules)), file=sys.stderr)\n"
     )
-    argv = json.dumps(commands(str(tmp_path / "run")))
-    out = subprocess.run([sys.executable, "-c", probe, argv], capture_output=True, text=True)
+    argv = [json.dumps(commands(out_dir)), json.dumps(sorted(unwanted))]
+    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stderr.splitlines()[-1] == "[]"
+
+
+def test_package_names_resolve_to_their_home_modules():
+    import sqzkit
+    from sqzkit import gaussian, settings, synth, tmsv
+
+    for name in sqzkit.__all__[1:]:
+        obj = getattr(sqzkit, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert sqzkit.__all__[0] == "__version__" and isinstance(sqzkit.__version__, str)
+    # the modules the closed forms and settings moved from still export them
+    for name in ("variance_to_db", "lossy_tmsv_moments", "analytic_joint_variances", "analytic_squeezing"):
+        assert getattr(gaussian, name) is getattr(tmsv, name), name
+    for name in ("PHASE_KINDS", "PhaseModel", "SynthConfig"):
+        assert getattr(synth, name) is getattr(settings, name), name
+    with pytest.raises(AttributeError, match="kernel_backend"):
+        sqzkit.kernel_backend
+    assert getattr(sqzkit, "kernel_backend", None) is None

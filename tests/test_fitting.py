@@ -44,6 +44,11 @@ def test_r_scales_with_sqrt_power():
 def test_r_from_power_needs_coupling():
     with pytest.raises(InvalidArgumentError):
         r_from_power(PARAMS)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError):
+            r_from_power(PARAMS, pump_power_watts=bad, pump_coupling=0.5)
+        with pytest.raises(InvalidArgumentError):
+            r_from_power(PARAMS, pump_power_watts=0.5, pump_coupling=bad)
 
 
 def test_params_validation():

@@ -89,6 +89,26 @@ def test_discard_trigger_region_validation():
         discard_trigger_region(np.arange(2.0), 0.9)  # rounds to the whole trace
 
 
+def test_discard_then_average_matches_averaging_the_concatenation():
+    # shot_noise_stats and raw_to_quadratures average the samples either
+    # side of the cut without joining them; the cut may fall inside a group
+    rng = np.random.default_rng(17)
+    cut_offsets = set()
+    for n in [*range(5, 70), 4 * 25_001 + 3]:
+        v = rng.standard_normal(n) + 1e3  # the offset makes the order of the sums show
+        for fraction in (0.0, 0.05, 0.1, 0.25, 0.5, 0.8):
+            kept = discard_trigger_region(v, fraction)
+            if kept.size < 8:  # shot-noise stats need two averaged points
+                continue
+            cut_offsets.add(kept.size // 2 % 4)  # the head keeps kept.size // 2 samples
+            want = average4(kept)
+            sn = shot_noise_stats(v, fraction)
+            assert sn == ShotNoiseStats.from_samples(want), (n, fraction)
+            got = raw_to_quadratures(v, sn, fraction=fraction).q
+            assert np.array_equal(got, normalize(want, sn).q), (n, fraction)
+    assert cut_offsets == {0, 1, 2, 3}
+
+
 # ------------------------------------------------------------ normalization
 
 

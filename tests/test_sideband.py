@@ -70,6 +70,9 @@ def test_sideband_powers_sum_to_unity():
     assert total == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(InvalidArgumentError):
         sideband_powers(1.0, -1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError):
+            sideband_powers(bad, 2)
 
 
 def test_fourth_sideband_anchor():
