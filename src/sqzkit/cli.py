@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from . import __version__
+from ._atomic import atomic_write_text
 from .budget import ARM_FIRST, ARM_SECOND, ChannelBudget, LossItem, predict
 from .errors import ScenarioFormatError, SqzkitError
 from .settings import DISCARD_FRACTION, SynthConfig
@@ -263,9 +264,7 @@ def _render(report: dict, fmt: str) -> str:
 def _emit(report: dict, args) -> None:
     text = _render(report, args.format)
     if args.out:
-        from . import traceio
-
-        traceio.atomic_write_text(args.out, text)
+        atomic_write_text(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -332,7 +331,7 @@ def _cmd_simulate(args) -> dict:
         "files": files,
         "format": args.trace_format,
     }
-    traceio.atomic_write_text(out_dir / "meta.json", json.dumps(_json_safe(meta), indent=2) + "\n")
+    atomic_write_text(out_dir / "meta.json", json.dumps(_json_safe(meta), indent=2) + "\n")
     return {
         "scenario": doc.get("name", ""),
         "out_dir": str(out_dir),

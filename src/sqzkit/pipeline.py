@@ -7,7 +7,8 @@ The measurement convention this implements:
 3. normalize against shot-noise statistics taken through the *identical*
    path, so that vacuum has mean 0 and variance 1/2,
 4. form the joint combinations q1+q2 and q1-q2, align any relative delay
-   between the two detectors by direct search, and
+   between the two detectors by trying every candidate delay, each scored
+   over the same non-overlapping windows of q1, and
 5. report squeezing/anti-squeezing as rolling-variance extrema relative to
    the identically-combined shot-noise reference.
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import rolling_variance, shifted_covariances
+from ._kernels import rolling_variance
 from .errors import DegenerateInputError, DimensionMismatchError, InvalidArgumentError
 from .settings import DISCARD_FRACTION  # the default a scenario's analysis section overrides
 
@@ -191,52 +192,67 @@ def _delay_candidates(max_delay: int):
         yield k
 
 
+def _window_deviations(x: np.ndarray, edges: np.ndarray, window: int) -> np.ndarray:
+    """Sum of squared deviations from the mean of x over x[edges[j, k] :
+    edges[j, k + 1]], each of `window` samples, for every row j and window k.
+
+    The window sums and sums of squares are read at `edges` from one prefix
+    sum each of x and x**2, built one after the other in one buffer."""
+    prefix = np.zeros(x.size + 1)
+    np.cumsum(x, out=prefix[1:])
+    sums = np.diff(prefix[edges], axis=1)
+    np.square(x, out=prefix[1:])
+    np.cumsum(prefix[1:], out=prefix[1:])
+    dev = np.diff(prefix[edges], axis=1)
+    dev -= sums * sums / window
+    return dev
+
+
 def _delay_objectives(a: np.ndarray, b: np.ndarray, max_delay: int, window: int):
-    """(delay, objective) for every candidate delay, in `_delay_candidates` order.
+    """[(delay, objective)] for every candidate delay, in `_delay_candidates` order.
 
-    The objective is the mean over window indices i in [max_delay,
-    len(a) - window - max_delay] of |V+ - V-| / (V+ + V-), the normalized
-    contrast between the unbiased variances of a+b and a-b over a[i : i+window]
-    and b[i+d : i+d+window].  Expanding both variances gives the closed form
-    2|cov(a, b_d)| / (var a + var b_d), so each trace's rolling variance is
-    computed once, and the covariances of every candidate come from one pass
-    of `shifted_covariances`, reduced block by block to per-candidate sums.
-    Windows where var a + var b_d is not positive contribute zero.
+    The objective is the mean, over the T = (len(a) - 2 * max_delay) // window
+    windows that tile a[max_delay : max_delay + T * window] without overlap,
+    of |V+ - V-| / (V+ + V-): the normalized contrast between the unbiased
+    variances of a+b and a-b over one window of a and the window of b that
+    starts d samples later.  Expanding both variances gives the closed form
+    2|cov(a, b_d)| / (var a + var b_d), which is what is computed, each term
+    as a sum over the window (the factor 1 / (window - 1) cancels).  One
+    anchor per trace, its sample at max_delay, is subtracted first, so a
+    large offset costs no precision.  a's windows are centred once, so they
+    sum to zero and a candidate's covariances are one row-wise dot product
+    with b's windows as they lie; b's window variances come from
+    `_window_deviations`.  Windows where var a + var b_d is not positive
+    contribute zero.
     """
-    start, stop = max_delay, a.size - window - max_delay + 1
-    span = stop - start + window - 1
-    var_a = rolling_variance(a, window)[start:stop]
-    var_b = rolling_variance(b, window)
+    start, n_tiles = max_delay, (a.size - 2 * max_delay) // window
+    stop = start + n_tiles * window
     delays = list(_delay_candidates(max_delay))
-    shifts = [d + max_delay for d in delays]  # b[start + d + i] is b[shift + i]
-    sums = [0.0] * len(delays)
-
-    def add_contrast(j, i0, cov, tot):
-        s, k = shifts[j], cov.size
-        np.add(var_a[i0 : i0 + k], var_b[s + i0 : s + i0 + k], out=tot)
-        np.abs(cov, out=cov)
-        if tot.min() > 0.0:
-            cov /= tot
-            sums[j] += float(np.sum(cov))
-        else:
-            positive = tot > 0.0
-            np.divide(cov, tot, out=cov, where=positive)
-            sums[j] += float(np.sum(cov, where=positive))
-
-    shifted_covariances(a[start : start + span], b, window, shifts, add_contrast)
-    for d, total in zip(delays, sums):
-        # doubling is exact, so it can wait for the candidate's total
-        yield d, 2.0 * total / (stop - start)
+    b = b - b[start]
+    # edges[j]: where candidate j's windows of b start, then where its last one ends
+    edges = np.add.outer([start + d for d in delays], np.arange(n_tiles + 1) * window)
+    totals = _window_deviations(b, edges, window)  # var b_d, then var a + var b_d
+    tiles_a = (a[start:stop] - a[start]).reshape(n_tiles, window)
+    tiles_a -= tiles_a.mean(axis=1, keepdims=True)
+    totals += np.einsum("ij,ij->i", tiles_a, tiles_a)
+    covs = np.empty_like(totals)
+    for j, d in enumerate(delays):
+        tiles_b = b[start + d : stop + d].reshape(n_tiles, window)
+        np.einsum("ij,ij->i", tiles_a, tiles_b, out=covs[j])
+    np.abs(covs, out=covs)
+    contrast = np.divide(covs, totals, out=np.zeros_like(covs), where=totals > 0.0)
+    return list(zip(delays, (2.0 * contrast.sum(axis=1) / n_tiles).tolist()))
 
 
 def delay_search(q1, q2, max_delay: int, window: int) -> tuple[int, float]:
     """Find the relative delay (in quadrature samples) between two detectors.
 
     For every candidate delay d in [-max_delay, +max_delay], q2 is shifted by
-    d and the mean absolute visibility |V+ - V-| / (V+ + V-) of the rolling
-    variances of q1+q2 and q1-q2 is computed over a window index set shared by
-    all candidates (see `_delay_objectives`).  Returns (best delay, its
-    objective); ties break toward smaller |d|, then the negative one.
+    d and scored by the mean visibility |V+ - V-| / (V+ + V-) of the variances
+    of q1+q2 and q1-q2 over non-overlapping windows of `window` samples, the
+    same windows of q1 for every candidate (see `_delay_objectives`).  Returns
+    (best delay, its objective); ties break toward smaller |d|, then the
+    negative one.  Runs on the calling thread.
     """
     a, b = _as_1d(q1, "q1"), _as_1d(q2, "q2")
     if a.size != b.size:

@@ -33,12 +33,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from ._atomic import atomic_write, atomic_write_text
 from .errors import ScenarioFormatError
 
 _BINARY_DTYPE = "<f4"
@@ -50,28 +49,6 @@ _CHANNELS = (["volts"], ["volts", "monitor_volts"])
 #: The CSV render scratch holds 150 bytes per trace row (2.5 MB here);
 #: longer chunks render faster but raise the peak memory of simulate.
 _CHUNK_ROWS = 16_384
-
-
-def _atomic_write(path: Path, chunks) -> None:
-    """Write the bytes-like `chunks` one after another to a temp file, then
-    rename it over `path`."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def atomic_write_text(path, text: str) -> None:
-    _atomic_write(Path(path), [text.encode("utf-8")])
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -298,7 +275,7 @@ def _csv_table(header: str, *columns):
 
 def write_trace_csv(path, volts, sample_rate: float, meta: dict | None = None) -> None:
     volts = np.asarray(volts, dtype=np.float64)
-    _atomic_write(Path(path), _csv_table("volts\n", volts))
+    atomic_write(path, _csv_table("volts\n", volts))
     _write_sidecar(Path(path), "csv", sample_rate, volts.size, meta)
 
 
@@ -327,7 +304,7 @@ def write_trace_binary(path, volts, sample_rate: float, meta: dict | None = None
     chunks = (
         volts[i : i + _CHUNK_ROWS].astype(_BINARY_DTYPE) for i in range(0, volts.size, _CHUNK_ROWS)
     )
-    _atomic_write(Path(path), chunks)
+    atomic_write(path, chunks)
     _write_sidecar(Path(path), "f32", sample_rate, volts.size, meta)
 
 
@@ -367,7 +344,7 @@ def write_analysis_csv(path, time_ms, v_plus, v_minus, v_sn_plus, v_sn_minus) ->
     n = cols[0].size
     if any(c.size != n for c in cols):
         raise ScenarioFormatError("analysis columns must share one length")
-    _atomic_write(Path(path), _csv_table("time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus\n", *cols))
+    atomic_write(path, _csv_table("time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus\n", *cols))
 
 
 def _read_rows(path, what: str, row_name: str, columns, make) -> list:

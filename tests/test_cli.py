@@ -565,11 +565,12 @@ _NUMERIC = {"numpy", "sqzkit.pipeline", "sqzkit.synth", "sqzkit.traceio", "sqzki
     [
         (lambda _: [], lambda _: [], _NUMERIC),
         (lambda _: [], lambda _: [["expect", "--scenario", "deployed"]], _NUMERIC),
+        (lambda _: [], lambda out: [["expect", "--scenario", "deployed", "--out", out + ".json"]], _NUMERIC),
         (lambda _: [], lambda out: [_simulate(out, "csv"), _analyze(out, "csv")], {"sqzkit.fitting"}),
         (lambda _: [], lambda out: [_simulate(out)], {"sqzkit.pipeline", "sqzkit.fitting"}),
         (lambda out: [_simulate(out)], lambda out: [_analyze(out)], {"sqzkit.synth", "sqzkit.fitting"}),
     ],
-    ids=["import", "expect", "simulate-analyze-csv", "simulate", "analyze"],
+    ids=["import", "expect", "expect-out", "simulate-analyze-csv", "simulate", "analyze"],
 )
 def test_cli_leaves_scipy_signal_and_fft_unimported(before, commands, unwanted, tmp_path, capsys):
     # concurrent.futures alone costs ~10 ms of import.  Importing starts no

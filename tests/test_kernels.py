@@ -1,8 +1,8 @@
 """Streaming kernels vs direct per-window recomputation.
 
-The rolling kernels and the delay-search objectives built on them are
-checked against brute-force oracles that recompute every window from
-scratch, including windows past the internal renormalization boundary.
+The rolling variance and the delay-search objectives are checked against
+brute-force oracles that recompute every window from scratch, including
+windows past the rolling variance's renormalization boundary.
 """
 
 import multiprocessing
@@ -15,14 +15,8 @@ import weakref
 import numpy as np
 import pytest
 
-from sqzkit import _kernels
-from sqzkit._kernels import (
-    RENORM_INTERVAL,
-    rolling_variance,
-    run_both,
-    shifted_covariances,
-)
-from sqzkit.errors import DimensionMismatchError, InvalidArgumentError
+from sqzkit._kernels import RENORM_INTERVAL, rolling_variance, run_both
+from sqzkit.errors import InvalidArgumentError
 from sqzkit.pipeline import _delay_objectives, delay_search
 
 
@@ -31,15 +25,9 @@ def direct_rolling_variance(x, window):
     return sw.var(axis=1, ddof=1)
 
 
-def direct_rolling_covariance(x, y, window):
-    wx = np.lib.stride_tricks.sliding_window_view(x, window)
-    wy = np.lib.stride_tricks.sliding_window_view(y, window)
-    return np.array([np.cov(u, v)[0, 1] for u, v in zip(wx, wy)])
-
-
 def delay_objective(a, b, delay, window, max_delay):
-    """`_delay_objectives` entry for one delay; its windows start at
-    max_delay and stop at len(a) - window - max_delay + 1."""
+    """`_delay_objectives` entry for one delay; its windows tile a from
+    max_delay on."""
     return dict(_delay_objectives(a, b, max_delay, window))[delay]
 
 
@@ -64,43 +52,31 @@ def blockwise_rolling_variance(x, window):
     return np.maximum(out, 0.0)
 
 
-def collect_shifted(x, y, window, shifts):
-    """`shifted_covariances` gathered into one array per shift."""
-    m = x.size - window + 1
-    out = np.full((len(shifts), m), np.nan)
-
-    def store(j, i0, cov, spare):
-        out[j, i0 : i0 + cov.size] = cov
-        spare[:] = np.nan  # scratch: the kernel must not read it back
-
-    shifted_covariances(x, y, window, shifts, store)
-    return out
+def tile_count(a, window, max_delay):
+    """Windows that tile a[max_delay : len(a) - max_delay], a ragged tail dropped."""
+    return (a.size - 2 * max_delay) // window
 
 
-def sequential(first, second):
-    return first(), second()
-
-
-def direct_visibility_mean(a, b, delay, window, start, stop):
+def direct_visibility_mean(a, b, delay, window, max_delay):
     acc = 0.0
-    for i in range(start, stop):
+    n = tile_count(a, window, max_delay)
+    for k in range(n):
+        i = max_delay + k * window
         wa = a[i : i + window]
         wb = b[i + delay : i + delay + window]
         vp = np.var(wa + wb, ddof=1)
         vm = np.var(wa - wb, ddof=1)
         tot = vp + vm
         acc += abs(vp - vm) / tot if tot > 0 else 0.0
-    return acc / (stop - start)
+    return acc / n
 
 
-def direct_visibility_mean_vectorized(a, b, delay, window, start, stop):
-    """Same oracle, every window recomputed at once through sliding views."""
-    n = stop - start
-    wa = np.lib.stride_tricks.sliding_window_view(a[start : stop + window - 1], window)
-    wb = np.lib.stride_tricks.sliding_window_view(
-        b[start + delay : stop + delay + window - 1], window
-    )
-    assert wa.shape == wb.shape == (n, window)
+def direct_visibility_mean_vectorized(a, b, delay, window, max_delay):
+    """Same oracle, every tile recomputed at once through reshaped views."""
+    n = tile_count(a, window, max_delay)
+    start, stop = max_delay, max_delay + n * window
+    wa = a[start:stop].reshape(n, window)
+    wb = b[start + delay : stop + delay].reshape(n, window)
     vp = (wa + wb).var(axis=1, ddof=1)
     vm = (wa - wb).var(axis=1, ddof=1)
     tot = vp + vm
@@ -149,45 +125,6 @@ def test_rolling_variance_across_renorm_boundary():
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-10)
 
 
-def test_rolling_covariance_matches_direct():
-    rng = np.random.default_rng(6)
-    for n, w, slope in [(10, 2, 0.5), (50, 7, -1.3), (200, 200, 0.9), (1000, 31, -0.2), (2048, 512, 2.0)]:
-        x = rng.standard_normal(n) * rng.uniform(0.5, 2.0) + rng.uniform(-5, 5)
-        y = slope * x + rng.standard_normal(n) + rng.uniform(-5, 5)
-        got = collect_shifted(x, y, w, [0])[0]
-        want = direct_rolling_covariance(x, y, w)
-        assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
-
-
-def test_rolling_covariance_large_offset():
-    rng = np.random.default_rng(8)
-    x = 1e9 + rng.standard_normal(5000)
-    y = -1e9 + 0.5 * (x - 1e9) + rng.standard_normal(5000)
-    got = collect_shifted(x, y, 100, [0])[0]
-    want = direct_rolling_covariance(x, y, 100)
-    np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9)
-
-
-def test_rolling_covariance_across_renorm_boundary():
-    rng = np.random.default_rng(9)
-    n = 100_123
-    x = rng.standard_normal(n) + 3.0
-    y = 0.7 * x + rng.standard_normal(n) - 1.0
-    w = 5
-    got = collect_shifted(x, y, w, [0])[0]
-    assert got.size == n - w + 1 > RENORM_INTERVAL
-    wx = np.lib.stride_tricks.sliding_window_view(x, w)
-    wy = np.lib.stride_tricks.sliding_window_view(y, w)
-    # np.cov's arithmetic, vectorized over all windows; spot-checked below
-    want = ((wx - wx.mean(axis=1, keepdims=True)) * (wy - wy.mean(axis=1, keepdims=True))).sum(
-        axis=1
-    ) / (w - 1)
-    for i in (0, RENORM_INTERVAL - 1, RENORM_INTERVAL, got.size - 1):
-        assert want[i] == pytest.approx(np.cov(wx[i], wy[i])[0, 1], rel=1e-12, abs=1e-14)
-    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-10)
-
-
 def test_delay_visibility_matches_direct():
     rng = np.random.default_rng(4)
     n, w = 400, 16
@@ -196,9 +133,9 @@ def test_delay_visibility_matches_direct():
     for delay in (-7, -1, 0, 1, 3, 10):
         b = base[25 - delay if delay < 0 else 25 - delay : 25 - delay + n]
         b = b[:n] + 0.1 * rng.standard_normal(n)
-        start, stop = 10, n - w - 10 + 1
+        assert (n - 20) % w != 0  # a ragged tail the tiles leave out
         got = delay_objective(a, b, delay, w, max_delay=10)
-        want = direct_visibility_mean(a, b, delay, w, start, stop)
+        want = direct_visibility_mean(a, b, delay, w, max_delay=10)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
@@ -208,28 +145,28 @@ def test_delay_visibility_across_renorm_boundary():
     a = rng.standard_normal(n)
     b = 0.8 * a + 0.2 * rng.standard_normal(n)
     w = 8
-    start, stop = 2, n - w - 2 + 1
-    assert stop - start > RENORM_INTERVAL
+    # the search's prefix sums run unrestarted over more samples than a
+    # rolling-variance block holds
+    assert tile_count(a, w, 2) * w > RENORM_INTERVAL
     got = delay_objective(a, b, 1, w, max_delay=2)
-    want = direct_visibility_mean_vectorized(a, b, 1, w, start, stop)
+    want = direct_visibility_mean_vectorized(a, b, 1, w, max_delay=2)
     assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_delay_objectives_score_zero_denominators_as_zero():
     # a constant stretch at the head of both traces, longer than window +
-    # 2 * max_delay, gives windows whose var a + var b_d is exactly 0
+    # 2 * max_delay, gives tiles whose var a + var b_d is exactly 0
     rng = np.random.default_rng(14)
     n, w, max_delay = 3000, 40, 6
     base = rng.standard_normal(n + 10)
     a = base[5 : 5 + n] + 0.3 * rng.standard_normal(n)
     b = base[3 : 3 + n] + 0.3 * rng.standard_normal(n)
     a[:200], b[:200] = 1.5, -0.5
-    start, stop = max_delay, n - w - max_delay + 1
-    var_a, var_b = rolling_variance(a, w), rolling_variance(b, w)
     got = dict(_delay_objectives(a, b, max_delay, w))
     for d in range(-max_delay, max_delay + 1):
-        assert np.any(var_a[start:stop] + var_b[start + d : stop + d] == 0.0), d
-        want = direct_visibility_mean(a, b, d, w, start, stop)
+        wa, wb = a[max_delay : max_delay + w], b[max_delay + d : max_delay + d + w]
+        assert np.var(wa + wb, ddof=1) + np.var(wa - wb, ddof=1) == 0.0, d
+        want = direct_visibility_mean(a, b, d, w, max_delay)
         assert got[d] == pytest.approx(want, rel=1e-9), d
 
 
@@ -241,6 +178,40 @@ def test_delay_objectives_follow_candidate_order():
     assert delays == [0, -1, 1, -2, 2, -3, 3]
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e9, -1e9])
+@pytest.mark.parametrize(
+    "n, window, max_delay",
+    [(3006, 50, 3), (3000, 64, 5), (74, 64, 5)],
+    ids=["whole-tiles", "ragged-tail", "one-tile"],
+)
+def test_delay_objectives_survive_large_offsets(n, window, max_delay, offset):
+    # one tile (n = 2 * max_delay + window) is the shortest input delay_search takes
+    rng = np.random.default_rng(15)
+    base = rng.standard_normal(n + max_delay)
+    x = base[max_delay : max_delay + n] + 0.5 * rng.standard_normal(n)
+    y = base[max_delay - 2 : max_delay - 2 + n] + 0.5 * rng.standard_normal(n)  # y[i + 2] ~ x[i]
+    a, b = x + offset, y - offset
+    # the offset-free data the shifted traces hold: at 1e9 a sample keeps
+    # only 1.2e-7 of resolution, and (x + offset) - offset is exact
+    want = _delay_objectives(a - offset, b + offset, max_delay, window)
+    got = _delay_objectives(a, b, max_delay, window)
+    assert [d for d, _ in got] == [d for d, _ in want]
+    for (d, g), (_, w) in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-7), d
+    assert delay_search(a, b, max_delay, window)[0] == 2
+
+
+def test_delay_search_starts_no_thread(monkeypatch):
+    def no_thread(*args):
+        raise AssertionError("the delay search started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    rng = np.random.default_rng(16)
+    a = rng.standard_normal(RENORM_INTERVAL + 20_000)
+    b = 0.6 * np.roll(a, 3) + 0.8 * rng.standard_normal(a.size)
+    assert delay_search(a, b, 8, 500)[0] == 3
+
+
 def test_wrapper_validation():
     x = np.zeros(10)
     with pytest.raises(InvalidArgumentError):
@@ -248,13 +219,7 @@ def test_wrapper_validation():
     with pytest.raises(InvalidArgumentError):
         rolling_variance(x, 11)
     with pytest.raises(InvalidArgumentError):
-        collect_shifted(x, x, 1, [0])
-    with pytest.raises(InvalidArgumentError):
-        collect_shifted(x, x, 11, [0])
-    with pytest.raises(DimensionMismatchError):
-        collect_shifted(x, np.zeros(9), 4, [0])
-    with pytest.raises(InvalidArgumentError):
-        collect_shifted(np.zeros((2, 5)), np.zeros((2, 5)), 2, [0])
+        rolling_variance(np.zeros((2, 5)), 2)
 
 
 def test_wrapper_accepts_readonly_and_nonfloat_input():
@@ -264,10 +229,6 @@ def test_wrapper_accepts_readonly_and_nonfloat_input():
     frozen.setflags(write=False)
     out2 = rolling_variance(frozen, 4)
     np.testing.assert_allclose(out, out2, atol=1e-12)
-    y = (np.arange(100) % 7).astype(np.int64)
-    want = direct_rolling_covariance(frozen, y.astype(np.float64), 4)
-    np.testing.assert_allclose(collect_shifted(x, y, 4, [0])[0], want, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(collect_shifted(frozen, y, 4, [0])[0], want, rtol=1e-12, atol=1e-12)
     assert delay_search(frozen, frozen, 0, 4) == (0, pytest.approx(1.0))
 
 
@@ -282,75 +243,6 @@ def test_rolling_variance_is_bit_identical_to_the_blockwise_loop():
     inputs.append((np.random.default_rng(3).standard_normal(100_123) + 3.0, 5))
     for x, w in inputs:
         assert np.array_equal(rolling_variance(x, w), blockwise_rolling_variance(x, w))
-
-
-SHIFTS = [12, 11, 13, 10, 14, 0, 24, 3, 9]
-
-
-def shifted_inputs(n, offset):
-    """x, and a y covering every shift in SHIFTS, correlated best at shift 9."""
-    rng = np.random.default_rng(11)
-    y = offset + rng.standard_normal(n + max(SHIFTS))
-    x = 0.6 * y[9 : 9 + n] + 0.8 * rng.standard_normal(n) - 0.5 * offset
-    return x, y
-
-
-@pytest.mark.parametrize("offset", [0.0, 1e9, -1e9])
-def test_shifted_covariances_match_rolling_covariance_per_shift(offset):
-    n, window = 3000, 50
-    x, y = shifted_inputs(n, offset)
-    got = collect_shifted(x, y, window, SHIFTS)
-    assert got.shape == (len(SHIFTS), n - window + 1)
-    for j, s in enumerate(SHIFTS):
-        want = collect_shifted(x, y[s : s + n], window, [0])[0]
-        # covariances cross zero, so the tolerance is relative to the series' scale
-        scale = np.max(np.abs(want))
-        assert np.max(np.abs(got[j] - want)) <= 1e-12 * scale, s
-
-
-def test_shifted_covariances_across_renorm_boundary():
-    # Over a 1e5-point block the prefix sums' rounding reaches ~2e-12 of the
-    # covariance scale for the single-shift kernel too, so both are held to
-    # the direct per-window arithmetic instead of to each other.
-    n, window = RENORM_INTERVAL + 321, 7
-    x, y = shifted_inputs(n, 0.0)
-    got = collect_shifted(x, y, window, SHIFTS)
-    assert got.shape[1] > RENORM_INTERVAL
-    wx = np.lib.stride_tricks.sliding_window_view(x, window)
-    for j, s in enumerate(SHIFTS):
-        ys = y[s : s + n]
-        wy = np.lib.stride_tricks.sliding_window_view(ys, window)
-        direct = ((wx - wx.mean(axis=1, keepdims=True)) * (wy - wy.mean(axis=1, keepdims=True))).sum(
-            axis=1
-        ) / (window - 1)
-        bound = 1e-11 * np.max(np.abs(direct))
-        assert np.max(np.abs(collect_shifted(x, ys, window, [0])[0] - direct)) <= bound, s
-        assert np.max(np.abs(got[j] - direct)) <= bound, s
-
-
-def test_shifted_covariances_validation():
-    x = np.zeros(10)
-    with pytest.raises(InvalidArgumentError):
-        shifted_covariances(x, np.zeros(12), 4, [], lambda *a: None)
-    with pytest.raises(InvalidArgumentError):
-        shifted_covariances(x, np.zeros(12), 4, [0, -1], lambda *a: None)
-    with pytest.raises(DimensionMismatchError):
-        shifted_covariances(x, np.zeros(12), 4, [0, 3], lambda *a: None)
-    with pytest.raises(InvalidArgumentError):
-        shifted_covariances(x, np.zeros(12), 11, [0], lambda *a: None)
-
-
-def test_delay_objectives_do_not_depend_on_the_worker(monkeypatch):
-    rng = np.random.default_rng(12)
-    n = RENORM_INTERVAL + 20_000
-    base = rng.standard_normal(n + 10)
-    a = base[5 : 5 + n] + 0.3 * rng.standard_normal(n)
-    b = base[2 : 2 + n] + 0.3 * rng.standard_normal(n)
-    threaded = list(_delay_objectives(a, b, 6, 500))
-    monkeypatch.setattr(_kernels, "run_both", sequential)
-    alone = list(_delay_objectives(a, b, 6, 500))
-    assert threaded == alone
-    assert max(alone, key=lambda pair: pair[1])[0] == 3
 
 
 def test_run_both_runs_first_on_another_thread():
@@ -435,8 +327,7 @@ def test_run_both_works_in_a_forked_child():
 
 
 def test_delay_search_memory_stays_below_sixteen_traces():
-    # numpy reports its buffers to tracemalloc from every thread; a
-    # (shifts x n) array alone would be 51 traces here
+    # a (candidates x n) array alone would be 51 traces here
     rng = np.random.default_rng(13)
     n = 475_000
     a = rng.standard_normal(n)
