@@ -313,18 +313,18 @@ def _cmd_simulate(args) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     write, ext = _trace_writer(args.trace_format)
 
-    sig = synth.synthesize_pair(config)
-    ref = synth.synthesize_shot_noise(config)
+    # One pair of traces at a time: each pair is written, and every
+    # reference to it dropped, before the next one is synthesized.
     files = {}
-    for stem, trace in (
-        (f"signal_{ARM_FIRST}", sig[0]),
-        (f"signal_{ARM_SECOND}", sig[1]),
-        (f"shot_noise_{ARM_FIRST}", ref[0]),
-        (f"shot_noise_{ARM_SECOND}", ref[1]),
-    ):
-        path = out_dir / (stem + ext)
-        write(path, trace.samples, trace.sample_rate, trace.meta)
-        files[stem] = str(path)
+    draws = (("signal", synth.synthesize_pair), ("shot_noise", synth.synthesize_shot_noise))
+    for family, draw in draws:
+        pair = draw(config)
+        for arm, trace in zip((ARM_FIRST, ARM_SECOND), pair):
+            stem = f"{family}_{arm}"
+            path = out_dir / (stem + ext)
+            write(path, trace.samples, trace.sample_rate, trace.meta)
+            files[stem] = str(path)
+        del pair, trace
     meta = {
         "scenario": doc.get("name", ""),
         "synthesis": asdict(config),
@@ -366,24 +366,33 @@ def _cmd_analyze(args) -> dict:
         args.discard_fraction if args.discard_fraction is not None else defaults["discard_fraction"]
     )
 
+    # One raw trace at a time: each is checked against the ones before it,
+    # reduced to its 4-sample averages and dropped before the next is read.
     paths = [*args.trace, *args.shot_noise]
-    volts, rates = zip(*(traceio.read_trace(p) for p in paths))
-    rate = rates[0]
-    for path, other in zip(paths[1:], rates[1:]):
-        if other != rate:
+    averaged = []
+    for k, path in enumerate(paths):
+        volts, trace_rate = traceio.read_trace(path)
+        if k == 0:
+            rate = trace_rate
+        elif trace_rate != rate:
             raise ScenarioFormatError(
-                f"{path}: sample rate {other:g} Hz differs from {rate:g} Hz of {paths[0]}"
+                f"{path}: sample rate {trace_rate:g} Hz differs from {rate:g} Hz of {paths[0]}"
             )
-    for names, (first, second) in ((args.trace, volts[:2]), (args.shot_noise, volts[2:])):
-        if first.size != second.size:
+        if k % 2 == 0:
+            first_size = volts.size
+        elif volts.size != first_size:
             raise ScenarioFormatError(
-                f"{names[1]}: {second.size} samples, but {names[0]} has {first.size}"
+                f"{path}: {volts.size} samples, but {paths[k - 1]} has {first_size}"
             )
-    sn_stats = [pipeline.shot_noise_stats(v, fraction) for v in volts[2:]]
+        averaged.append(pipeline.discard_average4(volts, fraction))
+        del volts
+    sn_stats = [pipeline.ShotNoiseStats.from_samples(v) for v in averaged[2:]]
+    quadrature_rate = rate / pipeline.RAW_PER_QUADRATURE
     quads, sn_quads = (
-        [pipeline.raw_to_quadratures(v, sn, rate, fraction) for v, sn in zip(part, sn_stats)]
-        for part in (volts[:2], volts[2:])
+        [pipeline.normalize(v, sn, quadrature_rate) for v, sn in zip(part, sn_stats)]
+        for part in (averaged[:2], averaged[2:])
     )
+    del averaged
 
     report = pipeline.analysis_report(
         quads[0].q,

@@ -3,7 +3,8 @@
 The measurement convention this implements:
 
 1. discard the central block of raw samples around the trigger pulse,
-2. average every 4 oscilloscope samples into voltage points,
+2. average every 4 oscilloscope samples into voltage points (steps 1 and
+   2 are one pass over the raw trace, `discard_average4`),
 3. normalize against shot-noise statistics taken through the *identical*
    path, so that vacuum has mean 0 and variance 1/2,
 4. form the joint combinations q1+q2 and q1-q2, align any relative delay
@@ -127,9 +128,13 @@ def discard_trigger_region(v, fraction: float = DISCARD_FRACTION) -> np.ndarray:
     return np.concatenate(_kept_parts(v, fraction))
 
 
-def _discard_average4(raw_samples, fraction: float) -> np.ndarray:
+def discard_average4(raw_samples, fraction: float = DISCARD_FRACTION) -> np.ndarray:
     """``average4(discard_trigger_region(raw_samples, fraction))``, bit for
-    bit, without copying the kept samples into one array first.
+    bit, without copying the kept samples into one array first: the one
+    reduction a raw trace goes through.  `shot_noise_stats` and
+    `raw_to_quadratures` are this followed by `ShotNoiseStats.from_samples`
+    and `normalize`; a caller holding one raw trace at a time, as ``sqzkit
+    analyze`` does, reduces each with this and drops it.
 
     The head's whole groups and the tail's are summed in place; the one
     group that straddles the cut (the head's last ``head.size % 4`` samples
@@ -171,7 +176,7 @@ def normalize(v_avg, sn: ShotNoiseStats, quadrature_rate: float = 1.25e8) -> Qua
 
 def shot_noise_stats(raw_samples, fraction: float = DISCARD_FRACTION) -> ShotNoiseStats:
     """Stats of a raw shot-noise trace after discard + averaging."""
-    return ShotNoiseStats.from_samples(_discard_average4(raw_samples, fraction))
+    return ShotNoiseStats.from_samples(discard_average4(raw_samples, fraction))
 
 
 def raw_to_quadratures(
@@ -181,8 +186,7 @@ def raw_to_quadratures(
     fraction: float = DISCARD_FRACTION,
 ) -> QuadratureTrace:
     """Full raw-voltage -> quadrature conversion for one detector trace."""
-    v = _discard_average4(raw_samples, fraction)
-    return normalize(v, sn, sample_rate / RAW_PER_QUADRATURE)
+    return normalize(discard_average4(raw_samples, fraction), sn, sample_rate / RAW_PER_QUADRATURE)
 
 
 def _delay_candidates(max_delay: int):

@@ -4,12 +4,13 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sqzkit import cli, traceio
+from sqzkit import cli, synth, traceio
 from sqzkit.errors import ScenarioFormatError
 from sqzkit.fitting import SqueezeParams, synthetic_sweep
 from sqzkit.gaussian import analytic_squeezing
@@ -429,6 +430,36 @@ def test_analyze_requires_two_of_each(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--trace", "x.f32", "--shot-noise", "y.f32")
     assert code == 1
     assert "exactly two" in json.loads(err)["error"]["message"]
+
+
+def _traced_peak(run):
+    """``run()`` and its tracemalloc peak in bytes, with the band filter's
+    taps and spectrum built inside it."""
+    synth._bandpass_taps.cache_clear()
+    synth._filter_spectrum.cache_clear()
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_and_analyze_hold_one_pair_of_raw_traces(capsys, tmp_path):
+    # simulate writes each pair of traces and drops it before drawing the
+    # next, so it peaks about 0.3 channel buffers above one pair's synthesis
+    # (3.2 holding both pairs); analyze reduces each raw trace to its
+    # 4-sample averages as it reads it, so it peaks at about 2.4 raw traces
+    # (6.4 holding all four)
+    config = cli.scenario_synth_config(cli.load_scenario("deployed"), duration=1e-3)
+    n, n_ext = config.n_samples, config.n_samples + synth.FILTER_TAPS - 1
+    pair_peak = _traced_peak(lambda: synth.synthesize_pair(config))[1]
+    report, simulate_peak = _traced_peak(lambda: run_json(
+        capsys, "simulate", "--scenario", "deployed", "--duration", "1e-3",
+        "--out-dir", str(tmp_path / "run"),
+    ))
+    analyze_peak = _traced_peak(lambda: run_json(capsys, *_analyze_args(report["files"])))[1]
+    assert simulate_peak < pair_peak + 8 * n_ext, (simulate_peak - pair_peak) / (8 * n_ext)
+    assert analyze_peak < 3 * 8 * n, analyze_peak / (8 * n)
 
 
 # ------------------------------------------------------------ fit / RF

@@ -20,6 +20,7 @@ from sqzkit.pipeline import (
     average4,
     delay_search,
     dip_fwhm,
+    discard_average4,
     discard_trigger_region,
     normalize,
     raw_to_quadratures,
@@ -90,8 +91,9 @@ def test_discard_trigger_region_validation():
 
 
 def test_discard_then_average_matches_averaging_the_concatenation():
-    # shot_noise_stats and raw_to_quadratures average the samples either
-    # side of the cut without joining them; the cut may fall inside a group
+    # discard_average4, and so shot_noise_stats and raw_to_quadratures,
+    # average the samples either side of the cut without joining them; the
+    # cut may fall inside a group
     rng = np.random.default_rng(17)
     cut_offsets = set()
     for n in [*range(5, 70), 4 * 25_001 + 3]:
@@ -102,6 +104,7 @@ def test_discard_then_average_matches_averaging_the_concatenation():
                 continue
             cut_offsets.add(kept.size // 2 % 4)  # the head keeps kept.size // 2 samples
             want = average4(kept)
+            assert np.array_equal(discard_average4(v, fraction), want), (n, fraction)
             sn = shot_noise_stats(v, fraction)
             assert sn == ShotNoiseStats.from_samples(want), (n, fraction)
             got = raw_to_quadratures(v, sn, fraction=fraction).q
