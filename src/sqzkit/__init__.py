@@ -54,7 +54,6 @@ _HOMES = {
         "QuadratureTrace",
         "average4",
         "discard_trigger_region",
-        "discard_average4",
         "normalize",
         "shot_noise_stats",
         "raw_to_quadratures",

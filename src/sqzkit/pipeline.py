@@ -128,7 +128,7 @@ def discard_trigger_region(v, fraction: float = DISCARD_FRACTION) -> np.ndarray:
     return np.concatenate(_kept_parts(v, fraction))
 
 
-def discard_average4(raw_samples, fraction: float = DISCARD_FRACTION) -> np.ndarray:
+def discard_average4(raw_samples, fraction: float) -> np.ndarray:
     """``average4(discard_trigger_region(raw_samples, fraction))``, bit for
     bit, without copying the kept samples into one array first: the one
     reduction a raw trace goes through.  `shot_noise_stats` and

@@ -14,8 +14,7 @@ independently of each other.
 A draw runs in three steps, each split over the two threads of
 `_kernels.run_both`: the two channels' normal draws; the Cholesky mixing of
 channel 2 (and the phase angles it needs), by halves of the grid, 65 536
-samples at a time (when both phases are constant, its two coefficients
-are computed once); then each channel's band filter and electronics noise.
+samples at a time; then each channel's band filter and electronics noise.
 The filter is overlap-save convolution (Stockham, AFIPS SJCC 1966) in
 fixed `BLOCK`-point FFTs that fit in cache, done in place in the channel's
 own buffer.  Phase models that draw from a random stream get their angles
@@ -189,35 +188,6 @@ def _synthesize(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
         theta += phase_c.angles(t, _rng(seed, family, _STREAM_PHASE_C))
         del t
 
-    def coefficients(cov, resid):
-        """Channel 2's mixing coefficients (a, b), x2 = a * g1 + b * g2, for
-        the phase sums theta = theta_b + theta_c in `cov`:
-        a = cos(theta) * cross / sd1, written over `cov`, and
-        b = sqrt(max(v2 - (cos(theta) * cross)^2 / v1, 0)), written to `resid`.
-
-        The cross term swings with cos(theta_b + theta_c), so sweeping
-        either phase moves the joint variance between the squeezed and
-        anti-squeezed values; this Cholesky mixing of the two unit-variance
-        streams gives each sample that 2x2 covariance."""
-        np.cos(cov, out=cov)
-        cov *= cross
-        b = np.multiply(cov, cov, out=resid)
-        b /= v1
-        np.subtract(v2, b, out=b)
-        np.maximum(b, 0.0, out=b)
-        np.sqrt(b, out=b)
-        cov /= sd1
-        return cov, b
-
-    # Constant phases without jitter mix every sample alike: their two
-    # coefficients come from the same ufuncs on a one-element grid, so the
-    # samples match the per-sample formula bit for bit.
-    fixed = None
-    if theta is None and phase_b.kind == phase_c.kind == "constant":
-        at_zero = np.zeros(1)
-        theta_0 = phase_b.angles(at_zero, None) + phase_c.angles(at_zero, None)
-        fixed = coefficients(theta_0, np.empty(1))
-
     def mix(lo, hi, resid):
         for i in range(lo, hi, _CHUNK):
             j = min(i + _CHUNK, hi)
@@ -227,19 +197,28 @@ def _synthesize(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
                 # the mixing below reduces to exactly this at cov == 0.
                 g2 *= sd2
             else:
-                if fixed is not None:
-                    a, b = fixed
+                if theta is None:
+                    t = (np.arange(i, j) - pad // 2) / fs
+                    cov = phase_b.angles(t, None)
+                    cov += phase_c.angles(t, None)
                 else:
-                    if theta is None:
-                        t = (np.arange(i, j) - pad // 2) / fs
-                        cov = phase_b.angles(t, None)
-                        cov += phase_c.angles(t, None)
-                    else:
-                        cov = theta[i:j]
-                    a, b = coefficients(cov, resid[: j - i])
-                g2 *= b
-                g2 += np.multiply(g1, a, out=resid[: j - i])
-                del a, b  # else `a` keeps this chunk's angles alive while the next ones are drawn
+                    cov = theta[i:j]
+                # Per-sample 2x2 covariance of the two detector quadratures:
+                # the cross term swings with cos(theta_b + theta_c), so
+                # sweeping either phase moves the joint variance between the
+                # squeezed and anti-squeezed values.  Cholesky mixing of the
+                # two unit-variance streams gives that covariance:
+                # x2 = (cov / sd1) * g1 + sqrt(max(v2 - cov^2 / v1, 0)) * g2.
+                np.cos(cov, out=cov)
+                cov *= cross
+                r = np.multiply(cov, cov, out=resid[: j - i])
+                r /= v1
+                np.subtract(v2, r, out=r)
+                np.maximum(r, 0.0, out=r)
+                g2 *= np.sqrt(r, out=r)
+                cov /= sd1
+                cov *= g1
+                g2 += cov
             g1 *= sd1
 
     if band is not None:

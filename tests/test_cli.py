@@ -426,6 +426,38 @@ def test_analyze_rejects_a_missing_trace(capsys, tmp_path, fmt):
     assert f"nope.{fmt}" in diag["message"]
 
 
+def test_analyze_reports_the_first_faulty_trace_in_read_order(capsys, tmp_path):
+    # analyze reads, checks and reduces one trace at a time, in argument
+    # order, so of several faults the one in the earliest trace is reported
+    scen = write_scenario(tmp_path, minimal_scenario(synthesis={"duration": 1e-4}))
+    files = run_json(capsys, "simulate", "--scenario", scen, "--out-dir", str(tmp_path / "r"))["files"]
+    short = Path(files["signal_C45"])
+    original = short.read_bytes()
+    short.write_bytes(original[:-400])
+    sidecar = Path(files["signal_C45"] + ".json")
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**meta, "n_samples": meta["n_samples"] - 100}))
+    rate_sidecar = Path(files["shot_noise_C43"] + ".json")
+    rate_meta = json.loads(rate_sidecar.read_text())
+    rate_sidecar.write_text(json.dumps({**rate_meta, "sample_rate_hz": 2.5e8}))
+    files["shot_noise_C45"] = str(tmp_path / "nope.f32")
+
+    for faulty, says in (
+        ("signal_C45.f32", "samples, but"),
+        ("shot_noise_C43.f32", "sample rate"),
+        ("nope.f32", "nope.f32"),
+    ):
+        code, _, err = run_cli(capsys, *_analyze_args(files))
+        assert code == 1
+        message = json.loads(err)["error"]["message"]
+        assert faulty in message and says in message, message
+        if faulty == "signal_C45.f32":  # mend this fault; the next one is reported
+            short.write_bytes(original)
+            sidecar.write_text(json.dumps(meta))
+        else:
+            rate_sidecar.write_text(json.dumps(rate_meta))
+
+
 def test_analyze_requires_two_of_each(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--trace", "x.f32", "--shot-noise", "y.f32")
     assert code == 1

@@ -252,42 +252,16 @@ def test_chunked_two_thread_mixing_is_the_whole_array_mixing(phase_b, n):
     assert all(np.array_equal(u, v) for u, v in zip(got, want))
 
 
-@pytest.mark.parametrize("seed", [1, 7, 9])
-@pytest.mark.parametrize(
-    "r, t, offsets",
-    [
-        (0.9, 0.3, (math.pi / 2, math.pi / 2)),
-        (0.9, 0.3, (0.4, 1.2)),
-        (0.5, 0.8, (-2.0, 0.7)),
-        # lossless and strongly squeezed, in phase: v2 - cross^2 / v1 rounds
-        # below zero, so channel 2's own-noise coefficient is clipped at 0
-        (10.0, 1.0, (0.0, 0.0)),
-    ],
-    ids=["quarter-waves", "offsets", "lossy", "clipped"],
-)
-def test_constant_phase_mixing_is_the_per_sample_mixing(r, t, offsets, seed, monkeypatch):
-    n = 2 * synth._CHUNK + 4321
-    cfg = small_config(
-        r=r, t_b=t, t_c=t, rng_seed=seed, duration=n / SMALL["sample_rate"],
-        detector_band=None, electronics_noise_db=None,
-        phase_b=PhaseModel(offset=offsets[0]), phase_c=PhaseModel(offset=offsets[1]),
-    )
-    v1, v2, cross = lossy_tmsv_moments(r, t, t)
-    cov = np.cos(np.full(1, offsets[0]) + offsets[1]) * cross
-    assert (v2 - cov * cov / v1 < 0.0)[0] == (r == 10.0)
-    grids = []
-    angles = PhaseModel.angles
-
-    def counted(self, t, rng):
-        grids.append(t.size)
-        return angles(self, t, rng)
-
-    monkeypatch.setattr(PhaseModel, "angles", counted)
-    got = _samples(synthesize_pair(cfg))
-    monkeypatch.undo()
-    assert grids == [1, 1]  # the phases are evaluated once, not per chunk
-    want = _whole_array_mixing(cfg)
-    assert all(np.array_equal(u, v) for u, v in zip(got, want))
+@pytest.mark.parametrize("kind", ["constant", "noise_injected"])
+def test_phases_are_not_drawn_without_a_cross_term(kind):
+    # shot noise and an r = 0 pair have cross == 0: channel 2 is its own
+    # noise, so a phase model that draws (jitter, noise injection) changes
+    # no sample
+    jittered = PhaseModel(kind=kind, frequency=2e4, amplitude=0.5, offset=0.4, transient_jitter_rms=0.05)
+    for fn, r in ((synthesize_shot_noise, 0.9), (synthesize_pair, 0.0)):
+        plain = _samples(fn(small_config(r=r)))
+        got = _samples(fn(small_config(r=r, phase_b=jittered, phase_c=jittered)))
+        assert all(np.array_equal(u, v) for u, v in zip(got, plain)), (fn.__name__, kind)
 
 
 def test_phase_model_validation():
