@@ -32,7 +32,7 @@ from typing import get_type_hints
 from . import __version__
 from ._atomic import atomic_write_text
 from .budget import ARM_FIRST, ARM_SECOND, ChannelBudget, LossItem, predict
-from .errors import ScenarioFormatError, SqzkitError
+from .errors import InvalidArgumentError, ScenarioFormatError, SqzkitError
 from .settings import DISCARD_FRACTION, SynthConfig
 
 _TOP_KEYS = {"name", "description", "source", "budget", "synthesis", "analysis"}
@@ -352,6 +352,18 @@ def _parse_window(text: str):
         raise argparse.ArgumentTypeError(f"expected an integer or 'full', got {text!r}") from None
 
 
+def _parse_fraction(text: str) -> float:
+    """``--discard-fraction``: a number in [0, 1), checked before any trace
+    is read, so that an error in reducing a trace is the trace's."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1), got {text!r}")
+    return value
+
+
 def _cmd_analyze(args) -> dict:
     from . import pipeline, traceio
 
@@ -369,7 +381,7 @@ def _cmd_analyze(args) -> dict:
     # One raw trace at a time: each is checked against the ones before it,
     # reduced to its 4-sample averages and dropped before the next is read.
     paths = [*args.trace, *args.shot_noise]
-    averaged = []
+    averaged, sn_stats = [], []
     for k, path in enumerate(paths):
         volts, trace_rate = traceio.read_trace(path)
         if k == 0:
@@ -384,9 +396,13 @@ def _cmd_analyze(args) -> dict:
             raise ScenarioFormatError(
                 f"{path}: {volts.size} samples, but {paths[k - 1]} has {first_size}"
             )
-        averaged.append(pipeline.discard_average4(volts, fraction))
+        try:
+            averaged.append(pipeline.discard_average4(volts, fraction))
+            if k >= 2:  # a shot-noise trace calibrates its detector
+                sn_stats.append(pipeline.ShotNoiseStats.from_samples(averaged[-1]))
+        except InvalidArgumentError as exc:  # too short, or constant shot noise
+            raise ScenarioFormatError(f"{path}: {exc}") from exc
         del volts
-    sn_stats = [pipeline.ShotNoiseStats.from_samples(v) for v in averaged[2:]]
     quadrature_rate = rate / pipeline.RAW_PER_QUADRATURE
     quads, sn_quads = (
         [pipeline.normalize(v, sn, quadrature_rate) for v, sn in zip(part, sn_stats)]
@@ -539,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rolling window in quadrature samples, or 'full' (default: scenario or full)")
     p.add_argument("--max-delay", type=int, default=None,
                    help="delay search range in quadrature samples")
-    p.add_argument("--discard-fraction", type=float, default=None,
+    p.add_argument("--discard-fraction", type=_parse_fraction, default=None,
                    help="central fraction of raw samples dropped around the trigger")
     p.add_argument("--scenario", default=None, help="scenario supplying analysis defaults")
     p.add_argument("--series-out", metavar="FILE",

@@ -15,17 +15,12 @@ read.  All writes are atomic (temp file + rename) so a crashed run never
 leaves a half-written file behind.
 
 CSV rows of ``%.9g`` fields are rendered by numpy, one chunk of rows at a
-time on the calling thread, into the bytes %-formatting gives.  Each field
-fills 27 character slots in a (slots x rows) uint8 block, NUL where a row
-has no character; the block is transposed into lines and the NULs are
-deleted.  A value x gets e = floor(log10 |x|) and the mantissa
-rint(|x| * 10**(8 - e)).  For |x| in [1e-14, 1e9) the power of ten is
-exact and the product correctly rounded, so that is the correctly rounded
-nine-digit mantissa unless the product lies within 1e-6 of a tie.  %g's
-layout follows: fixed for -4 <= e < 9, else scientific, trailing zeros
-dropped.  A row holding a value numpy does not render this way (not
-finite, outside that range and not zero, or near a tie) is %-formatted on
-its own into its line, padded with NUL, before the NULs are deleted.
+time on the calling thread, into the bytes %-formatting gives: `_render_g`
+fills a block of character slots, NUL where a row has no character, which
+is transposed into lines before the NULs are deleted, and a row holding a
+value it does not render exactly is %-formatted on its own.  Every render
+array is a temporary of one chunk, about 170 bytes a row, gone before the
+next chunk is rendered.
 """
 
 from __future__ import annotations
@@ -46,9 +41,9 @@ DEFAULT_SAMPLE_RATE = 5e8
 #: with a trigger monitor after the volts.
 _CHANNELS = (["volts"], ["volts", "monitor_volts"])
 #: Trace and series writes are rendered and written this many rows at a time.
-#: The CSV render scratch holds 150 bytes per trace row (2.5 MB here);
-#: longer chunks render faster but raise the peak memory of simulate.
-_CHUNK_ROWS = 16_384
+#: A CSV chunk's render temporaries take about 170 bytes a trace row; shorter
+#: chunks call numpy more often, longer ones leave the cache.
+_CHUNK_ROWS = 8_192
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -95,8 +90,8 @@ def _read_sidecar(path: Path) -> dict | None:
 
 #: Powers of ten, 10**k at index k + 1 for k in [-1, 23]; exact for k in [0, 22].
 _POW10 = np.array([10.0**k for k in range(-1, 24)])
-_ZERO, _POINT, _MINUS = b"0.-"
-_COMMA, _NEWLINE = b",\n"
+#: Characters as uint8 scalars, so that arithmetic with them stays in uint8.
+_ZERO, _POINT, _MINUS, _COMMA, _NEWLINE = np.frombuffer(b"0.-,\n", np.uint8)
 #: Character slots of one ``%.9g`` field: a sign; the "0." and up to three
 #: zeros that start a fixed-layout value below 1; nine digits, each followed
 #: by a slot for the point; "e", the exponent's sign and two digits.
@@ -110,153 +105,63 @@ def _slot_table(texts) -> np.ndarray:
     return np.array([list(t.ljust(width, b"\0")) for t in texts], np.uint8).T
 
 
-#: Column -X: what starts a fixed-layout value with decimal exponent X < 0.
-_G_PREFIX = _slot_table([b"", b"0.", b"0.0", b"0.00", b"0.000"])
-#: Column X + 15: the exponent of a scientific-layout value; column 0 blank.
-_G_EXPONENT = _slot_table([b""] + [b"e%+03d" % x for x in range(-14, 10)])
-_DIGIT_INDEX = np.arange(9)[:, None]
-_POW10_INT = (10 ** np.arange(9, dtype=np.uint32))[:, None]
+# %g's layout by decimal exponent X, at column X + 14 of each table: fixed
+# for -4 <= X < 9, else scientific.  X lies in [-14, 9]; 9 only by a carry.
+_G_X = range(-14, 10)
+#: What starts the digits: "0." and -X - 1 zeros for a fixed value below 1.
+_G_PREFIX = _slot_table([b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"" for x in _G_X])
+#: The exponent of a scientific-layout value.
+_G_EXPONENT = _slot_table([b"" if -4 <= x < 9 else b"e%+03d" % x for x in _G_X])
+#: The digit the point follows: X in fixed layout, 0 in scientific, and -1
+#: for a fixed value below 1, whose point is in the prefix.
+_G_AFTER = np.array([x if 0 <= x < 9 else -1 if -4 <= x < 0 else 0 for x in _G_X], np.int8)
+_DIGIT_INDEX = np.arange(9, dtype=np.int8)[:, None]
 
 
-class _CsvLane:
-    """The scratch of `_csv_table`, for chunks of up to `rows` rows of
-    `width` columns: a block with one row per character slot (NUL
-    where a row of the CSV has no character), that block transposed into
-    lines, and the numeric buffers of the field renderer."""
+def _render_g(x) -> tuple[np.ndarray, np.ndarray]:
+    """``%.9g`` of the float64 values `x`: a (`_G_SLOTS`, x.size) uint8
+    block of character slots, NUL where a value has no character, and the
+    mask of the values numpy cannot render exactly, whose slots are left to
+    the %-format: non-finite values, |x| >= 1e9, 0 < |x| < 1e-14, and values
+    whose scaled mantissa lies within 1e-6 of a rounding tie."""
+    a = np.abs(x)
+    zero = a == 0.0
+    bad = ~((zero | (a >= 1e-14)) & (a < 1e9))  # True for nan
+    a[bad | zero] = 1.0
+    # e = floor(log10 |x|), so that s = |x| * 10**(8 - e) lies in [1e8, 1e9).
+    # 10**(8 - e) is exact and the product correctly rounded, so rint(s)
+    # is the correctly rounded nine-digit mantissa unless s is near a tie.
+    # Where log10 rounds across an integer, |x| is within a few ulps of a
+    # power of ten, and s rounds to 1e8 (e is right for the rounded value)
+    # or to 1e9, the carry below.
+    e = np.floor(np.log10(a))
+    s = _POW10[(9.0 - e).astype(np.intp)] * a  # 10**(8 - e) sits at index 9 - e
+    m = np.rint(s)
+    bad |= np.abs(s - m) > 0.5 - 1e-6
+    carry = m == 1e9  # rounding carried into a tenth digit
+    m[carry] = 1e8
+    e += carry
+    m[zero] = 0.0  # a zero has e = 0, from |x| = 1
+    column = (e + 14).astype(np.intp)
 
-    def __init__(self, rows: int, width: int):
-        self.rows = rows
-        self.row_format = ",".join(["%.9g"] * width) + "\n"
-        self.block = np.empty((width * (_G_SLOTS + 1), rows), np.uint8)
-        self.block[_G_SLOTS :: _G_SLOTS + 1] = _COMMA
-        self.block[-1] = _NEWLINE
-        self.text = bytearray(self.block.size)
-        self.lines = np.frombuffer(self.text, np.uint8).reshape(rows, -1)
-        self.f = np.empty((3, rows))
-        self.index = np.empty(rows, np.intp)
-        self.q = np.empty((10, rows), np.uint32)
-        self.i8 = np.empty((2, rows), np.int8)
-        self.b = np.empty((3, rows), bool)
-        self.bb = np.empty((2, 8, rows), bool)
-        self.bad = np.empty(rows, bool)
-
-    def render(self, columns, i: int) -> bytearray:
-        """Rows i, i+1, ... of `columns`, at most `rows` of them, as text."""
-        k = min(self.rows, len(columns[0]) - i)
-        misses = np.flatnonzero(self.fill(columns, i, k))
-        np.copyto(self.lines[:k], self.block[:, :k].T)
-        self.lines[k:] = 0  # the rows past k are NUL throughout
-        # a %.9g field is at most 16 characters ("-1.23456789e-308") and has
-        # 28 slots with its separator, so a row left to the %-format fits its line
-        width = self.lines.shape[1]
-        for r in misses.tolist():
-            row = self.row_format % tuple(c[i + r] for c in columns)
-            self.text[r * width : (r + 1) * width] = row.encode("ascii").ljust(width, b"\0")
-        return self.text.translate(None, b"\0")
-
-    def fill(self, columns, i: int, k: int) -> np.ndarray:
-        """Render rows i to i + k - 1 of `columns` into the first k columns
-        of the block; returns the mask of the rows left to the %-format."""
-        bad = self.bad[:k]
-        bad.fill(False)
-        for j, column in enumerate(columns):
-            start = j * (_G_SLOTS + 1)
-            self._render_g(column[i : i + k], self.block[start : start + _G_SLOTS, :k], bad)
-        return bad
-
-    def _digits(self, slots) -> None:
-        """The decimal digits of ``q[0]`` into the n rows of `slots`, most
-        significant first, leaving ``q[t] = q[0] // 10**t`` for t <= n."""
-        n, k = slots.shape
-        q, digits = self.q[: n + 1, :k], slots[::-1]  # digits[t]: that of 10**t
-        for t in range(1, n + 1):
-            np.floor_divide(q[t - 1], 10, out=q[t])
-        # q[t] - 10 * q[t + 1], in uint8 arithmetic: exact modulo 256
-        np.multiply(q[1:], 10, out=digits, casting="unsafe")
-        np.subtract(q[:-1], digits, out=digits, casting="unsafe")
-        digits += _ZERO
-
-    def _render_g(self, x, slots, bad) -> None:
-        """``%.9g`` of the float64 values `x` into the `_G_SLOTS` rows of
-        `slots`.  Rows the numpy path cannot render exactly are or-ed into
-        `bad`: non-finite values, |x| >= 1e9, 0 < |x| < 1e-14, and values
-        whose scaled mantissa lies within 1e-6 of a rounding tie."""
-        k = x.size
-        a, e, s = self.f[:, :k]
-        index = self.index[:k]
-        X, after = self.i8[:, :k]
-        b, c, zero = self.b[:, :k]
-
-        np.signbit(x, out=b)
-        np.multiply(b, _MINUS, out=slots[0], casting="unsafe")
-        np.abs(x, out=a)
-        np.equal(a, 0.0, out=zero)
-        np.greater_equal(a, 1e-14, out=b)
-        b |= zero
-        np.less(a, 1e9, out=c)  # False for nan
-        b &= c
-        np.logical_not(b, out=c)
-        bad |= c
-        c |= zero
-        np.copyto(a, 1.0, where=c)
-        # e = floor(log10 |x|), so that s = |x| * 10**(8 - e) lies in [1e8, 1e9).
-        # 10**(8 - e) is exact and the product correctly rounded, so rint(s)
-        # is the correctly rounded nine-digit mantissa unless s is near a tie.
-        # Where log10 rounds across an integer, |x| is within a few ulps of a
-        # power of ten, and s rounds to 1e8 (e is right for the rounded value)
-        # or to 1e9, the carry below.
-        np.log10(a, out=e)
-        np.floor(e, out=e)
-        np.subtract(9.0, e, out=s)  # the index of 10**(8 - e) in _POW10
-        np.copyto(index, s, casting="unsafe")
-        np.take(_POW10, index, out=s)
-        s *= a
-        np.rint(s, out=a)
-        np.subtract(s, a, out=s)
-        np.abs(s, out=s)
-        np.greater(s, 0.5 - 1e-6, out=b)
-        bad |= b
-        np.equal(a, 1e9, out=b)  # rounding carried into a tenth digit
-        np.copyto(a, 1e8, where=b)
-        e += b
-        np.logical_or(zero, bad, out=c)
-        np.copyto(a, 0.0, where=c)
-        np.copyto(e, 0.0, where=c)
-        np.copyto(X, e, casting="unsafe")
-        np.copyto(self.q[0, :k], a, casting="unsafe")
-        digits = slots[_G_DIGITS]
-        self._digits(digits)
-
-        # %g's rule: fixed layout for -4 <= X < 9 (b), else scientific (c)
-        np.greater_equal(X, -4, out=b)
-        np.less(X, 9, out=c)
-        b &= c
-        np.logical_not(b, out=c)
-        # the digit the point follows: X in fixed layout, 0 in scientific,
-        # and -1 for a fixed value below 1, which begins "0." and -X - 1 zeros
-        np.maximum(X, -1, out=after)
-        np.copyto(after, 0, where=c)
-        np.equal(after, -1, out=zero)
-        np.negative(X, out=index, casting="unsafe")
-        index *= zero
-        np.take(_G_PREFIX, index, axis=1, out=slots[1:6], mode="clip")
-        # drop digit j > after when it and every digit after it are zero,
-        # that is when the mantissa q[0] is divisible by 10**(9 - j)
-        q = self.q[:, :k]
-        divisible, dropped = self.bb[:, :, :k]
-        q[1:9] *= _POW10_INT[1:]
-        np.equal(q[1:9], q[0], out=divisible)  # row t - 1: divisible by 10**t
-        np.greater(_DIGIT_INDEX[1:], after, out=dropped)
-        dropped &= divisible[::-1]
-        np.copyto(digits[1:], 0, where=dropped)
-        # the point follows digit j when j == after and digit j + 1 stays
-        point = divisible
-        np.equal(_DIGIT_INDEX[:8], after, out=point)
-        np.greater(point, dropped, out=point)
-        np.multiply(point, _POINT, out=slots[_G_POINTS], casting="unsafe")
-        np.add(X, 15, out=index, casting="unsafe")
-        index *= c
-        np.take(_G_EXPONENT, index, axis=1, out=slots[23:27], mode="clip")
+    slots = np.empty((_G_SLOTS, x.size), np.uint8)
+    slots[0] = np.signbit(x) * _MINUS
+    slots[1:6] = np.take(_G_PREFIX, column, axis=1)
+    slots[23:27] = np.take(_G_EXPONENT, column, axis=1)
+    digits = slots[_G_DIGITS]
+    q = m.astype(np.uint32)
+    for j in range(8, -1, -1):  # digit j of m, most significant first
+        tenth = q // 10
+        digits[j] = q - 10 * tenth + _ZERO
+        q = tenth
+    # %g drops the zeros that end the fraction: the digits after `last`,
+    # the later of the point's digit and the last digit that is not zero
+    after = _G_AFTER[column]
+    last = np.maximum(after, np.max(_DIGIT_INDEX * (digits != _ZERO), axis=0))
+    digits *= _DIGIT_INDEX <= last
+    # the point follows digit `after` when a digit follows it
+    slots[_G_POINTS] = (_DIGIT_INDEX[:8] == np.where(after < last, after, -1)) * _POINT
+    return slots, bad
 
 
 def _csv_table(header: str, *columns):
@@ -267,10 +172,25 @@ def _csv_table(header: str, *columns):
     holding a value its renderer does not take is %-formatted instead.
     """
     yield header.encode("ascii")
+    row_format = ",".join(["%.9g"] * len(columns)) + "\n"
     n = len(columns[0])
-    lane = _CsvLane(min(n, _CHUNK_ROWS), len(columns))
     for i in range(0, n, _CHUNK_ROWS):
-        yield lane.render(columns, i)
+        k = min(_CHUNK_ROWS, n - i)
+        # each field's slots and its separator: a comma, or the newline
+        block = np.empty((len(columns), _G_SLOTS + 1, k), np.uint8)
+        block[:, _G_SLOTS] = _COMMA
+        block[-1, _G_SLOTS] = _NEWLINE
+        bad = np.zeros(k, bool)
+        for field, column in zip(block, columns):
+            field[:_G_SLOTS], field_bad = _render_g(column[i : i + k])
+            bad |= field_bad
+        lines = block.reshape(-1, k)
+        # a %.9g field is at most 16 characters ("-1.23456789e-308") and has
+        # 28 slots with its separator, so a row left to the %-format fits
+        for r in np.flatnonzero(bad).tolist():
+            row = row_format % tuple(column[i + r] for column in columns)
+            lines[:, r] = np.frombuffer(row.encode("ascii").ljust(len(lines), b"\0"), np.uint8)
+        yield lines.T.tobytes().translate(None, b"\0")
 
 
 def write_trace_csv(path, volts, sample_rate: float, meta: dict | None = None) -> None:

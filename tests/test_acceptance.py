@@ -51,20 +51,15 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 def _analyze_scenario_run(doc, seed, duration=None, window=None, max_delay=8):
     cfg = cli.scenario_synth_config(doc, seed=seed, duration=duration)
-    sig = synth.synthesize_pair(cfg)
-    ref = synth.synthesize_shot_noise(cfg)
-    stats = [pipeline.shot_noise_stats(t.samples) for t in ref]
-    q = [
-        pipeline.raw_to_quadratures(t.samples, s, cfg.sample_rate)
-        for t, s in zip(sig, stats)
-    ]
-    sq = [
-        pipeline.raw_to_quadratures(t.samples, s, cfg.sample_rate)
-        for t, s in zip(ref, stats)
-    ]
-    return pipeline.analysis_report(
-        q[0].q, q[1].q, sq[0].q, sq[1].q, window=window, max_delay=max_delay
+    # each raw trace is reduced once, as `sqzkit analyze` does
+    sig, ref = (
+        [pipeline.discard_average4(t.samples, pipeline.DISCARD_FRACTION) for t in pair]
+        for pair in (synth.synthesize_pair(cfg), synth.synthesize_shot_noise(cfg))
     )
+    stats = [pipeline.ShotNoiseStats.from_samples(v) for v in ref]
+    rate = cfg.sample_rate / pipeline.RAW_PER_QUADRATURE
+    q, sq = ([pipeline.normalize(v, s, rate).q for v, s in zip(part, stats)] for part in (sig, ref))
+    return pipeline.analysis_report(q[0], q[1], sq[0], sq[1], window=window, max_delay=max_delay)
 
 
 def test_criterion_01_analytic_reference_points():

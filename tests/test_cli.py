@@ -299,6 +299,38 @@ def test_analyze_window_flag_is_checked_by_argparse(capsys):
     assert "--window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fraction", ["1", "-0.1", "nan", "abc"])
+def test_analyze_discard_fraction_flag_is_checked_by_argparse(capsys, fraction):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--discard-fraction", fraction])
+    assert exc.value.code == 2
+    assert "--discard-fraction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "volts, says",
+    [
+        (np.zeros(0), "discard region covers the whole trace"),
+        (np.ones(3), "trace too short to average"),
+        (np.ones(5), "need at least 2 samples for shot-noise stats"),
+        (np.ones(64), "shot-noise variance must be positive"),
+    ],
+    ids=["empty", "three-samples", "five-samples", "constant"],
+)
+def test_analyze_names_a_trace_it_cannot_reduce(capsys, tmp_path, volts, says):
+    signal, shot = tmp_path / "signal.f32", tmp_path / "shot.f32"  # no sidecars
+    np.random.default_rng(0).standard_normal(64).astype("<f4").tofile(signal)
+    volts.astype("<f4").tofile(shot)
+    code, _, err = run_cli(
+        capsys, "analyze", "--trace", str(signal), "--trace", str(signal),
+        "--shot-noise", str(shot), "--shot-noise", str(shot),
+    )
+    assert code == 1
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "ScenarioFormatError"
+    assert diag["message"] == f"{shot}: {says}"
+
+
 def _analyze_args(files):
     return (
         "analyze",

@@ -3,7 +3,9 @@
 import dataclasses
 import functools
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,3 +367,13 @@ def test_chain_is_invariant_to_scaling_the_raw_traces(c):
 @given(offset=st.floats(-10.0, 10.0))
 def test_chain_is_invariant_to_a_dc_offset_on_the_raw_traces(offset):
     _assert_same_report(_chain_report(lambda v: v + offset))
+
+
+def test_readme_python_api_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Python API", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    squeezing, antisqueezing, error = map(float, out.splitlines()[-1].split())
+    assert squeezing < 0 < antisqueezing and 0 < error < 1, out

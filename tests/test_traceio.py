@@ -5,6 +5,7 @@ import json
 import math
 import re
 import threading
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -213,14 +214,12 @@ def test_csv_writers_start_no_thread(tmp_path, monkeypatch):
     assert (tmp_path / "s.csv").read_text() == series_text
 
 
-def _numpy_rows(*columns):
-    """Each row as numpy renders it, or None where it leaves the row to the
-    %-format."""
-    n = len(columns[0])
-    lane = traceio._CsvLane(n, len(columns))
-    misses = lane.fill(columns, 0, n)
-    lines = lane.block[:, :n].T
-    return [None if miss else bytes(line).replace(b"\0", b"").decode() for line, miss in zip(lines, misses)]
+def _numpy_rows(x):
+    """Each value's line as numpy renders it, or None where it leaves the
+    value to the %-format."""
+    slots, misses = traceio._render_g(x)
+    lines = (bytes(field).replace(b"\0", b"").decode() + "\n" for field in slots.T)
+    return [None if miss else line for line, miss in zip(lines, misses)]
 
 
 def _near_a_tie(v: float) -> bool:
@@ -280,6 +279,22 @@ def test_a_synthesized_trace_takes_the_numpy_path(tmp_path, monkeypatch):
         traceio.write_trace_csv(tmp_path / "t.csv", volts, trace.sample_rate)
         want = "".join(f"{v:.9g}\n" for v in volts)
         assert (tmp_path / "t.csv").read_text() == "volts\n" + want
+
+
+def test_csv_write_memory_does_not_grow_with_the_trace(tmp_path):
+    # every render array is a temporary of one chunk, of about 170 bytes a
+    # row; the peaks on 2 and 16 chunks differ by less than its 28-byte-a-row
+    # slot block, which rendering or holding the whole trace would exceed
+    peaks = []
+    for chunks in (2, 16):
+        volts = 0.05 * np.random.default_rng(chunks).standard_normal(chunks * traceio._CHUNK_ROWS)
+        tracemalloc.start()
+        try:
+            traceio.write_trace_csv(tmp_path / "t.csv", volts, 1e6)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 28 * traceio._CHUNK_ROWS, peaks
 
 
 def test_binary_writer_writes_volts(tmp_path, monkeypatch):
