@@ -8,25 +8,50 @@ numpy; `traceio` writes every trace and series through here.
 
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+
+
+@contextmanager
+def atomic_files(paths):
+    """Binary files, one per path, open on temp files in their targets'
+    directories.  When the block ends they are closed and renamed over their
+    paths, in order.  If the block raises, or a close or rename fails, every
+    temp file and every path already renamed is removed, so that all of the
+    paths are written or none is."""
+    paths = [Path(path) for path in paths]
+    tmps, files, renamed = [], [], []
+    try:
+        for path in paths:
+            fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+            tmps.append(tmp)
+            files.append(os.fdopen(fd, "wb"))
+        yield files
+        for fh in files:
+            fh.close()
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+            renamed.append(path)
+    except BaseException:
+        for fh in files:
+            try:
+                fh.close()
+            except OSError:
+                pass
+        for name in tmps[len(renamed) :] + renamed:
+            try:
+                os.unlink(name)
+            except OSError:
+                pass
+        raise
 
 
 def atomic_write(path, chunks) -> None:
     """Write the bytes-like `chunks` one after another to a temp file, then
     rename it over `path`."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_files([path]) as (fh,):
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -296,14 +296,6 @@ def _cmd_expect(args) -> dict:
     return report
 
 
-def _trace_writer(fmt: str):
-    from . import traceio
-
-    if fmt == "csv":
-        return traceio.write_trace_csv, ".csv"
-    return traceio.write_trace_binary, ".f32"
-
-
 def _cmd_simulate(args) -> dict:
     from . import synth, traceio
 
@@ -311,20 +303,19 @@ def _cmd_simulate(args) -> dict:
     config = scenario_synth_config(doc, seed=args.seed, duration=args.duration)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write, ext = _trace_writer(args.trace_format)
 
-    # One pair of traces at a time: each pair is written, and every
-    # reference to it dropped, before the next one is synthesized.
+    # Each pair streams from the synthesizer into its two files a block at
+    # a time, each channel on its own thread; a pair's files and sidecars
+    # all appear when it is done, or none does.
     files = {}
-    draws = (("signal", synth.synthesize_pair), ("shot_noise", synth.synthesize_shot_noise))
-    for family, draw in draws:
-        pair = draw(config)
-        for arm, trace in zip((ARM_FIRST, ARM_SECOND), pair):
-            stem = f"{family}_{arm}"
-            path = out_dir / (stem + ext)
-            write(path, trace.samples, trace.sample_rate, trace.meta)
-            files[stem] = str(path)
-        del pair, trace
+    draws = (("signal", synth.stream_pair), ("shot_noise", synth.stream_shot_noise))
+    for family, stream in draws:
+        stems = [f"{family}_{arm}" for arm in (ARM_FIRST, ARM_SECOND)]
+        paths = [out_dir / f"{stem}.{args.trace_format}" for stem in stems]
+        traceio.write_traces(
+            paths, args.trace_format, config.sample_rate, lambda sinks: stream(config, *sinks)
+        )
+        files.update((stem, str(path)) for stem, path in zip(stems, paths))
     meta = {
         "scenario": doc.get("name", ""),
         "synthesis": asdict(config),
@@ -378,12 +369,22 @@ def _cmd_analyze(args) -> dict:
         args.discard_fraction if args.discard_fraction is not None else defaults["discard_fraction"]
     )
 
-    # One raw trace at a time: each is checked against the ones before it,
-    # reduced to its 4-sample averages and dropped before the next is read.
+    # One raw trace at a time, one chunk at a time: each chunk is reduced to
+    # its 4-sample averages as it is read, and each trace is checked against
+    # the ones before it.  Of a trace's faults, a non-finite sample comes
+    # first, then its rate, its length, and last what stops its reduction,
+    # so a trace that cannot be reduced is still read to the end.
     paths = [*args.trace, *args.shot_noise]
     averaged, sn_stats = [], []
     for k, path in enumerate(paths):
-        volts, trace_rate = traceio.read_trace(path)
+        chunks, n, trace_rate = traceio.read_trace_chunks(path)
+        fault = None
+        try:
+            reduced = pipeline.discard_average4(chunks, fraction, n)
+        except InvalidArgumentError as exc:  # empty, or too short
+            fault = exc
+            for _ in chunks:
+                pass
         if k == 0:
             rate = trace_rate
         elif trace_rate != rate:
@@ -391,21 +392,21 @@ def _cmd_analyze(args) -> dict:
                 f"{path}: sample rate {trace_rate:g} Hz differs from {rate:g} Hz of {paths[0]}"
             )
         if k % 2 == 0:
-            first_size = volts.size
-        elif volts.size != first_size:
-            raise ScenarioFormatError(
-                f"{path}: {volts.size} samples, but {paths[k - 1]} has {first_size}"
-            )
-        try:
-            averaged.append(pipeline.discard_average4(volts, fraction))
-            if k >= 2:  # a shot-noise trace calibrates its detector
-                sn_stats.append(pipeline.ShotNoiseStats.from_samples(averaged[-1]))
-        except InvalidArgumentError as exc:  # too short, or constant shot noise
-            raise ScenarioFormatError(f"{path}: {exc}") from exc
-        del volts
+            first_size = n
+        elif n != first_size:
+            raise ScenarioFormatError(f"{path}: {n} samples, but {paths[k - 1]} has {first_size}")
+        if fault is None and k >= 2:  # a shot-noise trace calibrates its detector
+            try:
+                sn_stats.append(pipeline.ShotNoiseStats.from_samples(reduced))
+            except InvalidArgumentError as exc:  # constant shot noise
+                fault = exc
+        if fault is not None:
+            raise ScenarioFormatError(f"{path}: {fault}") from fault
+        averaged.append(reduced)
+    # normalized in place: the averages are this command's own arrays
     quadrature_rate = rate / pipeline.RAW_PER_QUADRATURE
     quads, sn_quads = (
-        [pipeline.normalize(v, sn, quadrature_rate) for v, sn in zip(part, sn_stats)]
+        [pipeline.normalize(v, sn, quadrature_rate, out=v) for v, sn in zip(part, sn_stats)]
         for part in (averaged[:2], averaged[2:])
     )
     del averaged

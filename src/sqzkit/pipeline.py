@@ -111,65 +111,88 @@ def average4(samples) -> np.ndarray:
     return out
 
 
-def _kept_parts(v, fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    """The samples before and after the central `fraction` of v, as views."""
-    v = _as_1d(v)
+def _discarded(n: int, fraction: float) -> tuple[int, int]:
+    """(start, cut): the central `fraction` of n samples is [start, start + cut)."""
     if not 0.0 <= fraction < 1.0:
         raise InvalidArgumentError("fraction must be in [0, 1)")
-    cut = int(round(v.size * fraction))
-    if cut >= v.size:
+    cut = int(round(n * fraction))
+    if cut >= n:
         raise InvalidArgumentError("discard region covers the whole trace")
-    start = (v.size - cut) // 2
-    return v[:start], v[start + cut :]
+    return (n - cut) // 2, cut
 
 
 def discard_trigger_region(v, fraction: float = DISCARD_FRACTION) -> np.ndarray:
     """Drop the central `fraction` of samples (the trigger neighborhood)."""
-    return np.concatenate(_kept_parts(v, fraction))
+    v = _as_1d(v)
+    start, cut = _discarded(v.size, fraction)
+    return np.concatenate([v[:start], v[start + cut :]])
 
 
-def discard_average4(raw_samples, fraction: float) -> np.ndarray:
+def discard_average4(raw_samples, fraction: float, n_samples: int | None = None) -> np.ndarray:
     """``average4(discard_trigger_region(raw_samples, fraction))``, bit for
     bit, without copying the kept samples into one array first: the one
     reduction a raw trace goes through.  `shot_noise_stats` and
     `raw_to_quadratures` are this followed by `ShotNoiseStats.from_samples`
-    and `normalize`; a caller holding one raw trace at a time, as ``sqzkit
-    analyze`` does, reduces each with this and drops it.
+    and `normalize`.
 
-    The head's whole groups and the tail's are summed in place; the one
-    group that straddles the cut (the head's last ``head.size % 4`` samples
-    and the tail's first ones) is summed on its own, in the same order.
-    The tail is never shorter than the head, so it completes that group.
+    `raw_samples` is one array; or, with `n_samples`, an iterable of 1-D
+    arrays that hold the trace's n_samples samples in order, each reduced
+    as it arrives, so a caller reading a trace a chunk at a time, as
+    ``sqzkit analyze`` does, never holds it whole.  The layout is checked
+    before the first chunk is taken.
+
+    Groups of 4 that lie in one chunk, on one side of the cut, are summed
+    by `_sum4`; a group that straddles a chunk boundary or the cut is summed
+    on its own, in the same order.
     """
-    head, tail = _kept_parts(raw_samples, fraction)
-    n = (head.size + tail.size) // RAW_PER_QUADRATURE
+    if n_samples is None:
+        raw_samples = [_as_1d(raw_samples)]
+        n_samples = raw_samples[0].size
+    start, cut = _discarded(n_samples, fraction)
+    n = (n_samples - cut) // RAW_PER_QUADRATURE
     if n == 0:
         raise InvalidArgumentError("trace too short to average")
     out = np.empty(n)
-    k = head.size // RAW_PER_QUADRATURE
-    _sum4(head[: RAW_PER_QUADRATURE * k], out[:k])
-    rest = head.size - RAW_PER_QUADRATURE * k
-    if rest:
-        group = [*head[-rest:], *tail[: RAW_PER_QUADRATURE - rest]]
-        out[k] = ((group[0] + group[1]) + group[2]) + group[3]
-        tail = tail[RAW_PER_QUADRATURE - rest :]
-        k += 1
-    _sum4(tail[: RAW_PER_QUADRATURE * (n - k)], out[k:])
+    k, group, at = 0, [], 0  # groups done, the samples of the open group, samples taken
+    for chunk in raw_samples:
+        chunk = _as_1d(chunk, "chunk")
+        if at + chunk.size > n_samples:
+            raise InvalidArgumentError(f"the chunks hold more than {n_samples} samples")
+        # the kept samples of the chunk: those before the cut, then those after it
+        for part in (chunk[: max(start - at, 0)], chunk[max(start + cut - at, 0) :]):
+            if group:
+                need = RAW_PER_QUADRATURE - len(group)
+                group += part[:need].tolist()
+                if len(group) < RAW_PER_QUADRATURE:
+                    continue
+                out[k] = ((group[0] + group[1]) + group[2]) + group[3]
+                k += 1
+                part = part[need:]
+            whole = part.size // RAW_PER_QUADRATURE
+            _sum4(part[: RAW_PER_QUADRATURE * whole], out[k : k + whole])
+            k += whole
+            group = part[RAW_PER_QUADRATURE * whole :].tolist()
+        at += chunk.size
+    if at < n_samples:
+        raise InvalidArgumentError(f"the chunks hold {at} samples, not {n_samples}")
     out /= RAW_PER_QUADRATURE
     return out
 
 
-def normalize(v_avg, sn: ShotNoiseStats, quadrature_rate: float = 1.25e8) -> QuadratureTrace:
+def normalize(
+    v_avg, sn: ShotNoiseStats, quadrature_rate: float = 1.25e8, out: np.ndarray | None = None
+) -> QuadratureTrace:
     """Shot-noise-normalize averaged voltages to quadrature values.
 
     q[k] = (V_avg[k] - mean) * sqrt((1/2) / variance): a pure shot-noise
     input reproduces vacuum statistics (mean 0, variance 1/2) by construction.
     ``sn`` must come from a shot-noise trace pushed through the same
-    discard+average path (see `shot_noise_stats`).
+    discard+average path (see `shot_noise_stats`).  ``out`` (which may be
+    v_avg itself) receives q instead of a new array.
     """
     v = _as_1d(v_avg, "averaged trace")
     scale = math.sqrt(QUADRATURE_VACUUM_VARIANCE / sn.variance)
-    q = v - sn.mean
+    q = np.subtract(v, sn.mean, out=out)
     q *= scale
     return QuadratureTrace(q, quadrature_rate)
 
@@ -284,7 +307,8 @@ def align(q1, q2, delay: int, max_delay: int) -> tuple[np.ndarray, np.ndarray]:
 
     The trim is delay-independent so every candidate in [-max_delay,
     +max_delay] maps onto the same index set; output length is
-    len(q) - 2*max_delay for any accepted delay.
+    len(q) - 2*max_delay for any accepted delay.  Returns read-only views
+    of the inputs, not copies.
     """
     a, b = _as_1d(q1, "q1"), _as_1d(q2, "q2")
     if a.size != b.size:
@@ -294,7 +318,10 @@ def align(q1, q2, delay: int, max_delay: int) -> tuple[np.ndarray, np.ndarray]:
     if a.size <= 2 * max_delay:
         raise InvalidArgumentError("trace shorter than the alignment trim")
     lo, hi = max_delay, a.size - max_delay
-    return a[lo:hi].copy(), b[lo + delay : hi + delay].copy()
+    a, b = a[lo:hi], b[lo + delay : hi + delay]
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
 
 
 def squeezing_report(q1, q2, sn1, sn2, window: int | None = None) -> dict:
@@ -318,21 +345,20 @@ def squeezing_report(q1, q2, sn1, sn2, window: int | None = None) -> dict:
 
     min_ratio, max_ratio, spreads = math.inf, -math.inf, []
     for combine in (np.add, np.subtract):
-        sig = combine(a, b)
         ref_series = combine(ra, rb)
         ref = float(ref_series.var(ddof=1))
         if ref <= 0.0:
             raise DegenerateInputError("shot-noise reference variance is zero")
-        w_sig = window if window is not None else sig.size
         w_ref = window if window is not None else ref_series.size
-        ratios = rolling_variance(sig, w_sig)
+        if w_ref == ref_series.size:
+            ref_series = None  # one window has no spread; drop it before sig is made
+        sig = combine(a, b)
+        ratios = rolling_variance(sig, window if window is not None else sig.size)
+        del sig
         ratios /= ref
         min_ratio = min(min_ratio, float(ratios.min()))
         max_ratio = max(max_ratio, float(ratios.max()))
-        if w_ref == ref_series.size:
-            spread = 0.0  # one window has no spread
-        else:
-            spread = float(rolling_variance(ref_series, w_ref).std(ddof=1))
+        spread = 0.0 if ref_series is None else float(rolling_variance(ref_series, w_ref).std(ddof=1))
         spreads.append(spread / ref)
 
     if min_ratio <= 0.0:

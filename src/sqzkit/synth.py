@@ -11,20 +11,24 @@ Everything is reproducible: one integer seed, expanded through named
 counter-based streams, so individual noise sources can be regenerated
 independently of each other.
 
-A draw runs in three steps, each split over the two threads of
-`_kernels.run_both`: the two channels' normal draws; the Cholesky mixing of
-channel 2 (and the phase angles it needs), by halves of the grid, 65 536
-samples at a time; then each channel's band filter and electronics noise.
-The filter is overlap-save convolution (Stockham, AFIPS SJCC 1966) in
-fixed `BLOCK`-point FFTs that fit in cache, done in place in the channel's
-own buffer.  Phase models that draw from a random stream get their angles
-for the whole grid on the calling thread first, so the draw order, and so
-every sample, does not depend on the split.
+A pair is made one overlap-save block of the band filter at a time
+(Stockham, AFIPS SJCC 1966), so its working memory does not grow with the
+trace.  Each channel runs on its own thread of `_kernels.run_both`.  Per
+block, a channel draws the BLOCK - FILTER_TAPS + 1 new normals of its stream
+after the FILTER_TAPS - 1 it carries over from the block before, filters the
+block with one BLOCK-point FFT, adds electronics noise to the outputs that
+fall in its n-sample window, scales them to volts and hands them to its sink.
+Channel 2 is mixed with channel 1's normals, which channel 1's thread
+passes on through a `_Handoff` of two slots; each thread computes the
+mixing factors of every other block.  Phase models that draw from a random
+stream take their angles over the whole grid on the calling thread first,
+so their draw order does not depend on the blocks.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -38,7 +42,8 @@ from .tmsv import lossy_tmsv_moments
 FILTER_TAPS = 16385
 
 #: FFT length of one overlap-save block of the band filter; each block
-#: yields BLOCK - FILTER_TAPS + 1 output samples.
+#: yields BLOCK - FILTER_TAPS + 1 output samples.  With no band, a block is
+#: BLOCK new samples.
 BLOCK = 65_536
 
 # Stream numbering for the counter-based RNG: families separate statistically
@@ -51,10 +56,6 @@ _STREAM_ELEC1 = 2
 _STREAM_ELEC2 = 3
 _STREAM_PHASE_B = 4
 _STREAM_PHASE_C = 5
-
-#: Channel mixing runs, and electronics noise is drawn, this many samples
-#: at a time.
-_CHUNK = 65_536
 
 #: Width and height of the monitor channel's trigger pulse, which starts at
 #: the middle sample of every acquisition.
@@ -116,65 +117,67 @@ def _filter_spectrum(low_hz: float, high_hz: float, fs: float) -> np.ndarray:
     return spectrum
 
 
-def _filter_valid(x: np.ndarray, spectrum: np.ndarray, buf: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """'valid' part of the convolution of x with the band-pass taps,
-    filtered in place by overlap-save; returns the output, x[:x.size -
-    FILTER_TAPS + 1].
-
-    `spectrum` is `_filter_spectrum`; `buf` (BLOCK floats) and `work`
-    (BLOCK // 2 + 1 complex) are scratch.  Each block transforms
-    x[j : j + BLOCK], zero-padded past the end of x; its circular outputs
-    [FILTER_TAPS - 1, BLOCK) never wrap, so they are the linear outputs
-    j onwards.  Output j reads only x[j : j + FILTER_TAPS], so writing it
-    into x[j] leaves every input a later block reads untouched.
-    """
-    step = BLOCK - FILTER_TAPS + 1
-    n_out = x.size - FILTER_TAPS + 1
-    for j in range(0, n_out, step):
-        k = min(step, n_out - j)
-        np.fft.rfft(x[j : j + BLOCK], BLOCK, out=work)
-        work *= spectrum
-        np.fft.irfft(work, BLOCK, out=buf)
-        x[j : j + k] = buf[FILTER_TAPS - 1 : FILTER_TAPS - 1 + k]
-    return x[:n_out]
-
-
-def _add_scaled_normals(x: np.ndarray, rng: np.random.Generator, sigma: float, chunk: np.ndarray) -> None:
-    """x += sigma * standard normals, drawn one `chunk` at a time; the same
-    samples as ``x + rng.normal(0, sigma, x.size)``."""
-    for i in range(0, x.size, chunk.size):
-        part = chunk[: x.size - i]
-        rng.standard_normal(out=part)
-        part *= sigma
-        x[i : i + part.size] += part
-
-
 def _draws(phase: PhaseModel) -> bool:
     """Whether `phase.angles` draws from its random stream."""
     return phase.kind == "noise_injected" or phase.transient_jitter_rms > 0
 
 
-def _synthesize(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
+class _Handoff:
+    """Slots passed from one thread to another and back, in order: the
+    producer `take`s a free slot, fills it and `put`s it; the consumer `get`s
+    it and `release`s it when done.  A side that fails `close`s the handoff,
+    and from then on `take` and `get` return None, so the other side stops
+    instead of waiting for a thread that has died."""
+
+    def __init__(self, slots):
+        self._free, self._full = list(slots), []
+        self._changed = threading.Condition()
+        self._closed = False
+
+    def _pop(self, items):
+        with self._changed:
+            while not (items or self._closed):
+                self._changed.wait()
+            return None if self._closed else items.pop(0)
+
+    def _push(self, items, slot):
+        with self._changed:
+            items.append(slot)
+            self._changed.notify_all()
+
+    def take(self):
+        return self._pop(self._free)
+
+    def put(self, slot):
+        self._push(self._full, slot)
+
+    def get(self):
+        return self._pop(self._full)
+
+    def release(self, slot):
+        self._push(self._free, slot)
+
+    def close(self):
+        with self._changed:
+            self._closed = True
+            self._changed.notify_all()
+
+
+def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, dict]:
+    """Hand each channel's n volts to its sink, as `stream_pair` describes;
+    returns the two channels' meta."""
     n = config.n_samples
     fs = config.sample_rate
     delay = config.relative_delay_samples
     band = config.detector_band
-    # Extended grid so 'valid' convolution lands on exactly n + |delay|
-    # samples, from which each channel takes its own n-sample window.
-    pad = FILTER_TAPS - 1 if band is not None else 0
-    n_ext = n + abs(delay) + pad
-
-    # Each channel lives in one n_ext-sample buffer from its draw to its
-    # volts, and is filtered in place.  The channels are independent streams,
-    # so their draws, and later their filters and electronics noise, run on
-    # two threads; the mixing in between splits the grid in two halves.
-    # Every buffer is allocated here, on the calling thread (see `_kernels`).
-    x1, x2 = np.empty(n_ext), np.empty(n_ext)
     seed = config.rng_seed
-    _kernels.run_both(
-        lambda: _rng(seed, family, _STREAM_G1).standard_normal(out=x1),
-        lambda: _rng(seed, family, _STREAM_G2).standard_normal(out=x2),
-    )
+    # The extended grid: its 'valid' convolution is n + |delay| samples, from
+    # which each channel takes its own n-sample window.  Block j (a multiple
+    # of `step`) filters grid samples [j, j + BLOCK) into outputs [j, j + step).
+    pad = FILTER_TAPS - 1 if band is not None else 0
+    step = BLOCK - pad
+    n_out = n + abs(delay)
+    size = min(BLOCK, n_out + pad)
 
     v1, v2, cross = lossy_tmsv_moments(config.r, config.t_b, config.t_c)
     sd1, sd2 = math.sqrt(v1), math.sqrt(v2)
@@ -182,82 +185,132 @@ def _synthesize(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
     theta = None
     if cross != 0.0 and (_draws(phase_b) or _draws(phase_c)):
         # A phase that draws from its stream takes its angles here, over the
-        # whole grid, so its draws come in one order whatever the split.
-        t = (np.arange(n_ext) - pad // 2) / fs
+        # whole grid, so its draws come in one order whatever the blocks.
+        t = (np.arange(n_out + pad) - pad // 2) / fs
         theta = phase_b.angles(t, _rng(seed, family, _STREAM_PHASE_B))
         theta += phase_c.angles(t, _rng(seed, family, _STREAM_PHASE_C))
         del t
-
-    def mix(lo, hi, resid):
-        for i in range(lo, hi, _CHUNK):
-            j = min(i + _CHUNK, hi)
-            g1, g2 = x1[i:j], x2[i:j]
-            if cross == 0.0:
-                # Uncorrelated quadratures (r = 0, or no light on one arm):
-                # the mixing below reduces to exactly this at cov == 0.
-                g2 *= sd2
-            else:
-                if theta is None:
-                    t = (np.arange(i, j) - pad // 2) / fs
-                    cov = phase_b.angles(t, None)
-                    cov += phase_c.angles(t, None)
-                else:
-                    cov = theta[i:j]
-                # Per-sample 2x2 covariance of the two detector quadratures:
-                # the cross term swings with cos(theta_b + theta_c), so
-                # sweeping either phase moves the joint variance between the
-                # squeezed and anti-squeezed values.  Cholesky mixing of the
-                # two unit-variance streams gives that covariance:
-                # x2 = (cov / sd1) * g1 + sqrt(max(v2 - cov^2 / v1, 0)) * g2.
-                np.cos(cov, out=cov)
-                cov *= cross
-                r = np.multiply(cov, cov, out=resid[: j - i])
-                r /= v1
-                np.subtract(v2, r, out=r)
-                np.maximum(r, 0.0, out=r)
-                g2 *= np.sqrt(r, out=r)
-                cov /= sd1
-                cov *= g1
-                g2 += cov
-            g1 *= sd1
-
-    if band is not None:
-        spectrum = _filter_spectrum(band[0], band[1], fs)
+    spectrum = _filter_spectrum(band[0], band[1], fs) if band is not None else None
     sigma_e = None
     if config.electronics_noise_db is not None:
         sigma_e = 10.0 ** (-config.electronics_noise_db / 20.0)
 
-    def finish(x, start, stream, chunk, buf, work):
-        if band is not None:
-            x = _filter_valid(x, spectrum, buf, work)
-        # Channel 2 lags channel 1 by `delay` samples: x2[i] pairs with x1[i - delay].
-        x = x[start : start + n]
-        # Electronics noise is white and unfiltered: it originates after the
-        # detection band, at -clearance dB relative to shot noise (variance 1).
-        if sigma_e is not None:
-            _add_scaled_normals(x, _rng(seed, family, stream), sigma_e, chunk)
-        x *= config.shot_noise_volts_rms
-        return x
+    # Per-sample 2x2 covariance of the two detector quadratures: the cross
+    # term swings with cos(theta_b + theta_c), so sweeping either phase moves
+    # the joint variance between the squeezed and anti-squeezed values.
+    # Cholesky mixing of the two unit-variance streams gives that covariance:
+    # x2 = sqrt(max(v2 - cov^2 / v1, 0)) * g2 + (cov / sd1) * g1.  Channel 1
+    # passes g1 on in a slot of the handoff, with the two factors of every
+    # other block computed; channel 2 computes those of the rest, and
+    # applies them.
+    mixing = cross != 0.0
+    handoff = _Handoff((np.empty(size), np.empty(size)) for _ in range(2 if mixing else 0))
+    scratch1, scratch2 = (np.empty(size) if mixing else None for _ in range(2))
 
-    def scratch():
-        """One thread's scratch: a chunk, and the filter's block buffers."""
-        chunk = np.empty(min(_CHUNK, n_ext))
-        if band is None:
-            return chunk, None, None
-        return chunk, np.empty(BLOCK), np.empty(BLOCK // 2 + 1, dtype=complex)
+    def factors(root, term, lo, hi, cov):
+        """root = sqrt(max(v2 - cov^2 / v1, 0)), and term, which holds g1,
+        times cov / sd1, with cov = cross * cos(theta_b + theta_c) over grid
+        samples [lo, hi)."""
+        if theta is None:
+            t = np.arange(lo - pad // 2, hi - pad // 2) / fs
+            angles = phase_b.angles(t, None)
+            angles += phase_c.angles(t, None)
+            np.cos(angles, out=cov)
+        else:
+            np.cos(theta[lo:hi], out=cov)
+        cov *= cross
+        np.multiply(cov, cov, out=root)
+        root /= v1
+        np.subtract(v2, root, out=root)
+        np.maximum(root, 0.0, out=root)
+        np.sqrt(root, out=root)
+        cov /= sd1
+        term *= cov  # g1 * (cov / sd1): a product commutes exactly
 
-    scratch1, scratch2 = scratch(), scratch()
-    half = n_ext // 2
-    _kernels.run_both(lambda: mix(0, half, scratch1[0]), lambda: mix(half, n_ext, scratch2[0]))
-    del theta
-    volts1, volts2 = _kernels.run_both(
-        lambda: finish(x1, max(delay, 0), _STREAM_ELEC1, *scratch1),
-        lambda: finish(x2, max(-delay, 0), _STREAM_ELEC2, *scratch2),
+    def mix1(g, lo, hi):
+        if mixing:
+            slot = handoff.take()
+            if slot is None:
+                return False
+            root, term = slot[0][: hi - lo], slot[1][: hi - lo]
+            term[:] = g
+            if lo // step % 2 == 0:
+                factors(root, term, lo, hi, scratch1[: hi - lo])
+            handoff.put(slot)
+        g *= sd1
+        return True
+
+    def mix2(g, lo, hi):
+        if not mixing:
+            # Uncorrelated quadratures (r = 0, or no light on one arm): the
+            # mixing reduces to exactly this at cov == 0.
+            g *= sd2
+            return True
+        slot = handoff.get()
+        if slot is None:
+            return False
+        root, term = slot[0][: hi - lo], slot[1][: hi - lo]
+        if lo // step % 2 == 1:
+            factors(root, term, lo, hi, scratch2[: hi - lo])
+        g *= root
+        g += term
+        handoff.release(slot)
+        return True
+
+    def channel(stream, elec_stream, start, mix, sink, x, y, work, noise):
+        rng = _rng(seed, family, stream)
+        elec = _rng(seed, family, elec_stream) if sigma_e is not None else None
+        for j in range(0, n_out, step):
+            k = min(step, n_out - j)
+            lo = 0 if j == 0 else pad  # new samples start after the carried ones
+            if not mix(rng.standard_normal(out=x[lo : pad + k]), j + lo, j + pad + k):
+                return
+            if spectrum is None:
+                out = x[:k]
+            else:
+                # circular outputs [pad, BLOCK) of x[: pad + k], zero-padded, never
+                # wrap: they are the linear outputs j onwards
+                np.fft.rfft(x[: pad + k], BLOCK, out=work)
+                work *= spectrum
+                np.fft.irfft(work, BLOCK, out=y)
+                if j + step < n_out:
+                    x[:pad] = x[step:]  # the next block's first samples
+                out = y[pad : pad + k]
+            # Channel 2 lags channel 1 by `delay` samples: output i of channel 2
+            # pairs with output i - delay of channel 1.
+            a, b = max(j, start), min(j + k, start + n)
+            if a < b:
+                out = out[a - j : b - j]
+                # Electronics noise is white and unfiltered: it originates after
+                # the detection band, at -clearance dB relative to shot noise
+                # (variance 1).
+                if elec is not None:
+                    e = elec.standard_normal(out=noise[: b - a])
+                    e *= sigma_e
+                    out += e
+                out *= config.shot_noise_volts_rms
+                sink(out)
+
+    def run(*args):
+        try:
+            channel(*args)
+        except BaseException:
+            handoff.close()
+            raise
+
+    # Every buffer is allocated here, on the calling thread (see `_kernels`).
+    def buffers():
+        x = np.empty(size)
+        noise = np.empty(min(step, n)) if sigma_e is not None else None
+        if spectrum is None:
+            return x, None, None, noise
+        return x, np.empty(BLOCK), np.empty(BLOCK // 2 + 1, dtype=complex), noise
+
+    buffers1, buffers2 = buffers(), buffers()
+    _kernels.run_both(
+        lambda: run(_STREAM_G1, _STREAM_ELEC1, max(delay, 0), mix1, sink1, *buffers1),
+        lambda: run(_STREAM_G2, _STREAM_ELEC2, max(-delay, 0), mix2, sink2, *buffers2),
     )
-
-    monitor = np.zeros(n)
-    monitor[n // 2 : n // 2 + max(1, round(TRIGGER_WIDTH_S * fs))] = TRIGGER_VOLTS
-
     meta = {
         "r": config.r,
         "t_b": config.t_b,
@@ -270,14 +323,36 @@ def _synthesize(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
         "rng_seed": seed,
         "rng_family": family,
     }
-    tr1 = RawTrace(volts1, fs, monitor, {**meta, "channel": 1})
-    tr2 = RawTrace(volts2, fs, monitor, {**meta, "channel": 2})
-    return tr1, tr2
+    return {**meta, "channel": 1}, {**meta, "channel": 2}
+
+
+def _collect(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
+    n, fs = config.n_samples, config.sample_rate
+    volts1, volts2 = np.empty(n), np.empty(n)
+
+    def into(out):
+        filled = 0
+
+        def sink(block):
+            nonlocal filled
+            out[filled : filled + block.size] = block
+            filled += block.size
+
+        return sink
+
+    meta1, meta2 = _synthesize(config, family, into(volts1), into(volts2))
+    monitor = np.zeros(n)
+    monitor[n // 2 : n // 2 + max(1, round(TRIGGER_WIDTH_S * fs))] = TRIGGER_VOLTS
+    return RawTrace(volts1, fs, monitor, meta1), RawTrace(volts2, fs, monitor, meta2)
+
+
+def _shot_noise_config(config: SynthConfig) -> SynthConfig:
+    return replace(config, r=0.0, relative_delay_samples=0)
 
 
 def synthesize_pair(config: SynthConfig) -> tuple[RawTrace, RawTrace]:
     """Correlated signal traces for both detectors."""
-    return _synthesize(config, _FAMILY_SIGNAL)
+    return _collect(config, _FAMILY_SIGNAL)
 
 
 def synthesize_shot_noise(config: SynthConfig) -> tuple[RawTrace, RawTrace]:
@@ -287,5 +362,21 @@ def synthesize_shot_noise(config: SynthConfig) -> tuple[RawTrace, RawTrace]:
     would be; the detection band, electronics noise, trigger pulse, and
     voltage scale all match the signal configuration.
     """
-    blocked = replace(config, r=0.0, relative_delay_samples=0)
-    return _synthesize(blocked, _FAMILY_SHOT)
+    return _collect(_shot_noise_config(config), _FAMILY_SHOT)
+
+
+def stream_pair(config: SynthConfig, sink1, sink2) -> tuple[dict, dict]:
+    """The volts of `synthesize_pair`, handed to ``sink1(block)`` (detector 1,
+    on a second thread) and ``sink2(block)`` (detector 2, on the calling
+    thread) in order, a block at a time; returns the two traces' meta.
+
+    A block is a view of a buffer the next block overwrites, so a sink
+    copies or writes it before it returns.  An exception raised by a sink
+    stops both channels and is re-raised here.
+    """
+    return _synthesize(config, _FAMILY_SIGNAL, sink1, sink2)
+
+
+def stream_shot_noise(config: SynthConfig, sink1, sink2) -> tuple[dict, dict]:
+    """The volts of `synthesize_shot_noise`, handed to sinks as by `stream_pair`."""
+    return _synthesize(_shot_noise_config(config), _FAMILY_SHOT, sink1, sink2)

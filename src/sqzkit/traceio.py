@@ -11,14 +11,20 @@ float32 block after the volts.  The CSV reader takes the column its header
 names ``volts``; the float32 reader takes the first block, by the sidecar's
 ``channels``, which must be ``["volts"]`` (the default) or
 ``["volts", "monitor_volts"]``.  A sample that is not finite fails the
-read.  All writes are atomic (temp file + rename) so a crashed run never
-leaves a half-written file behind.
+read.  `read_trace_chunks` reads a float32 payload a chunk at a time, so a
+caller can reduce each chunk as it arrives; a CSV is read whole.
+
+All writes are atomic (temp file + rename) so a crashed run never leaves a
+half-written file behind.  `write_traces` takes each trace a run of samples
+at a time, from a producer such as the synthesizer, and writes several
+traces and their sidecars as one: all of them appear, or none does.
 
 CSV rows of ``%.9g`` fields are rendered by numpy, one chunk of rows at a
-time on the calling thread, into the bytes %-formatting gives: `_render_g`
-fills a block of character slots, NUL where a row has no character, which
-is transposed into lines before the NULs are deleted, and a row holding a
-value it does not render exactly is %-formatted on its own.  Every render
+time on the thread that hands them to the writer, into the bytes
+%-formatting gives: `_render_g` fills a block of character slots, NUL
+where a row has no character, which is transposed into lines before the
+NULs are deleted, and a row holding a value it does not render exactly is
+%-formatted on its own.  Every render
 array is a temporary of one chunk, about 170 bytes a row, gone before the
 next chunk is rendered.
 """
@@ -32,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._atomic import atomic_write, atomic_write_text
+from ._atomic import atomic_files, atomic_write
 from .errors import ScenarioFormatError
 
 _BINARY_DTYPE = "<f4"
@@ -44,13 +50,15 @@ _CHANNELS = (["volts"], ["volts", "monitor_volts"])
 #: A CSV chunk's render temporaries take about 170 bytes a trace row; shorter
 #: chunks call numpy more often, longer ones leave the cache.
 _CHUNK_ROWS = 8_192
+#: Float32 traces are read this many values at a time.
+_READ_ROWS = 65_536
 
 
 def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
 
-def _write_sidecar(path: Path, fmt: str, sample_rate: float, n: int, meta: dict | None) -> None:
+def _sidecar_text(fmt: str, sample_rate: float, n: int, meta: dict | None) -> bytes:
     sidecar = {
         "format": fmt,
         "sample_rate_hz": sample_rate,
@@ -58,7 +66,7 @@ def _write_sidecar(path: Path, fmt: str, sample_rate: float, n: int, meta: dict 
         "channels": ["volts"],
         "meta": meta or {},
     }
-    atomic_write_text(_sidecar_path(path), json.dumps(sidecar, indent=2) + "\n")
+    return (json.dumps(sidecar, indent=2) + "\n").encode("utf-8")
 
 
 def _read_sidecar(path: Path) -> dict | None:
@@ -164,14 +172,13 @@ def _render_g(x) -> tuple[np.ndarray, np.ndarray]:
     return slots, bad
 
 
-def _csv_table(header: str, *columns):
-    """Header, then one line per row of the float64 `columns`, their
-    ``%.9g`` fields comma-separated, as ASCII chunks of `_CHUNK_ROWS` rows.
+def _csv_lines(*columns):
+    """One line per row of the float64 `columns`, their ``%.9g`` fields
+    comma-separated, as ASCII chunks of `_CHUNK_ROWS` rows.
 
     numpy renders each chunk into the same bytes as that %-format; a row
     holding a value its renderer does not take is %-formatted instead.
     """
-    yield header.encode("ascii")
     row_format = ",".join(["%.9g"] * len(columns)) + "\n"
     n = len(columns[0])
     for i in range(0, n, _CHUNK_ROWS):
@@ -193,10 +200,64 @@ def _csv_table(header: str, *columns):
         yield lines.T.tobytes().translate(None, b"\0")
 
 
+def _csv_table(header: str, *columns):
+    """The header line, then `_csv_lines` of the columns."""
+    yield header.encode("ascii")
+    yield from _csv_lines(*columns)
+
+
+def _f32_chunks(volts):
+    """`volts` as little-endian float32 bytes, `_CHUNK_ROWS` values at a time."""
+    for i in range(0, volts.size, _CHUNK_ROWS):
+        yield volts[i : i + _CHUNK_ROWS].astype(_BINARY_DTYPE)
+
+
+def write_traces(paths, fmt: str, sample_rate: float, produce) -> None:
+    """Write a trace file in format `fmt` ("csv" or "f32"), and its sidecar,
+    at each of `paths`, from ``produce(sinks)``.
+
+    `produce` hands each trace's volts, in order and in runs of any length,
+    to ``sinks[k](volts)`` for the trace at ``paths[k]``, and returns the
+    traces' meta dicts.  A sink may be called on any thread, but one
+    thread at a time.  Every file appears when `produce` returns; if it
+    raises, none does.
+    """
+    paths = [Path(path) for path in paths]
+    encode = _csv_lines if fmt == "csv" else _f32_chunks
+    counts = [0] * len(paths)
+
+    def sink_for(k, fh):
+        def sink(volts):
+            for chunk in encode(volts):
+                fh.write(chunk)
+            counts[k] += len(volts)
+
+        return sink
+
+    with atomic_files([*paths, *map(_sidecar_path, paths)]) as files:
+        traces, sidecars = files[: len(paths)], files[len(paths) :]
+        if fmt == "csv":
+            for fh in traces:
+                fh.write(b"volts\n")
+        metas = produce([sink_for(k, fh) for k, fh in enumerate(traces)])
+        for fh, n, meta in zip(sidecars, counts, metas):
+            fh.write(_sidecar_text(fmt, sample_rate, n, meta))
+
+
+def _write_trace(path, fmt, volts, sample_rate, meta) -> None:
+    def produce(sinks):
+        sinks[0](volts)
+        return [meta]
+
+    write_traces([path], fmt, sample_rate, produce)
+
+
 def write_trace_csv(path, volts, sample_rate: float, meta: dict | None = None) -> None:
-    volts = np.asarray(volts, dtype=np.float64)
-    atomic_write(path, _csv_table("volts\n", volts))
-    _write_sidecar(Path(path), "csv", sample_rate, volts.size, meta)
+    _write_trace(path, "csv", np.asarray(volts, dtype=np.float64), sample_rate, meta)
+
+
+def write_trace_binary(path, volts, sample_rate: float, meta: dict | None = None) -> None:
+    _write_trace(path, "f32", np.ravel(volts), sample_rate, meta)
 
 
 def _read_csv(path: Path, sidecar: dict | None) -> np.ndarray:
@@ -219,43 +280,76 @@ def _read_csv(path: Path, sidecar: dict | None) -> np.ndarray:
     return volts
 
 
-def write_trace_binary(path, volts, sample_rate: float, meta: dict | None = None) -> None:
-    volts = np.ravel(volts)
-    chunks = (
-        volts[i : i + _CHUNK_ROWS].astype(_BINARY_DTYPE) for i in range(0, volts.size, _CHUNK_ROWS)
-    )
-    atomic_write(path, chunks)
-    _write_sidecar(Path(path), "f32", sample_rate, volts.size, meta)
-
-
-def _read_binary(path: Path, sidecar: dict | None) -> np.ndarray:
-    """The first n float32 values of a file that must hold n per channel."""
+def _binary_length(path: Path, sidecar: dict | None) -> int:
+    """n, for a float32 file that must hold n values per channel."""
     try:
         size = path.stat().st_size
-        n, channels = (sidecar["n_samples"], len(sidecar["channels"])) if sidecar else (size // 4, 1)
-        if size != 4 * channels * n:
-            raise ScenarioFormatError(
-                f"{path}: {size} bytes, not the {channels} x {n} float32 values of "
-                f"{_sidecar_path(path) if sidecar else 'a trace with no sidecar'}"
-            )
-        volts = np.fromfile(path, dtype=_BINARY_DTYPE, count=n)
     except OSError as exc:
         raise ScenarioFormatError(f"{path}: not a readable float32 trace: {exc}") from exc
-    return volts.astype(np.float64)
+    n, channels = (sidecar["n_samples"], len(sidecar["channels"])) if sidecar else (size // 4, 1)
+    if size != 4 * channels * n:
+        raise ScenarioFormatError(
+            f"{path}: {size} bytes, not the {channels} x {n} float32 values of "
+            f"{_sidecar_path(path) if sidecar else 'a trace with no sidecar'}"
+        )
+    return n
 
 
-def read_trace(path) -> tuple[np.ndarray, float]:
-    """(volts, sample_rate) of a CSV or float32 trace, by the sidecar's
-    format field, else the file extension.  With no sidecar the rate is
-    500 MS/s and the file holds one channel."""
+def _binary_chunks(path: Path, n: int):
+    """The first n float32 values of the file, as float64 chunks."""
+    try:
+        with open(path, "rb") as fh:
+            for i in range(0, n, _READ_ROWS):
+                count = min(_READ_ROWS, n - i)
+                chunk = np.fromfile(fh, dtype=_BINARY_DTYPE, count=count)
+                if chunk.size != count:
+                    raise ScenarioFormatError(f"{path}: the file ended after {i + chunk.size} values")
+                yield chunk.astype(np.float64)
+    except OSError as exc:
+        raise ScenarioFormatError(f"{path}: not a readable float32 trace: {exc}") from exc
+
+
+def _finite(path: Path, chunks):
+    """`chunks`, each checked for a sample that is not finite."""
+    at = 0
+    for chunk in chunks:
+        finite = np.isfinite(chunk)
+        if not finite.all():
+            raise ScenarioFormatError(f"{path}: sample {at + int(finite.argmin())} is not finite")
+        at += chunk.size
+        yield chunk
+
+
+def read_trace_chunks(path):
+    """(chunks, n_samples, sample_rate) of a CSV or float32 trace, by the
+    sidecar's format field, else the file extension.  With no sidecar the
+    rate is 500 MS/s and the file holds one channel.
+
+    The sidecar, and the payload's size or the whole CSV, are checked here.
+    `chunks` yields the n_samples volts in order as float64 arrays: a CSV
+    as one, a float32 payload `_READ_ROWS` values at a time, read as they
+    are asked for.  A sample that is not finite fails that chunk's read.
+    """
     path = Path(path)
     sidecar = _read_sidecar(path)
     fmt = sidecar["format"] if sidecar else ("csv" if path.suffix.lower() == ".csv" else "f32")
-    volts = (_read_csv if fmt == "csv" else _read_binary)(path, sidecar)
-    finite = np.isfinite(volts)
-    if not finite.all():
-        raise ScenarioFormatError(f"{path}: sample {int(finite.argmin())} is not finite")
-    return volts, float(sidecar["sample_rate_hz"]) if sidecar else DEFAULT_SAMPLE_RATE
+    rate = float(sidecar["sample_rate_hz"]) if sidecar else DEFAULT_SAMPLE_RATE
+    if fmt == "csv":
+        volts = _read_csv(path, sidecar)
+        return _finite(path, [volts]), volts.size, rate
+    n = _binary_length(path, sidecar)
+    return _finite(path, _binary_chunks(path, n)), n, rate
+
+
+def read_trace(path) -> tuple[np.ndarray, float]:
+    """(volts, sample_rate) of a trace: every chunk of `read_trace_chunks`."""
+    chunks, n, rate = read_trace_chunks(path)
+    volts = np.empty(n)
+    at = 0
+    for chunk in chunks:
+        volts[at : at + chunk.size] = chunk
+        at += chunk.size
+    return volts, rate
 
 
 def write_analysis_csv(path, time_ms, v_plus, v_minus, v_sn_plus, v_sn_minus) -> None:

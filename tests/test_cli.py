@@ -314,8 +314,9 @@ def test_analyze_discard_fraction_flag_is_checked_by_argparse(capsys, fraction):
         (np.ones(3), "trace too short to average"),
         (np.ones(5), "need at least 2 samples for shot-noise stats"),
         (np.ones(64), "shot-noise variance must be positive"),
+        (np.array([1.0, np.nan, 1.0]), "sample 1 is not finite"),  # read to the end first
     ],
-    ids=["empty", "three-samples", "five-samples", "constant"],
+    ids=["empty", "three-samples", "five-samples", "constant", "three-samples-one-nan"],
 )
 def test_analyze_names_a_trace_it_cannot_reduce(capsys, tmp_path, volts, says):
     signal, shot = tmp_path / "signal.f32", tmp_path / "shot.f32"  # no sidecars
@@ -460,34 +461,52 @@ def test_analyze_rejects_a_missing_trace(capsys, tmp_path, fmt):
 
 def test_analyze_reports_the_first_faulty_trace_in_read_order(capsys, tmp_path):
     # analyze reads, checks and reduces one trace at a time, in argument
-    # order, so of several faults the one in the earliest trace is reported
+    # order, so of several faults the one in the earliest trace is reported;
+    # of one trace's faults, a non-finite sample comes before its rate, and
+    # its rate before its length
     scen = write_scenario(tmp_path, minimal_scenario(synthesis={"duration": 1e-4}))
     files = run_json(capsys, "simulate", "--scenario", scen, "--out-dir", str(tmp_path / "r"))["files"]
+    first = Path(files["signal_C43"])
+    first_bytes = first.read_bytes()
+    first.write_bytes(first_bytes[:-8])  # truncated: the sidecar says 2 more samples
     short = Path(files["signal_C45"])
     original = short.read_bytes()
-    short.write_bytes(original[:-400])
+    short_volts = np.frombuffer(original[:-400], "<f4").copy()
+    short_volts[123] = math.nan
+    short.write_bytes(short_volts.tobytes())
     sidecar = Path(files["signal_C45"] + ".json")
     meta = json.loads(sidecar.read_text())
-    sidecar.write_text(json.dumps({**meta, "n_samples": meta["n_samples"] - 100}))
+    sidecar.write_text(json.dumps({**meta, "n_samples": meta["n_samples"] - 100, "sample_rate_hz": 2.5e8}))
     rate_sidecar = Path(files["shot_noise_C43"] + ".json")
     rate_meta = json.loads(rate_sidecar.read_text())
     rate_sidecar.write_text(json.dumps({**rate_meta, "sample_rate_hz": 2.5e8}))
     files["shot_noise_C45"] = str(tmp_path / "nope.f32")
 
-    for faulty, says in (
-        ("signal_C45.f32", "samples, but"),
-        ("shot_noise_C43.f32", "sample rate"),
-        ("nope.f32", "nope.f32"),
+    def mend_nan():
+        short_volts[123] = 0.0
+        short.write_bytes(short_volts.tobytes())
+
+    def mend_rate():
+        sidecar.write_text(json.dumps({**meta, "n_samples": meta["n_samples"] - 100}))
+
+    def mend_length():
+        short.write_bytes(original)
+        sidecar.write_text(json.dumps(meta))
+
+    for faulty, says, mend in (
+        ("signal_C43.f32", "bytes, not the 1 x 50000 float32 values", lambda: first.write_bytes(first_bytes)),
+        ("signal_C45.f32", "sample 123 is not finite", mend_nan),
+        ("signal_C45.f32", "sample rate", mend_rate),
+        ("signal_C45.f32", "samples, but", mend_length),
+        ("shot_noise_C43.f32", "sample rate", lambda: rate_sidecar.write_text(json.dumps(rate_meta))),
+        ("nope.f32", "nope.f32", None),
     ):
         code, _, err = run_cli(capsys, *_analyze_args(files))
         assert code == 1
         message = json.loads(err)["error"]["message"]
-        assert faulty in message and says in message, message
-        if faulty == "signal_C45.f32":  # mend this fault; the next one is reported
-            short.write_bytes(original)
-            sidecar.write_text(json.dumps(meta))
-        else:
-            rate_sidecar.write_text(json.dumps(rate_meta))
+        assert message.startswith(str(tmp_path)) and faulty in message and says in message, message
+        if mend is not None:  # mend this fault; the next one is reported
+            mend()
 
 
 def test_analyze_requires_two_of_each(capsys, tmp_path):
@@ -509,21 +528,30 @@ def _traced_peak(run):
 
 
 def test_simulate_and_analyze_hold_one_pair_of_raw_traces(capsys, tmp_path):
-    # simulate writes each pair of traces and drops it before drawing the
-    # next, so it peaks about 0.3 channel buffers above one pair's synthesis
-    # (3.2 holding both pairs); analyze reduces each raw trace to its
-    # 4-sample averages as it reads it, so it peaks at about 2.4 raw traces
-    # (6.4 holding all four)
-    config = cli.scenario_synth_config(cli.load_scenario("deployed"), duration=1e-3)
-    n, n_ext = config.n_samples, config.n_samples + synth.FILTER_TAPS - 1
-    pair_peak = _traced_peak(lambda: synth.synthesize_pair(config))[1]
+    # simulate streams each pair from the synthesizer to its files a block
+    # at a time, so it peaks at about 17 block-sized buffers (8.5-9.7 MB,
+    # with the filter design), whatever the duration; analyze reduces each
+    # chunk of a raw trace as it reads it, so it peaks at about 1.7 raw
+    # traces (6.4 holding all four)
+    config = cli.scenario_synth_config(cli.load_scenario("deployed"), duration=2e-3)
+    n = config.n_samples
     report, simulate_peak = _traced_peak(lambda: run_json(
-        capsys, "simulate", "--scenario", "deployed", "--duration", "1e-3",
+        capsys, "simulate", "--scenario", "deployed", "--duration", "2e-3",
         "--out-dir", str(tmp_path / "run"),
     ))
     analyze_peak = _traced_peak(lambda: run_json(capsys, *_analyze_args(report["files"])))[1]
-    assert simulate_peak < pair_peak + 8 * n_ext, (simulate_peak - pair_peak) / (8 * n_ext)
-    assert analyze_peak < 3 * 8 * n, analyze_peak / (8 * n)
+    assert simulate_peak < 24 * 8 * synth.BLOCK, simulate_peak / (8 * synth.BLOCK)
+    assert analyze_peak < 2 * 8 * n, analyze_peak / (8 * n)
+
+
+def test_simulate_memory_does_not_grow_with_the_duration(capsys, tmp_path):
+    peaks = []
+    for k, duration in enumerate(["1e-4", "1e-3", "8e-3"]):  # the first loads the modules
+        peaks.append(_traced_peak(lambda: run_json(
+            capsys, "simulate", "--scenario", "deployed", "--duration", duration,
+            "--out-dir", str(tmp_path / str(k)),
+        ))[1])
+    assert abs(peaks[2] - peaks[1]) < 1e6, peaks
 
 
 # ------------------------------------------------------------ fit / RF

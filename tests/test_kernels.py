@@ -241,8 +241,26 @@ def test_rolling_variance_is_bit_identical_to_the_blockwise_loop():
     inputs.append((np.full(5000, 3.7182), 64))
     inputs.append((1e9 + np.random.default_rng(2).standard_normal(5000), 100))
     inputs.append((np.random.default_rng(3).standard_normal(100_123) + 3.0, 5))
+    # windows longer than the prefix sums' runs, one of them the whole trace
+    inputs += [(rng.standard_normal(n) + 2.0, w) for n, w in [(150_001, 150_001), (240_000, 70_000)]]
     for x, w in inputs:
         assert np.array_equal(rolling_variance(x, w), blockwise_rolling_variance(x, w))
+
+
+@pytest.mark.parametrize("window", [1_000_000, 600_000, 50])
+def test_rolling_variance_scratch_does_not_grow_with_the_window(window):
+    # the prefix sums are kept only where the windows start and end: a
+    # window as long as the trace costs no scratch of its length (two
+    # trace-length buffers, 16 MB here, before)
+    x = np.random.default_rng(21).standard_normal(1_000_000)
+    tracemalloc.start()
+    try:
+        rolling_variance(x, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = 8 * (x.size - window + 1)
+    assert peak - out < 8 * 8 * RENORM_INTERVAL, (peak - out) / (8 * RENORM_INTERVAL)
 
 
 def test_run_both_runs_first_on_another_thread():

@@ -114,6 +114,31 @@ def test_discard_then_average_matches_averaging_the_concatenation():
     assert cut_offsets == {0, 1, 2, 3}
 
 
+@pytest.mark.parametrize("fraction", [0.0, 0.05, 0.3])
+def test_discard_average4_of_chunks_is_that_of_the_array(fraction):
+    # a trace read in chunks of any sizes, down to single samples, so that
+    # groups straddle chunk boundaries and the cut at every offset
+    v = np.random.default_rng(18).standard_normal(10_003) + 1e3
+    want = discard_average4(v, fraction)
+    for seed in range(4):
+        cuts = np.flatnonzero(np.random.default_rng(seed).random(v.size - 1) < 0.3) + 1
+        got = discard_average4(iter(np.split(v, cuts)), fraction, v.size)
+        assert np.array_equal(got, want), seed
+    assert np.array_equal(discard_average4([v[:5000], v[5000:]], fraction, v.size), want)
+    for chunks in ([v[:-1]], [v, v[:1]]):  # one sample short, one too many
+        with pytest.raises(InvalidArgumentError, match="chunks hold"):
+            discard_average4(chunks, fraction, v.size)
+
+
+def test_normalize_writes_into_out():
+    v = np.random.default_rng(19).standard_normal(101) + 3.0
+    sn = ShotNoiseStats.from_samples(v[:50])
+    want = normalize(v, sn).q
+    out = v.copy()
+    got = normalize(out, sn, out=out).q
+    assert np.shares_memory(got, out) and np.array_equal(got, want)
+
+
 # ------------------------------------------------------------ normalization
 
 
@@ -190,6 +215,9 @@ def test_align_index_arithmetic():
     assert np.array_equal(b2, np.arange(108.0, 118.0))
     a3, b3 = align(a, b, delay=-5, max_delay=5)
     assert np.array_equal(b3, np.arange(100.0, 110.0))
+    # read-only views of the inputs, not copies
+    assert np.shares_memory(a2, a) and np.shares_memory(b2, b)
+    assert not (a2.flags.writeable or b2.flags.writeable) and a.flags.writeable
     with pytest.raises(InvalidArgumentError):
         align(a, b, delay=6, max_delay=5)
     with pytest.raises(InvalidArgumentError):

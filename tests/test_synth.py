@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -202,14 +204,17 @@ _STEP = synth.BLOCK - FILTER_TAPS + 1  # outputs per overlap-save block
     ids=["shorter-than-a-block", "one-step", "one-step-plus-one", "several-blocks"],
 )
 def test_fft_filter_matches_direct_convolution(n_out):
-    cfg = small_config()
-    x = np.random.default_rng(4).standard_normal(n_out + FILTER_TAPS - 1)
+    # shot noise has unit-variance channels (sd1 == 1.0), so with no
+    # electronics noise channel 1 is its filtered normals times the volts
+    cfg = small_config(duration=n_out / SMALL["sample_rate"], electronics_noise_db=None)
+    assert cfg.n_samples == n_out
+    x = synth._rng(cfg.rng_seed, synth._FAMILY_SHOT, synth._STREAM_G1).standard_normal(
+        n_out + FILTER_TAPS - 1
+    )
     want = np.convolve(x, synth._bandpass_taps(*cfg.detector_band, cfg.sample_rate), "valid")
-    spectrum = synth._filter_spectrum(*cfg.detector_band, cfg.sample_rate)
-    buf, work = np.empty(synth.BLOCK), np.empty(synth.BLOCK // 2 + 1, dtype=complex)
-    got = synth._filter_valid(x, spectrum, buf, work)
+    want *= cfg.shot_noise_volts_rms
+    got = synthesize_shot_noise(cfg)[0].samples
     assert got.shape == want.shape == (n_out,)
-    assert np.shares_memory(got, x)  # filtered in place
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -229,7 +234,7 @@ def _whole_array_mixing(cfg):
     return g1 * sd1 * cfg.shot_noise_volts_rms, x2 * cfg.shot_noise_volts_rms
 
 
-@pytest.mark.parametrize("n", [1000, synth._CHUNK, 2 * synth._CHUNK + 4321])
+@pytest.mark.parametrize("n", [1000, synth.BLOCK, 2 * synth.BLOCK + 4321])
 @pytest.mark.parametrize(
     "phase_b",
     [
@@ -328,6 +333,8 @@ def _samples(traces):
 @pytest.mark.parametrize("delay", [0, 12, -36])
 @pytest.mark.parametrize("scenario", ["reference", "spools5km", "deployed"])
 def test_two_threads_change_no_bit(scenario, delay, monkeypatch):
+    # each channel on the other thread: the blocks of channel 1's normals
+    # then pass from the calling thread to the worker
     base = cli.scenario_synth_config(cli.load_scenario(scenario))
     variants = [
         dict(),
@@ -335,31 +342,142 @@ def test_two_threads_change_no_bit(scenario, delay, monkeypatch):
         dict(electronics_noise_db=None),
     ]
     for kw in variants:
-        cfg = dataclasses.replace(base, duration=2e-5, relative_delay_samples=delay, rng_seed=3, **kw)
+        cfg = dataclasses.replace(base, duration=2e-4, relative_delay_samples=delay, rng_seed=3, **kw)
         for fn in (synthesize_pair, synthesize_shot_noise):
             threaded = _samples(fn(cfg))
             again = _samples(fn(cfg))
             with monkeypatch.context() as m:
-                m.setattr(_kernels, "run_both", lambda first, second: (first(), second()))
-                alone = _samples(fn(cfg))
-            for got in (again, alone):
+                run_both = _kernels.run_both
+                m.setattr(_kernels, "run_both", lambda first, second: run_both(second, first)[::-1])
+                swapped = _samples(fn(cfg))
+            for got in (again, swapped):
                 assert all(np.array_equal(u, v) for u, v in zip(threaded, got)), (kw, fn.__name__)
             assert all(u.shape == (cfg.n_samples,) for u in threaded)
 
 
+def _whole_grid(config, family):
+    """Both channels' volts as synthesis made them before it streamed: each
+    step over the whole extended grid at once, in the order of operations
+    of `synth._synthesize`."""
+    n, fs, delay, band, seed = (
+        config.n_samples, config.sample_rate, config.relative_delay_samples,
+        config.detector_band, config.rng_seed,
+    )
+    pad = FILTER_TAPS - 1 if band is not None else 0
+    n_ext = n + abs(delay) + pad
+    g1 = synth._rng(seed, family, synth._STREAM_G1).standard_normal(n_ext)
+    g2 = synth._rng(seed, family, synth._STREAM_G2).standard_normal(n_ext)
+    v1, v2, cross = lossy_tmsv_moments(config.r, config.t_b, config.t_c)
+    sd1, sd2 = math.sqrt(v1), math.sqrt(v2)
+    if cross == 0.0:
+        x2 = g2 * sd2
+    else:
+        t = (np.arange(n_ext) - pad // 2) / fs
+        theta = config.phase_b.angles(t, synth._rng(seed, family, synth._STREAM_PHASE_B))
+        theta += config.phase_c.angles(t, synth._rng(seed, family, synth._STREAM_PHASE_C))
+        cov = np.cos(theta) * cross
+        x2 = g2 * np.sqrt(np.maximum(v2 - cov * cov / v1, 0.0)) + cov / sd1 * g1
+    x1 = g1 * sd1
+    out = []
+    channels = ((x1, max(delay, 0), synth._STREAM_ELEC1), (x2, max(-delay, 0), synth._STREAM_ELEC2))
+    for x, start, stream in channels:
+        if band is not None:  # overlap-save, in the FFT blocks synthesis uses
+            spectrum = synth._filter_spectrum(band[0], band[1], fs)
+            valid = np.empty(x.size - pad)
+            for j in range(0, valid.size, _STEP):
+                k = min(_STEP, valid.size - j)
+                block = np.fft.irfft(np.fft.rfft(x[j : j + synth.BLOCK], synth.BLOCK) * spectrum, synth.BLOCK)
+                valid[j : j + k] = block[pad : pad + k]
+            x = valid
+        x = x[start : start + n]
+        if config.electronics_noise_db is not None:
+            sigma = 10.0 ** (-config.electronics_noise_db / 20.0)
+            x = x + synth._rng(seed, family, stream).standard_normal(n) * sigma
+        out.append(x * config.shot_noise_volts_rms)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n", [10_037, _STEP, 2 * _STEP + 777], ids=["below-one-block", "one-step", "ragged-tail"]
+)
+@pytest.mark.parametrize(
+    "phase_b",
+    [
+        PhaseModel(offset=0.4),
+        PhaseModel(kind="drift_sinusoid", frequency=1e5, amplitude=0.6, offset=0.2),
+        PhaseModel(kind="triangle_sweep", frequency=1e5, amplitude=2.0, offset=0.1),
+        PhaseModel(kind="noise_injected", frequency=2e4, amplitude=0.5, offset=0.3),
+        PhaseModel(offset=0.4, transient_jitter_rms=0.05),
+    ],
+    ids=["constant", "drift_sinusoid", "triangle_sweep", "noise_injected", "jittered"],
+)
+def test_streamed_synthesis_is_the_whole_grid_synthesis(phase_b, n):
+    # every sample of the block-streamed pair is the whole-grid one, bit for
+    # bit; "one-step" is one block's outputs at delay 0 with the band
+    cases = [
+        (-7, dict()),
+        (0, dict()),
+        (12, dict()),
+        (12, dict(detector_band=None)),
+        (-7, dict(electronics_noise_db=None)),
+        (0, dict(detector_band=None, electronics_noise_db=None)),
+    ]
+    for delay, kw in cases:
+        cfg = small_config(
+            duration=n / SMALL["sample_rate"], relative_delay_samples=delay, phase_b=phase_b,
+            phase_c=PhaseModel(kind="drift_sinusoid", frequency=3e4, amplitude=0.3), **kw,
+        )
+        assert cfg.n_samples == n
+        draws = [(synthesize_pair, synth._FAMILY_SIGNAL, cfg)]
+        if phase_b.kind == "constant" and not phase_b.transient_jitter_rms:
+            blocked = dataclasses.replace(cfg, r=0.0, relative_delay_samples=0)
+            draws.append((synthesize_shot_noise, synth._FAMILY_SHOT, blocked))
+        for fn, family, want_cfg in draws:
+            got = _samples(fn(cfg))
+            want = _whole_grid(want_cfg, family)
+            assert all(np.array_equal(u, v) for u, v in zip(got, want)), (delay, kw, fn.__name__)
+
+
+def test_concurrent_pairs_under_a_short_switch_interval():
+    # four callers, each pair on two threads, eight threads on fewer cores:
+    # a block lost or passed twice through a handoff would change a sample
+    cfg = small_config(duration=3e-4, relative_delay_samples=5)
+    want = _samples(synthesize_pair(cfg))
+    results = []
+
+    def client():
+        for _ in range(3):
+            results.append(_samples(synthesize_pair(cfg)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clients = [threading.Thread(target=client) for _ in range(4)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in clients)
+    assert len(results) == 12
+    assert all(np.array_equal(u, v) for got in results for u, v in zip(got, want))
+
+
 def test_electronics_noise_chunks_match_one_normal_draw():
-    x = np.linspace(-1.0, 1.0, 2 * synth._CHUNK + 17)
-    want = x + synth._rng(5, 0, 2).normal(0.0, 0.2, x.size)
-    got = x.copy()
-    synth._add_scaled_normals(got, synth._rng(5, 0, 2), 0.2, np.empty(synth._CHUNK))
-    assert np.array_equal(got, want)
+    # drawn a block at a time, the electronics noise is the one draw
+    # normal(0, sigma, n) over the whole trace
+    cfg = small_config(duration=(2 * synth.BLOCK + 17) / SMALL["sample_rate"], detector_band=None)
+    n, sigma = cfg.n_samples, 10.0 ** (-cfg.electronics_noise_db / 20.0)
+    x = synth._rng(cfg.rng_seed, synth._FAMILY_SHOT, synth._STREAM_G1).standard_normal(n)
+    noise = synth._rng(cfg.rng_seed, synth._FAMILY_SHOT, synth._STREAM_ELEC1).normal(0.0, sigma, n)
+    want = (x + noise) * cfg.shot_noise_volts_rms
+    assert np.array_equal(synthesize_shot_noise(cfg)[0].samples, want)
 
 
 def test_synthesis_peak_memory_stays_below_four_traces():
-    # Both channels are filtered in place in their extended-grid buffers,
-    # with block-sized filter scratch and chunk-sized mixing scratch; the
-    # traced peak is about 3.2 extended-grid traces on this input (the
-    # two channels and the monitor).
+    # The two channels' n-sample outputs and the monitor, and block-sized
+    # scratch: about 3.5 extended-grid traces on this input.
     cfg = cli.scenario_synth_config(cli.load_scenario("reference"))
     n_ext = cfg.n_samples + FILTER_TAPS - 1
     synth._filter_spectrum.cache_clear()

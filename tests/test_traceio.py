@@ -156,6 +156,24 @@ def test_unreadable_csv_raises(tmp_path):
         traceio.read_trace(p)
 
 
+def test_chunked_reads_check_each_chunk_as_it_is_read(tmp_path, trace, monkeypatch):
+    monkeypatch.setattr(traceio, "_READ_ROWS", 64)
+    p = tmp_path / "t.f32"
+    traceio.write_trace_binary(p, trace, 1e6)
+    chunks, n, rate = traceio.read_trace_chunks(p)
+    got = list(chunks)
+    assert (n, rate) == (500, 1e6)
+    assert [c.size for c in got] == [64] * 7 + [52]
+    assert np.array_equal(np.concatenate(got), trace.astype("<f4"))
+    volts = trace.astype("<f4")
+    volts[200] = np.nan  # in the fourth chunk
+    volts.tofile(p)
+    chunks, n, rate = traceio.read_trace_chunks(p)
+    assert [c.size for c in (next(chunks), next(chunks), next(chunks))] == [64] * 3
+    with pytest.raises(ScenarioFormatError, match=r"t\.f32: sample 200 is not finite"):
+        next(chunks)
+
+
 def test_no_leftover_temp_files(tmp_path, trace):
     traceio.write_trace_binary(tmp_path / "t.f32", trace, 1e6)
     traceio.write_trace_csv(tmp_path / "t.csv", trace, 1e6)
