@@ -52,11 +52,10 @@ _HOMES = {
     "pipeline": (
         "ShotNoiseStats",
         "QuadratureTrace",
-        "average4",
-        "discard_trigger_region",
         "normalize",
         "shot_noise_stats",
         "raw_to_quadratures",
+        "quadratures",
         "rolling_variance",
         "delay_search",
         "align",

@@ -32,7 +32,7 @@ from typing import get_type_hints
 from . import __version__
 from ._atomic import atomic_write_text
 from .budget import ARM_FIRST, ARM_SECOND, ChannelBudget, LossItem, predict
-from .errors import InvalidArgumentError, ScenarioFormatError, SqzkitError
+from .errors import ScenarioFormatError, SqzkitError
 from .settings import DISCARD_FRACTION, SynthConfig
 
 _TOP_KEYS = {"name", "description", "source", "budget", "synthesis", "analysis"}
@@ -333,26 +333,24 @@ def _cmd_simulate(args) -> dict:
     }
 
 
-def _parse_window(text: str):
-    """``--window``: 'full' (kept as is: it overrides a scenario's window) or an integer."""
-    if text == "full":
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'full', got {text!r}") from None
+def _flag_type(key: str, parse, rule: str | None = None):
+    """argparse type of the analyze flag that overrides the scenario's
+    analysis `key`: ``parse(text)``, held to the rule a scenario's value is
+    held to ('full' is a null window).  A bad flag thus stops the command
+    (exit 2) before any trace is read, so that an error in reducing a trace
+    is the trace's."""
+    _, ok, words = _ANALYSIS[key]
 
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = math.nan  # fails every rule
+        if not ok(None if value == "full" else value):
+            raise argparse.ArgumentTypeError(f"expected {rule or words}, got {text!r}")
+        return value
 
-def _parse_fraction(text: str) -> float:
-    """``--discard-fraction``: a number in [0, 1), checked before any trace
-    is read, so that an error in reducing a trace is the trace's."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"expected a number in [0, 1), got {text!r}")
-    return value
+    return check
 
 
 def _cmd_analyze(args) -> dict:
@@ -369,85 +367,39 @@ def _cmd_analyze(args) -> dict:
         args.discard_fraction if args.discard_fraction is not None else defaults["discard_fraction"]
     )
 
-    # One raw trace at a time, one chunk at a time: each chunk is reduced to
-    # its 4-sample averages as it is read, and each trace is checked against
-    # the ones before it.  Of a trace's faults, a non-finite sample comes
-    # first, then its rate, its length, and last what stops its reduction,
-    # so a trace that cannot be reduced is still read to the end.
+    # One raw trace at a time, one chunk at a time: a trace file is opened
+    # once the one before it is reduced.
     paths = [*args.trace, *args.shot_noise]
-    averaged, sn_stats = [], []
-    for k, path in enumerate(paths):
-        chunks, n, trace_rate = traceio.read_trace_chunks(path)
-        fault = None
-        try:
-            reduced = pipeline.discard_average4(chunks, fraction, n)
-        except InvalidArgumentError as exc:  # empty, or too short
-            fault = exc
-            for _ in chunks:
-                pass
-        if k == 0:
-            rate = trace_rate
-        elif trace_rate != rate:
-            raise ScenarioFormatError(
-                f"{path}: sample rate {trace_rate:g} Hz differs from {rate:g} Hz of {paths[0]}"
-            )
-        if k % 2 == 0:
-            first_size = n
-        elif n != first_size:
-            raise ScenarioFormatError(f"{path}: {n} samples, but {paths[k - 1]} has {first_size}")
-        if fault is None and k >= 2:  # a shot-noise trace calibrates its detector
-            try:
-                sn_stats.append(pipeline.ShotNoiseStats.from_samples(reduced))
-            except InvalidArgumentError as exc:  # constant shot noise
-                fault = exc
-        if fault is not None:
-            raise ScenarioFormatError(f"{path}: {fault}") from fault
-        averaged.append(reduced)
-    # normalized in place: the averages are this command's own arrays
-    quadrature_rate = rate / pipeline.RAW_PER_QUADRATURE
-    quads, sn_quads = (
-        [pipeline.normalize(v, sn, quadrature_rate, out=v) for v, sn in zip(part, sn_stats)]
-        for part in (averaged[:2], averaged[2:])
+    quads = pipeline.quadratures(
+        (traceio.read_trace_chunks(path) for path in paths), fraction=fraction, names=paths
     )
-    del averaged
-
+    rate = quads[0].quadrature_rate
     report = pipeline.analysis_report(
-        quads[0].q,
-        quads[1].q,
-        sn_quads[0].q,
-        sn_quads[1].q,
-        window=window,
-        max_delay=max_delay,
-        quadrature_rate=quads[0].quadrature_rate,
+        *(t.q for t in quads), window=window, max_delay=max_delay, quadrature_rate=rate
     )
     report = {
-        "squeezing_db": report["squeezing_db"],
-        "antisqueezing_db": report["antisqueezing_db"],
-        "error_db": report["error_db"],
-        "optimal_delay": report["optimal_delay"],
-        "fwhm_samples": report["fwhm_samples"],
-        "fwhm_ns": report["fwhm_ns"],
+        **report,
         "window": "full" if window is None else window,
         "max_delay": max_delay,
-        "n_quadrature_samples": len(quads[0].q),
-        "quadrature_rate_hz": quads[0].quadrature_rate,
+        "n_quadrature_samples": len(quads[0]),
+        "quadrature_rate_hz": rate,
     }
-
     if args.series_out:
-        _write_series(args.series_out, quads, sn_quads, window, max_delay, report["optimal_delay"])
+        _write_series(args.series_out, quads, window, max_delay, report["optimal_delay"])
         report["series_file"] = args.series_out
     return report
 
 
-def _write_series(path, quads, sn_quads, window, max_delay, delay) -> None:
-    """Rolling-variance traces of both combinations and their references."""
+def _write_series(path, quads, window, max_delay, delay) -> None:
+    """Rolling-variance traces of both combinations and their references;
+    `quads` are the signal pair, then the shot-noise pair."""
     import numpy as np
 
     from . import pipeline, traceio
 
     q1, q2 = pipeline.align(quads[0].q, quads[1].q, delay, max_delay)
-    lo, hi = max_delay, len(sn_quads[0].q) - max_delay
-    s1, s2 = sn_quads[0].q[lo:hi], sn_quads[1].q[lo:hi]
+    lo, hi = max_delay, len(quads[2]) - max_delay
+    s1, s2 = quads[2].q[lo:hi], quads[3].q[lo:hi]
     w = window or pipeline.default_window(q1.size)
     v_plus = pipeline.rolling_variance(q1 + q2, w)
     v_minus = pipeline.rolling_variance(q1 - q2, w)
@@ -552,11 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="signal trace (give twice: first then second detector)")
     p.add_argument("--shot-noise", action="append", default=[], metavar="FILE",
                    help="shot-noise trace (give twice, matching --trace order)")
-    p.add_argument("--window", type=_parse_window, default=None,
+    p.add_argument("--window", default=None,
+                   type=_flag_type("window", lambda t: t if t == "full" else int(t),
+                                   "'full' or an integer >= 2"),
                    help="rolling window in quadrature samples, or 'full' (default: scenario or full)")
-    p.add_argument("--max-delay", type=int, default=None,
+    p.add_argument("--max-delay", type=_flag_type("max_delay", int), default=None,
                    help="delay search range in quadrature samples")
-    p.add_argument("--discard-fraction", type=_parse_fraction, default=None,
+    p.add_argument("--discard-fraction", type=_flag_type("discard_fraction", float), default=None,
                    help="central fraction of raw samples dropped around the trigger")
     p.add_argument("--scenario", default=None, help="scenario supplying analysis defaults")
     p.add_argument("--series-out", metavar="FILE",

@@ -13,9 +13,12 @@ The measurement convention this implements:
 5. report squeezing/anti-squeezing as rolling-variance extrema relative to
    the identically-combined shot-noise reference.
 
-All functions take plain float arrays (volts or quadrature units); the
-trace-file plumbing lives in `traceio` and `cli`.  Unbiased (n-1) variance is
-used everywhere.
+`quadratures` is steps 1-3 for the four raw traces of one measurement, two
+signal then two shot noise, read one at a time and a chunk at a time;
+`analysis_report` is steps 4 and 5 on its output.  ``sqzkit analyze`` is
+these two calls.  The other functions take plain float arrays (volts or
+quadrature units); reading trace files lives in `traceio`.  Unbiased (n-1)
+variance is used everywhere.
 """
 
 from __future__ import annotations
@@ -27,12 +30,11 @@ import numpy as np
 
 from ._kernels import rolling_variance
 from .errors import DegenerateInputError, DimensionMismatchError, InvalidArgumentError
-from .settings import DISCARD_FRACTION  # the default a scenario's analysis section overrides
+from .errors import ScenarioFormatError
+from .settings import DISCARD_FRACTION, RAW_PER_QUADRATURE  # re-exported
 
 #: Vacuum variance of normalized quadrature values produced by `normalize`.
 QUADRATURE_VACUUM_VARIANCE = 0.5
-#: Raw samples averaged into one voltage point.
-RAW_PER_QUADRATURE = 4
 #: Rolling window (quadrature samples) used when a command needs one and the
 #: caller didn't choose: matches the usual visual-analysis window.
 DEFAULT_WINDOW = 10_000
@@ -99,18 +101,6 @@ def _sum4(v: np.ndarray, out: np.ndarray) -> None:
     out += v[3::4]
 
 
-def average4(samples) -> np.ndarray:
-    """Mean of every 4 consecutive samples (trailing remainder dropped)."""
-    v = _as_1d(getattr(samples, "samples", samples), "samples")
-    n = v.size // RAW_PER_QUADRATURE
-    if n == 0:
-        raise InvalidArgumentError("trace too short to average")
-    out = np.empty(n)
-    _sum4(v[: RAW_PER_QUADRATURE * n], out)
-    out /= RAW_PER_QUADRATURE
-    return out
-
-
 def _discarded(n: int, fraction: float) -> tuple[int, int]:
     """(start, cut): the central `fraction` of n samples is [start, start + cut)."""
     if not 0.0 <= fraction < 1.0:
@@ -121,29 +111,23 @@ def _discarded(n: int, fraction: float) -> tuple[int, int]:
     return (n - cut) // 2, cut
 
 
-def discard_trigger_region(v, fraction: float = DISCARD_FRACTION) -> np.ndarray:
-    """Drop the central `fraction` of samples (the trigger neighborhood)."""
-    v = _as_1d(v)
-    start, cut = _discarded(v.size, fraction)
-    return np.concatenate([v[:start], v[start + cut :]])
-
-
 def discard_average4(raw_samples, fraction: float, n_samples: int | None = None) -> np.ndarray:
-    """``average4(discard_trigger_region(raw_samples, fraction))``, bit for
-    bit, without copying the kept samples into one array first: the one
-    reduction a raw trace goes through.  `shot_noise_stats` and
-    `raw_to_quadratures` are this followed by `ShotNoiseStats.from_samples`
-    and `normalize`.
+    """The mean of every 4 consecutive samples (a trailing remainder dropped)
+    of `raw_samples` with its central `fraction` dropped, without copying
+    the kept samples into one array first: the one reduction a raw trace
+    goes through.  `shot_noise_stats` and `raw_to_quadratures` are this
+    followed by `ShotNoiseStats.from_samples` and `normalize`, and
+    `quadratures` does all three for a measurement's four traces.
 
     `raw_samples` is one array; or, with `n_samples`, an iterable of 1-D
     arrays that hold the trace's n_samples samples in order, each reduced
-    as it arrives, so a caller reading a trace a chunk at a time, as
-    ``sqzkit analyze`` does, never holds it whole.  The layout is checked
-    before the first chunk is taken.
+    as it arrives, so a caller reading a trace a chunk at a time never
+    holds it whole.  The layout is checked before the first chunk is taken.
 
     Groups of 4 that lie in one chunk, on one side of the cut, are summed
     by `_sum4`; a group that straddles a chunk boundary or the cut is summed
-    on its own, in the same order.
+    on its own, in the same order, so each mean is that of
+    ``reshape(-1, 4).mean(axis=1)`` over the kept samples, bit for bit.
     """
     if n_samples is None:
         raw_samples = [_as_1d(raw_samples)]
@@ -210,6 +194,55 @@ def raw_to_quadratures(
 ) -> QuadratureTrace:
     """Full raw-voltage -> quadrature conversion for one detector trace."""
     return normalize(discard_average4(raw_samples, fraction), sn, sample_rate / RAW_PER_QUADRATURE)
+
+
+def quadratures(traces, *, fraction: float, names=None) -> list[QuadratureTrace]:
+    """The four raw traces of one measurement, signal 1, signal 2, shot
+    noise 1 and shot noise 2, as calibrated quadratures in that order.
+
+    `traces` yields each as ``(chunks, n_samples, sample_rate)``, with the
+    chunks as `discard_average4` takes them (``[volts]`` for an array), and
+    is advanced only once the trace before is reduced.  Each trace is
+    checked against the first one's rate and its partner's length; each
+    shot-noise trace calibrates its detector, and the four averages are
+    normalized in place.
+
+    A fault in trace k raises ScenarioFormatError naming ``names[k]``.  Of
+    one trace's faults, what its chunks raise comes first (such as a
+    non-finite sample), then its rate, its length, and last what stops its
+    reduction, so a trace that cannot be reduced is still read to the end.
+    """
+    names = list(names or ("signal 1", "signal 2", "shot noise 1", "shot noise 2"))
+    averaged, stats = [], []
+    for k, (name, (chunks, n, trace_rate)) in enumerate(zip(names, traces)):
+        fault = None
+        try:
+            reduced = discard_average4(chunks, fraction, n)
+        except InvalidArgumentError as exc:  # empty, or too short
+            fault = exc
+            for _ in chunks:
+                pass
+        if k == 0:
+            rate = trace_rate
+        elif trace_rate != rate:
+            raise ScenarioFormatError(
+                f"{name}: sample rate {trace_rate:g} Hz differs from {rate:g} Hz of {names[0]}"
+            )
+        if k % 2 == 0:
+            first_size = n
+        elif n != first_size:
+            raise ScenarioFormatError(f"{name}: {n} samples, but {names[k - 1]} has {first_size}")
+        if fault is None and k >= 2:
+            try:
+                stats.append(ShotNoiseStats.from_samples(reduced))
+            except InvalidArgumentError as exc:  # constant shot noise
+                fault = exc
+        if fault is not None:
+            raise ScenarioFormatError(f"{name}: {fault}") from fault
+        averaged.append(reduced)
+    if len(averaged) != 4:
+        raise InvalidArgumentError(f"need four traces, got {len(averaged)}")
+    return [normalize(v, sn, rate / RAW_PER_QUADRATURE, out=v) for v, sn in zip(averaged, stats * 2)]
 
 
 def _delay_candidates(max_delay: int):

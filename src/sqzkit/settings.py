@@ -27,6 +27,9 @@ PHASE_KINDS = ("constant", "drift_sinusoid", "triangle_sweep", "noise_injected")
 
 #: Fraction of raw samples discarded around the trigger by default.
 DISCARD_FRACTION = 0.05
+#: Raw samples the analysis averages into one voltage point; synthesis sets
+#: its electronics noise relative to the shot noise of that average.
+RAW_PER_QUADRATURE = 4
 
 
 @dataclass(frozen=True)

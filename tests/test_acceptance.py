@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import montecarlo
 from sqzkit import cli, pipeline, synth
 from sqzkit._kernels import rolling_variance
 from sqzkit.budget import electronics_effective_loss_db
@@ -50,16 +51,9 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 
 def _analyze_scenario_run(doc, seed, duration=None, window=None, max_delay=8):
-    cfg = cli.scenario_synth_config(doc, seed=seed, duration=duration)
     # each raw trace is reduced once, as `sqzkit analyze` does
-    sig, ref = (
-        [pipeline.discard_average4(t.samples, pipeline.DISCARD_FRACTION) for t in pair]
-        for pair in (synth.synthesize_pair(cfg), synth.synthesize_shot_noise(cfg))
-    )
-    stats = [pipeline.ShotNoiseStats.from_samples(v) for v in ref]
-    rate = cfg.sample_rate / pipeline.RAW_PER_QUADRATURE
-    q, sq = ([pipeline.normalize(v, s, rate).q for v, s in zip(part, stats)] for part in (sig, ref))
-    return pipeline.analysis_report(q[0], q[1], sq[0], sq[1], window=window, max_delay=max_delay)
+    cfg = cli.scenario_synth_config(doc, seed=seed, duration=duration)
+    return montecarlo.run_report(cfg, window=window, max_delay=max_delay)
 
 
 def test_criterion_01_analytic_reference_points():

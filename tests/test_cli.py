@@ -292,11 +292,18 @@ def test_analyze_series_out_and_window_flag(capsys, tmp_path):
     assert header == "time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus"
 
 
-def test_analyze_window_flag_is_checked_by_argparse(capsys):
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--window", "abc"), ("--window", "1"), ("--window", "0"), ("--window", "-5"), ("--max-delay", "-1")],
+)
+def test_analyze_window_flag_is_checked_by_argparse(capsys, tmp_path, flag, value):
+    # checked before any trace is read: a missing first trace does not hide it
+    args = ["analyze", "--trace", str(tmp_path / "nope.f32"), "--trace", "b.f32",
+            "--shot-noise", "c.f32", "--shot-noise", "d.f32"]
     with pytest.raises(SystemExit) as exc:
-        cli.main(["analyze", "--window", "abc"])
+        cli.main([*args, flag, value])
     assert exc.value.code == 2
-    assert "--window" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fraction", ["1", "-0.1", "nan", "abc"])

@@ -13,18 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqzkit import cli, pipeline, synth
-from sqzkit.errors import DegenerateInputError, DimensionMismatchError, InvalidArgumentError
+from sqzkit.errors import (
+    DegenerateInputError,
+    DimensionMismatchError,
+    InvalidArgumentError,
+    ScenarioFormatError,
+)
 from sqzkit.pipeline import (
     QUADRATURE_VACUUM_VARIANCE,
     ShotNoiseStats,
     align,
     analysis_report,
-    average4,
     delay_search,
     dip_fwhm,
     discard_average4,
-    discard_trigger_region,
     normalize,
+    quadratures,
     raw_to_quadratures,
     rolling_variance,
     shot_noise_stats,
@@ -45,20 +49,35 @@ def correlated_pair(n, var1, var2, cov, seed=0):
 # --------------------------------------------------------------- averaging
 
 
+def _average4(v):
+    """Mean of every 4 consecutive samples, a trailing remainder dropped: the
+    oracle `discard_average4` is held to."""
+    v = np.asarray(v, dtype=np.float64)
+    return v[: v.size // 4 * 4].reshape(-1, 4).mean(axis=1)
+
+
+def _discard_trigger_region(v, fraction):
+    """v without its central round(v.size * fraction) samples; the head
+    keeps half of what is left, rounded down."""
+    cut = int(round(v.size * fraction))
+    start = (v.size - cut) // 2
+    return np.concatenate([v[:start], v[start + cut :]])
+
+
 def test_average4_basic():
-    out = average4(np.array([1.0, 2, 3, 4, 5, 6, 7, 8]))
+    out = discard_average4(np.array([1.0, 2, 3, 4, 5, 6, 7, 8]), 0.0)
     assert np.array_equal(out, [2.5, 6.5])
 
 
 def test_average4_drops_remainder():
-    out = average4(np.arange(11, dtype=float))
+    out = discard_average4(np.arange(11, dtype=float), 0.0)
     assert out.size == 2
     assert np.array_equal(out, [1.5, 5.5])
 
 
 def test_average4_too_short():
-    with pytest.raises(InvalidArgumentError):
-        average4(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(InvalidArgumentError, match="too short"):
+        discard_average4(np.array([1.0, 2.0, 3.0]), 0.0)
 
 
 @pytest.mark.parametrize("extra", [0, 1, 2, 3])
@@ -69,27 +88,26 @@ def test_average4_is_bit_identical_to_the_reshaped_mean(extra):
     frozen.setflags(write=False)
     for v in (rng.standard_normal(n), frozen, (0.05 * rng.standard_normal(n)).astype(np.float32)):
         want = np.asarray(v, dtype=np.float64)[: n - extra].reshape(-1, 4).mean(axis=1)
-        assert np.array_equal(average4(v), want)
+        assert np.array_equal(discard_average4(v, 0.0), want)
 
 
 def test_discard_trigger_region_center_cut():
-    v = np.arange(1.0, 11.0)
-    out = discard_trigger_region(v, 0.2)
-    assert np.array_equal(out, [1, 2, 3, 4, 7, 8, 9, 10])
+    v = np.arange(1.0, 11.0)  # keeps 1, 2, 3, 4 and 7, 8, 9, 10
+    assert np.array_equal(discard_average4(v, 0.2), [2.5, 8.5])
 
 
 def test_discard_trigger_region_zero_fraction():
-    v = np.arange(6.0)
-    assert np.array_equal(discard_trigger_region(v, 0.0), v)
+    v = np.arange(8.0)
+    assert np.array_equal(discard_average4(v, 0.0), _average4(v))
 
 
 def test_discard_trigger_region_validation():
     with pytest.raises(InvalidArgumentError):
-        discard_trigger_region(np.arange(4.0), 1.0)
+        discard_average4(np.arange(4.0), 1.0)
     with pytest.raises(InvalidArgumentError):
-        discard_trigger_region(np.arange(4.0), -0.1)
+        discard_average4(np.arange(4.0), -0.1)
     with pytest.raises(InvalidArgumentError):
-        discard_trigger_region(np.arange(2.0), 0.9)  # rounds to the whole trace
+        discard_average4(np.arange(2.0), 0.9)  # rounds to the whole trace
 
 
 def test_discard_then_average_matches_averaging_the_concatenation():
@@ -101,11 +119,11 @@ def test_discard_then_average_matches_averaging_the_concatenation():
     for n in [*range(5, 70), 4 * 25_001 + 3]:
         v = rng.standard_normal(n) + 1e3  # the offset makes the order of the sums show
         for fraction in (0.0, 0.05, 0.1, 0.25, 0.5, 0.8):
-            kept = discard_trigger_region(v, fraction)
+            kept = _discard_trigger_region(v, fraction)
             if kept.size < 8:  # shot-noise stats need two averaged points
                 continue
             cut_offsets.add(kept.size // 2 % 4)  # the head keeps kept.size // 2 samples
-            want = average4(kept)
+            want = _average4(kept)
             assert np.array_equal(discard_average4(v, fraction), want), (n, fraction)
             sn = shot_noise_stats(v, fraction)
             assert sn == ShotNoiseStats.from_samples(want), (n, fraction)
@@ -128,6 +146,65 @@ def test_discard_average4_of_chunks_is_that_of_the_array(fraction):
     for chunks in ([v[:-1]], [v, v[:1]]):  # one sample short, one too many
         with pytest.raises(InvalidArgumentError, match="chunks hold"):
             discard_average4(chunks, fraction, v.size)
+
+
+def _four_traces(seed=20, n=10_003):
+    """Two correlated signal traces and two shot-noise traces of n raw
+    samples each, with an offset, so the order of the sums shows."""
+    rng = np.random.default_rng(seed)
+    x1, x2 = correlated_pair(n, 3.0, 2.0, -2.0, seed=seed)
+    return [x1 + 1e3, x2 - 5.0, rng.standard_normal(n) + 1e3, 2 * rng.standard_normal(n) - 5.0]
+
+
+def test_quadratures_of_chunks_are_those_of_whole_arrays():
+    raw = _four_traces()
+    whole = quadratures((([v], v.size, 5e8) for v in raw), fraction=0.05)
+    for k, (got, v) in enumerate(zip(whole, raw)):  # the chain, one step at a time
+        sn = ShotNoiseStats.from_samples(discard_average4(raw[2 + k % 2], 0.05))
+        assert np.array_equal(got.q, normalize(discard_average4(v, 0.05), sn).q), k
+        assert got.quadrature_rate == 1.25e8
+    rng = np.random.default_rng(21)
+    uneven = [np.split(v, np.sort(rng.integers(0, v.size, 40))) for v in raw]  # empty chunks too
+    chunked = quadratures(((iter(c), v.size, 5e8) for c, v in zip(uneven, raw)), fraction=0.05)
+    assert all(np.array_equal(a.q, b.q) for a, b in zip(chunked, whole))
+
+
+def test_quadratures_opens_each_trace_after_reducing_the_one_before():
+    raw, opened = _four_traces(), []
+
+    def traces():
+        for k, v in enumerate(raw):
+            opened.append(k)
+            yield (chunk for chunk in np.array_split(v, 3)), v.size, 5e8
+            assert opened == list(range(k + 1))
+
+    assert len(quadratures(traces(), fraction=0.05)) == 4 and opened == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "k, fault, says",
+    [
+        (0, lambda v: v[:3], "trace too short to average"),
+        (1, lambda v: v[:-4], "samples, but signal 1 has"),
+        (2, lambda v: np.full(v.size, 2.0), "shot-noise variance must be positive"),
+        (3, lambda v: v[:-1], "samples, but shot noise 1 has"),
+    ],
+)
+def test_quadratures_names_the_faulty_trace(k, fault, says):
+    raw = _four_traces()
+    raw[k] = fault(raw[k])
+    for names in (None, ["a.f32", "b.f32", "c.f32", "d.f32"]):
+        with pytest.raises(ScenarioFormatError) as exc:
+            quadratures((([v], v.size, 5e8) for v in raw), fraction=0.05, names=names)
+        name = (names or ["signal 1", "signal 2", "shot noise 1", "shot noise 2"])[k]
+        assert str(exc.value).startswith(f"{name}: "), str(exc.value)
+        if names is None:
+            assert says in str(exc.value)
+    rates = [5e8, 5e8, 2.5e8, 5e8]
+    with pytest.raises(ScenarioFormatError, match="^shot noise 1: sample rate 2.5e"):
+        quadratures((([v], v.size, r) for v, r in zip(_four_traces(), rates)), fraction=0.05)
+    with pytest.raises(InvalidArgumentError, match="need four traces, got 3"):
+        quadratures((([v], v.size, 5e8) for v in _four_traces()[:3]), fraction=0.05)
 
 
 def test_normalize_writes_into_out():
