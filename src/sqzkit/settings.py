@@ -98,8 +98,9 @@ class SynthConfig:
     duration                acquisition length in seconds
     detector_band           (low, high) detection band in Hz, or None for
                             no band-limiting
-    electronics_noise_db    shot-noise-to-electronics clearance in dB
-                            (None disables electronics noise)
+    electronics_noise_db    shot-noise-to-electronics clearance in dB, in the
+                            analysed (4-sample averaged) quadrature (None
+                            disables electronics noise)
     phase_b, phase_c        local-oscillator phase models for each detector
     relative_delay_samples  channel-2 lag in raw scope samples (cable skew)
     shot_noise_volts_rms    RMS volts of pure shot noise on either detector

@@ -35,6 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
+from .settings import RAW_PER_QUADRATURE
 from .settings import PHASE_KINDS, PhaseModel, SynthConfig  # re-exported
 from .tmsv import lossy_tmsv_moments
 
@@ -117,6 +118,17 @@ def _filter_spectrum(low_hz: float, high_hz: float, fs: float) -> np.ndarray:
     return spectrum
 
 
+@lru_cache(maxsize=8)
+def _averaged_gain(low_hz: float, high_hz: float, fs: float) -> float:
+    """g_band: the share of band-limited unit shot noise's variance that the
+    analysis's mean of RAW_PER_QUADRATURE (m) samples keeps,
+    sum over |k| < m of (m - |k|) r_h(k) / m^2, with r_h the autocorrelation
+    of the taps.  White noise keeps g_white = 1/m of its variance."""
+    h, m = _bandpass_taps(low_hz, high_hz, fs), RAW_PER_QUADRATURE
+    r = [float(np.dot(h[: h.size - k], h[k:])) for k in range(m)]
+    return (m * r[0] + 2.0 * sum((m - k) * r[k] for k in range(1, m))) / (m * m)
+
+
 def _draws(phase: PhaseModel) -> bool:
     """Whether `phase.angles` draws from its random stream."""
     return phase.kind == "noise_injected" or phase.transient_jitter_rms > 0
@@ -193,7 +205,13 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
     spectrum = _filter_spectrum(band[0], band[1], fs) if band is not None else None
     sigma_e = None
     if config.electronics_noise_db is not None:
+        # The clearance holds where it is measured, in the analysed quadrature
+        # (Appel et al., Phys. Rev. A 75, 035802 (2007)): the analysis's
+        # average keeps g_band of the shot noise's variance but 1/m of the
+        # white noise's, so the raw noise is sqrt(g_band * m) times larger.
         sigma_e = 10.0 ** (-config.electronics_noise_db / 20.0)
+        if band is not None:
+            sigma_e *= math.sqrt(_averaged_gain(band[0], band[1], fs) * RAW_PER_QUADRATURE)
 
     # Per-sample 2x2 covariance of the two detector quadratures: the cross
     # term swings with cos(theta_b + theta_c), so sweeping either phase moves
@@ -282,7 +300,7 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
             if a < b:
                 out = out[a - j : b - j]
                 # Electronics noise is white and unfiltered: it originates after
-                # the detection band, at -clearance dB relative to shot noise
+                # the detection band, at sigma_e relative to shot noise
                 # (variance 1).
                 if elec is not None:
                     e = elec.standard_normal(out=noise[: b - a])

@@ -67,12 +67,28 @@ def test_trigger_pulse_placement():
 
 
 def test_shot_noise_variance_scale():
-    # filtered unit-variance shot noise + white electronics at -15 dB,
-    # all times the configured RMS voltage
+    # The clearance is defined in the analysed quadrature: after the 4-sample
+    # average, the white electronics noise lies 15 dB below the band-limited
+    # unit shot noise, all times the configured RMS voltage.  The average
+    # keeps g_band of the shot noise's variance, from the taps'
+    # autocorrelation, and 1/4 of the white noise's.
     cfg = small_config(duration=4e-4, electronics_noise_db=15.0)
-    tr, _ = synthesize_shot_noise(cfg)
-    want = cfg.shot_noise_volts_rms**2 * (1.0 + 10 ** -1.5)
-    assert float(tr.samples.var(ddof=1)) == pytest.approx(want, rel=0.03)
+    taps = synth._bandpass_taps(*cfg.detector_band, cfg.sample_rate)
+    r = [float(taps[: taps.size - k] @ taps[k:]) for k in range(4)]
+    g_band = (4 * r[0] + 2 * (3 * r[1] + 2 * r[2] + r[3])) / 16
+    assert g_band == pytest.approx(0.9662, abs=5e-5)
+    assert synth._averaged_gain(*cfg.detector_band, cfg.sample_rate) == pytest.approx(g_band, rel=1e-12)
+
+    def averaged(config):
+        tr, _ = synthesize_shot_noise(config)
+        return tr.samples.reshape(-1, 4).mean(axis=1) / cfg.shot_noise_volts_rms
+
+    noisy = averaged(cfg)
+    want = g_band * (1.0 + 10 ** -1.5)
+    assert float(noisy.var(ddof=1)) == pytest.approx(want, rel=0.03)
+    # same seed, same shot-noise draws: the difference is the electronics noise
+    electronics = noisy - averaged(dataclasses.replace(cfg, electronics_noise_db=None))
+    assert float(electronics.var(ddof=1)) == pytest.approx(g_band * 10 ** -1.5, rel=0.03)
 
 
 def test_no_electronics_noise_option():
@@ -392,6 +408,8 @@ def _whole_grid(config, family):
         x = x[start : start + n]
         if config.electronics_noise_db is not None:
             sigma = 10.0 ** (-config.electronics_noise_db / 20.0)
+            if band is not None:  # the clearance holds after the 4-sample average
+                sigma *= math.sqrt(synth._averaged_gain(band[0], band[1], fs) * 4)
             x = x + synth._rng(seed, family, stream).standard_normal(n) * sigma
         out.append(x * config.shot_noise_volts_rms)
     return out
