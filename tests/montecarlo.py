@@ -31,17 +31,10 @@ def run_report(config, *, window=None, max_delay=8) -> dict:
     )
 
 
-def mean_se(values) -> tuple[float, float]:
-    """The mean of `values` and its standard error, sd (n - 1) / sqrt(n)."""
-    v = np.asarray(values, dtype=np.float64)
-    return float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size))
-
-
-def monte_carlo(doc, seeds, *, duration, window=None, max_delay=8,
-                keys=("squeezing_db", "antisqueezing_db"), **overrides) -> dict:
-    """{key: (mean, standard error)} of each report key in `keys` over one
-    run of the scenario `doc` per seed; `overrides` replace fields of its
-    synthesis config."""
+def monte_carlo(doc, seeds, *, duration, window=None, max_delay=8, **overrides) -> dict:
+    """{key: (mean, standard error)} of the squeezing and the anti-squeezing
+    over one run of the scenario `doc` per seed; `overrides` replace fields
+    of its synthesis config.  The standard error is sd (n - 1) / sqrt(n)."""
     reports = [
         run_report(
             dataclasses.replace(cli.scenario_synth_config(doc, seed=seed, duration=duration), **overrides),
@@ -49,4 +42,8 @@ def monte_carlo(doc, seeds, *, duration, window=None, max_delay=8,
         )
         for seed in seeds
     ]
-    return {key: mean_se([report[key] for report in reports]) for key in keys}
+    out = {}
+    for key in ("squeezing_db", "antisqueezing_db"):
+        v = np.array([report[key] for report in reports])
+        out[key] = float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size))
+    return out

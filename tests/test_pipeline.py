@@ -169,16 +169,20 @@ def test_quadratures_of_chunks_are_those_of_whole_arrays():
     assert all(np.array_equal(a.q, b.q) for a, b in zip(chunked, whole))
 
 
-def test_quadratures_opens_each_trace_after_reducing_the_one_before():
-    raw, opened = _four_traces(), []
+def test_quadratures_reads_each_trace_to_the_end_before_it_takes_the_next():
+    raw, events = _four_traces(), []
+
+    def chunks(k, v):
+        yield from np.array_split(v, 3)
+        events.append(("read", k))
 
     def traces():
         for k, v in enumerate(raw):
-            opened.append(k)
-            yield (chunk for chunk in np.array_split(v, 3)), v.size, 5e8
-            assert opened == list(range(k + 1))
+            events.append(("open", k))
+            yield chunks(k, v), v.size, 5e8
 
-    assert len(quadratures(traces(), fraction=0.05)) == 4 and opened == [0, 1, 2, 3]
+    assert len(quadratures(traces(), fraction=0.05)) == 4
+    assert events == [(event, k) for k in range(4) for event in ("open", "read")]
 
 
 @pytest.mark.parametrize(
