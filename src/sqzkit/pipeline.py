@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import rolling_variance
+from ._kernels import _RUN, rolling_variance
 from .errors import DegenerateInputError, DimensionMismatchError, InvalidArgumentError
 from .errors import ScenarioFormatError
 from .settings import DISCARD_FRACTION, RAW_PER_QUADRATURE  # re-exported
@@ -56,6 +56,43 @@ def _as_1d(x, name="trace") -> np.ndarray:
     return a
 
 
+class _Sums:
+    """The sums P of d = x - x0 and Q of d * d over a series taken a piece
+    at a time, x0 its first value, each added in order: the shifted-data
+    form of Chan, Golub & LeVeque, Am. Stat. 37 (1983).  The mean is
+    x0 + P / n and the unbiased variance (Q - P * P / n) / (n - 1), which is
+    `rolling_variance` of a window as long as the series, bit for bit,
+    however the series is cut into pieces."""
+
+    def __init__(self):
+        self.n, self.anchor, self.p, self.q = 0, 0.0, 0.0, 0.0
+
+    def add(self, x: np.ndarray) -> None:
+        if x.size and not self.n:
+            self.anchor = float(x[0])
+        for i in range(0, x.size, _RUN):  # bounded scratch; the carry keeps the order
+            d = x[i : i + _RUN] - self.anchor
+            sq = d * d
+            d[0] += self.p
+            sq[0] += self.q
+            self.p = float(np.cumsum(d, out=d)[-1])
+            self.q = float(np.cumsum(sq, out=sq)[-1])
+        self.n += x.size
+
+    def mean(self) -> float:
+        return self.anchor + self.p / self.n
+
+    def var(self) -> float:
+        return (self.q - self.p * self.p / self.n) / (self.n - 1)
+
+
+def _variance(x: np.ndarray) -> float:
+    """The unbiased variance of x in the form of `_Sums`."""
+    sums = _Sums()
+    sums.add(x)
+    return sums.var()
+
+
 @dataclass(frozen=True)
 class ShotNoiseStats:
     """Mean/variance of a shot-noise trace after the averaging path."""
@@ -73,7 +110,9 @@ class ShotNoiseStats:
         v = _as_1d(v, "shot-noise samples")
         if v.size < 2:
             raise InvalidArgumentError("need at least 2 samples for shot-noise stats")
-        return cls(float(v.mean()), float(v.var(ddof=1)), v.size)
+        sums = _Sums()
+        sums.add(v)
+        return cls(sums.mean(), sums.var(), v.size)
 
 
 @dataclass(frozen=True)
@@ -379,7 +418,7 @@ def squeezing_report(q1, q2, sn1, sn2, window: int | None = None) -> dict:
     min_ratio, max_ratio, spreads = math.inf, -math.inf, []
     for combine in (np.add, np.subtract):
         ref_series = combine(ra, rb)
-        ref = float(ref_series.var(ddof=1))
+        ref = _variance(ref_series)
         if ref <= 0.0:
             raise DegenerateInputError("shot-noise reference variance is zero")
         w_ref = window if window is not None else ref_series.size
@@ -391,7 +430,7 @@ def squeezing_report(q1, q2, sn1, sn2, window: int | None = None) -> dict:
         ratios /= ref
         min_ratio = min(min_ratio, float(ratios.min()))
         max_ratio = max(max_ratio, float(ratios.max()))
-        spread = 0.0 if ref_series is None else float(rolling_variance(ref_series, w_ref).std(ddof=1))
+        spread = 0.0 if ref_series is None else math.sqrt(max(_variance(rolling_variance(ref_series, w_ref)), 0.0))
         spreads.append(spread / ref)
 
     if min_ratio <= 0.0:
