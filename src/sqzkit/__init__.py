@@ -55,7 +55,6 @@ _HOMES = {
         "normalize",
         "shot_noise_stats",
         "raw_to_quadratures",
-        "quadratures",
         "rolling_variance",
         "delay_search",
         "align",
@@ -63,6 +62,7 @@ _HOMES = {
         "variance_vs_delay",
         "dip_fwhm",
         "analysis_report",
+        "analyze_traces",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -59,16 +59,22 @@ def run_both(first, second):
     return theirs, mine
 
 
+def check_window(n: int, window) -> int:
+    """`window` as an int, if `rolling_variance` takes it for n samples."""
+    window = int(window)
+    if window < 2:
+        raise InvalidArgumentError("window must be >= 2")
+    if window > n:
+        raise InvalidArgumentError(f"window {window} exceeds trace length {n}")
+    return window
+
+
 def rolling_variance(x, window: int) -> np.ndarray:
     """Unbiased variance of every length-`window` slice of `x`."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise InvalidArgumentError("expected a 1-D sample array")
-    window = int(window)
-    if window < 2:
-        raise InvalidArgumentError("window must be >= 2")
-    if window > x.size:
-        raise InvalidArgumentError(f"window {window} exceeds trace length {x.size}")
+    window = check_window(x.size, window)
     m = x.size - window + 1
     out = np.empty(m)
     k_max = min(RENORM_INTERVAL, m)

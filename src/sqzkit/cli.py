@@ -367,46 +367,18 @@ def _cmd_analyze(args) -> dict:
         args.discard_fraction if args.discard_fraction is not None else defaults["discard_fraction"]
     )
 
-    # One raw trace at a time, one chunk at a time: a trace file is opened
-    # once the one before it is reduced.
+    # The traces are read in passes, one chunk at a time: in the first, a
+    # trace file is opened once the one before it is reduced.
     paths = [*args.trace, *args.shot_noise]
-    quads = pipeline.quadratures(
-        (traceio.read_trace_chunks(path) for path in paths), fraction=fraction, names=paths
+    report = pipeline.analyze_traces(
+        [traceio.trace_reader(path) for path in paths], fraction=fraction, window=window,
+        max_delay=max_delay, names=paths, series_out=args.series_out or None,
     )
-    rate = quads[0].quadrature_rate
-    report = pipeline.analysis_report(
-        *(t.q for t in quads), window=window, max_delay=max_delay, quadrature_rate=rate
-    )
-    report = {
-        **report,
-        "window": "full" if window is None else window,
-        "max_delay": max_delay,
-        "n_quadrature_samples": len(quads[0]),
-        "quadrature_rate_hz": rate,
-    }
+    if window is None:
+        report["window"] = "full"
     if args.series_out:
-        _write_series(args.series_out, quads, window, max_delay, report["optimal_delay"])
         report["series_file"] = args.series_out
     return report
-
-
-def _write_series(path, quads, window, max_delay, delay) -> None:
-    """Rolling-variance traces of both combinations and their references;
-    `quads` are the signal pair, then the shot-noise pair."""
-    import numpy as np
-
-    from . import pipeline, traceio
-
-    q1, q2 = pipeline.align(quads[0].q, quads[1].q, delay, max_delay)
-    lo, hi = max_delay, len(quads[2]) - max_delay
-    s1, s2 = quads[2].q[lo:hi], quads[3].q[lo:hi]
-    w = window or pipeline.default_window(q1.size)
-    v_plus = pipeline.rolling_variance(q1 + q2, w)
-    v_minus = pipeline.rolling_variance(q1 - q2, w)
-    sn_plus = pipeline.rolling_variance(s1 + s2, w)
-    sn_minus = pipeline.rolling_variance(s1 - s2, w)
-    time_ms = np.arange(v_plus.size) / quads[0].quadrature_rate * 1e3
-    traceio.write_analysis_csv(path, time_ms, v_plus, v_minus, sn_plus, sn_minus)
 
 
 def _cmd_fit(args) -> dict:

@@ -13,22 +13,47 @@ The measurement convention this implements:
 5. report squeezing/anti-squeezing as rolling-variance extrema relative to
    the identically-combined shot-noise reference.
 
-`quadratures` is steps 1-3 for the four raw traces of one measurement, two
-signal then two shot noise, read one at a time and a chunk at a time;
-`analysis_report` is steps 4 and 5 on its output.  ``sqzkit analyze`` is
-these two calls.  The other functions take plain float arrays (volts or
-quadrature units); reading trace files lives in `traceio`.  Unbiased (n-1)
-variance is used everywhere.
+`analyze_traces` runs all five steps on the four raw traces of one
+measurement, signal 1, signal 2, shot noise 1 and shot noise 2; ``sqzkit
+analyze`` is that call.  It reads the traces in passes, a chunk at a time,
+and keeps running sums, tile moments and two short windows, never a series
+as long as a trace, so its memory does not grow with the duration:
+
+- *Pass 1* reads each trace in turn, with every check, and reduces each
+  chunk (steps 1 and 2) as it arrives.  A trace that comes in several
+  chunks, such as a float32 file, keeps only its length, and a shot-noise
+  trace the running sums that calibrate its detector (step 3); it is read
+  again in each later pass.  A trace that comes as one chunk, such as a
+  CSV file or an array, is in memory anyway, so its averages are kept and
+  normalized in place.
+- *Pass 2* (`delay_search`) reads the signal pair in lockstep into the
+  per-tile moments of the delay objective, and captures the two windows,
+  at fixed indices, that the coherence-dip scan needs (step 4).
+- *Pass 3* (`squeezing_report`) reads the aligned signal pair and the
+  shot-noise pair in lockstep into running sums: each reference variance
+  and, for one full-length window, each combination's variance; for a
+  rolling window, the extrema of the rolling variances and the sums of the
+  reference's, for the error bar (step 5).
+- With a series file, one more pass streams the four rolling-variance
+  series into it.
+
+The other public functions take plain float arrays (volts or quadrature
+units), reading an array in place, or the series pass 1 makes; reading
+trace files lives in `traceio`.  Every statistic is a sum added in order,
+with an anchor subtracted, so a number does not depend on how a trace was
+cut into chunks: a file, an array and any chunking give the same bits.
+Unbiased (n-1) variance is used everywhere.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _RUN, rolling_variance
+from ._kernels import _RUN, RENORM_INTERVAL, check_window, rolling_variance
 from .errors import DegenerateInputError, DimensionMismatchError, InvalidArgumentError
 from .errors import ScenarioFormatError
 from .settings import DISCARD_FRACTION, RAW_PER_QUADRATURE  # re-exported
@@ -41,6 +66,9 @@ DEFAULT_WINDOW = 10_000
 #: `analysis_report` scans the coherence dip over delays of -DIP_DELAY_SPAN
 #: to +DIP_DELAY_SPAN quadrature samples.
 DIP_DELAY_SPAN = 25
+#: The lockstep passes take each series this many values at a time, and the
+#: delay search its tiles in groups of about as many samples.
+_STEP = 16_384
 
 
 def default_window(n_points: int) -> int:
@@ -54,6 +82,90 @@ def _as_1d(x, name="trace") -> np.ndarray:
     if a.ndim != 1:
         raise InvalidArgumentError(f"{name} must be one-dimensional")
     return a
+
+
+class _Series:
+    """A quadrature series that the analysis reads from its start, as often
+    as it needs: `pieces()` yields its values anew, in order, each time.
+
+    A series held in memory (`of`) yields its array, read in place, and its
+    slices and captures are views of it.  Any other is read again on each
+    call; a `capture` of it is a buffer filled as the next read goes by.
+    """
+
+    def __init__(self, n: int, read, kept: np.ndarray | None = None):
+        self.n, self._read, self._kept, self._captures = n, read, kept, []
+
+    @classmethod
+    def of(cls, q: np.ndarray) -> "_Series":
+        return cls(q.size, lambda: [q], q)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, span: slice) -> "_Series":
+        lo, hi, _ = span.indices(self.n)
+        hi = max(lo, hi)
+        if self._kept is not None:
+            return _Series.of(self._kept[lo:hi])
+        return _Series(hi - lo, lambda: _restrict(self.pieces(), lo, hi))
+
+    def capture(self, lo: int, hi: int) -> np.ndarray:
+        """The values [lo, hi): for a series not held in memory, once a read has gone by."""
+        if self._kept is not None:
+            return self._kept[lo:hi]
+        buf = np.empty(hi - lo)
+        self._captures.append((lo, buf))
+        return buf
+
+    def pieces(self):
+        at = 0
+        for piece in self._read():
+            for lo, buf in self._captures:
+                a, b = max(lo, at), min(lo + buf.size, at + piece.size)
+                if a < b:
+                    buf[a - lo : b - lo] = piece[a - at : b - at]
+            at += piece.size
+            yield piece
+
+
+def _restrict(pieces, lo: int, hi: int):
+    """The values [lo, hi) of a series whose `pieces` are given."""
+    at = 0
+    for piece in pieces:
+        a, b = max(lo - at, 0), min(hi - at, piece.size)
+        if a < b:
+            yield piece[a:b]
+        at += piece.size
+        if at >= hi:
+            return
+
+
+def _series(x, name: str) -> _Series:
+    return x if isinstance(x, _Series) else _Series.of(_as_1d(x, name))
+
+
+class _Reader:
+    """Takes a series from its start, any number of values at a time: a view
+    where they lie in one piece, else a copy.  What it returns is read-only
+    to the caller, which may hold a view of an input array."""
+
+    def __init__(self, series: _Series):
+        self._pieces = series.pieces()
+        self._piece, self._at = np.empty(0), 0
+
+    def take(self, k: int) -> np.ndarray:
+        parts = []
+        while True:
+            part = self._piece[self._at : self._at + k]
+            self._at += part.size
+            k -= part.size
+            if part.size:
+                parts.append(part)
+            if not k:
+                break
+            self._piece, self._at = next(self._pieces), 0
+        return parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty(0)])
 
 
 class _Sums:
@@ -86,11 +198,30 @@ class _Sums:
         return (self.q - self.p * self.p / self.n) / (self.n - 1)
 
 
-def _variance(x: np.ndarray) -> float:
-    """The unbiased variance of x in the form of `_Sums`."""
-    sums = _Sums()
-    sums.add(x)
-    return sums.var()
+class _Rolling:
+    """`rolling_variance(x, window)` of a series x of n values fed a piece at
+    a time.  `add` returns the values its piece completes, one
+    renormalization block to an array, each block computed by
+    `rolling_variance` from its own samples as the whole call computes it.
+    It holds at most a block, a window and a piece of samples."""
+
+    def __init__(self, n: int, window: int):
+        self.window = check_window(n, window)
+        self.left = n - self.window + 1  # values not yet returned
+        self.held, self.n_held = [], 0  # the pieces from the next block's first sample on
+
+    def add(self, x: np.ndarray) -> list[np.ndarray]:
+        self.held.append(x)
+        self.n_held += x.size
+        done = []
+        while self.left:
+            k = min(RENORM_INTERVAL, self.left)
+            if self.n_held < k + self.window - 1:
+                break
+            held = np.concatenate(self.held)  # once a block, not once a piece
+            done.append(rolling_variance(held[: k + self.window - 1], self.window))
+            self.held, self.n_held, self.left = [held[k:]], held.size - k, self.left - k
+        return done
 
 
 @dataclass(frozen=True)
@@ -107,12 +238,16 @@ class ShotNoiseStats:
 
     @classmethod
     def from_samples(cls, v) -> "ShotNoiseStats":
-        v = _as_1d(v, "shot-noise samples")
-        if v.size < 2:
-            raise InvalidArgumentError("need at least 2 samples for shot-noise stats")
         sums = _Sums()
-        sums.add(v)
-        return cls(sums.mean(), sums.var(), v.size)
+        sums.add(_as_1d(v, "shot-noise samples"))
+        return cls._of(sums)
+
+    @classmethod
+    def _of(cls, sums: _Sums) -> "ShotNoiseStats":
+        """The stats of the averages whose `_Sums` a read gathered."""
+        if sums.n < 2:
+            raise InvalidArgumentError("need at least 2 samples for shot-noise stats")
+        return cls(sums.mean(), sums.var(), sums.n)
 
 
 @dataclass(frozen=True)
@@ -150,37 +285,38 @@ def _discarded(n: int, fraction: float) -> tuple[int, int]:
     return (n - cut) // 2, cut
 
 
-def discard_average4(raw_samples, fraction: float, n_samples: int | None = None) -> np.ndarray:
-    """The mean of every 4 consecutive samples (a trailing remainder dropped)
-    of `raw_samples` with its central `fraction` dropped, without copying
-    the kept samples into one array first: the one reduction a raw trace
-    goes through.  `shot_noise_stats` and `raw_to_quadratures` are this
-    followed by `ShotNoiseStats.from_samples` and `normalize`, and
-    `quadratures` does all three for a measurement's four traces.
+def _layout(n_samples: int, fraction: float) -> tuple[int, int, int]:
+    """(averages, start, cut) of a trace of n_samples raw samples."""
+    start, cut = _discarded(n_samples, fraction)
+    n = (n_samples - cut) // RAW_PER_QUADRATURE
+    if n == 0:
+        raise InvalidArgumentError("trace too short to average")
+    return n, start, cut
 
-    `raw_samples` is one array; or, with `n_samples`, an iterable of 1-D
-    arrays that hold the trace's n_samples samples in order, each reduced
-    as it arrives, so a caller reading a trace a chunk at a time never
-    holds it whole.  The layout is checked before the first chunk is taken.
+
+def _average_pieces(raw_samples, n_samples: int, layout, out: np.ndarray | None = None):
+    """Yield, for each chunk of `raw_samples` (1-D arrays holding the
+    trace's n_samples samples in order), the averages it completes: a new
+    array, or the next stretch of `out`.
 
     Groups of 4 that lie in one chunk, on one side of the cut, are summed
     by `_sum4`; a group that straddles a chunk boundary or the cut is summed
     on its own, in the same order, so each mean is that of
     ``reshape(-1, 4).mean(axis=1)`` over the kept samples, bit for bit.
     """
-    if n_samples is None:
-        raw_samples = [_as_1d(raw_samples)]
-        n_samples = raw_samples[0].size
-    start, cut = _discarded(n_samples, fraction)
-    n = (n_samples - cut) // RAW_PER_QUADRATURE
-    if n == 0:
-        raise InvalidArgumentError("trace too short to average")
-    out = np.empty(n)
-    k, group, at = 0, [], 0  # groups done, the samples of the open group, samples taken
+    _, start, cut = layout
+
+    def groups(at):  # the groups the kept samples among the first `at` complete
+        return (min(at, start) + max(at - start - cut, 0)) // RAW_PER_QUADRATURE
+
+    group, at = [], 0  # the samples of the open group, samples taken
     for chunk in raw_samples:
         chunk = _as_1d(chunk, "chunk")
         if at + chunk.size > n_samples:
             raise InvalidArgumentError(f"the chunks hold more than {n_samples} samples")
+        k0, k1 = groups(at), groups(at + chunk.size)
+        piece = np.empty(k1 - k0) if out is None else out[k0:k1]
+        k = 0
         # the kept samples of the chunk: those before the cut, then those after it
         for part in (chunk[: max(start - at, 0)], chunk[max(start + cut - at, 0) :]):
             if group:
@@ -188,17 +324,40 @@ def discard_average4(raw_samples, fraction: float, n_samples: int | None = None)
                 group += part[:need].tolist()
                 if len(group) < RAW_PER_QUADRATURE:
                     continue
-                out[k] = ((group[0] + group[1]) + group[2]) + group[3]
+                piece[k] = ((group[0] + group[1]) + group[2]) + group[3]
                 k += 1
                 part = part[need:]
             whole = part.size // RAW_PER_QUADRATURE
-            _sum4(part[: RAW_PER_QUADRATURE * whole], out[k : k + whole])
+            _sum4(part[: RAW_PER_QUADRATURE * whole], piece[k : k + whole])
             k += whole
             group = part[RAW_PER_QUADRATURE * whole :].tolist()
         at += chunk.size
+        piece /= RAW_PER_QUADRATURE
+        yield piece
     if at < n_samples:
         raise InvalidArgumentError(f"the chunks hold {at} samples, not {n_samples}")
-    out /= RAW_PER_QUADRATURE
+
+
+def discard_average4(raw_samples, fraction: float, n_samples: int | None = None) -> np.ndarray:
+    """The mean of every 4 consecutive samples (a trailing remainder dropped)
+    of `raw_samples` with its central `fraction` dropped, without copying
+    the kept samples into one array first: the one reduction a raw trace
+    goes through.  `shot_noise_stats` and `raw_to_quadratures` are this
+    followed by `ShotNoiseStats.from_samples` and `normalize`, and
+    `analyze_traces` does all three for a measurement's four traces.
+
+    `raw_samples` is one array; or, with `n_samples`, an iterable of 1-D
+    arrays that hold the trace's n_samples samples in order, each reduced
+    as it arrives, so a caller reading a trace a chunk at a time never
+    holds it whole.  The layout is checked before the first chunk is taken.
+    """
+    if n_samples is None:
+        raw_samples = [_as_1d(raw_samples)]
+        n_samples = raw_samples[0].size
+    layout = _layout(n_samples, fraction)
+    out = np.empty(layout[0])
+    for _ in _average_pieces(raw_samples, n_samples, layout, out):
+        pass
     return out
 
 
@@ -235,55 +394,6 @@ def raw_to_quadratures(
     return normalize(discard_average4(raw_samples, fraction), sn, sample_rate / RAW_PER_QUADRATURE)
 
 
-def quadratures(traces, *, fraction: float, names=None) -> list[QuadratureTrace]:
-    """The four raw traces of one measurement, signal 1, signal 2, shot
-    noise 1 and shot noise 2, as calibrated quadratures in that order.
-
-    `traces` yields each as ``(chunks, n_samples, sample_rate)``, with the
-    chunks as `discard_average4` takes them (``[volts]`` for an array), and
-    is advanced only once the trace before is reduced.  Each trace is
-    checked against the first one's rate and its partner's length; each
-    shot-noise trace calibrates its detector, and the four averages are
-    normalized in place.
-
-    A fault in trace k raises ScenarioFormatError naming ``names[k]``.  Of
-    one trace's faults, what its chunks raise comes first (such as a
-    non-finite sample), then its rate, its length, and last what stops its
-    reduction, so a trace that cannot be reduced is still read to the end.
-    """
-    names = list(names or ("signal 1", "signal 2", "shot noise 1", "shot noise 2"))
-    averaged, stats = [], []
-    for k, (name, (chunks, n, trace_rate)) in enumerate(zip(names, traces)):
-        fault = None
-        try:
-            reduced = discard_average4(chunks, fraction, n)
-        except InvalidArgumentError as exc:  # empty, or too short
-            fault = exc
-            for _ in chunks:
-                pass
-        if k == 0:
-            rate = trace_rate
-        elif trace_rate != rate:
-            raise ScenarioFormatError(
-                f"{name}: sample rate {trace_rate:g} Hz differs from {rate:g} Hz of {names[0]}"
-            )
-        if k % 2 == 0:
-            first_size = n
-        elif n != first_size:
-            raise ScenarioFormatError(f"{name}: {n} samples, but {names[k - 1]} has {first_size}")
-        if fault is None and k >= 2:
-            try:
-                stats.append(ShotNoiseStats.from_samples(reduced))
-            except InvalidArgumentError as exc:  # constant shot noise
-                fault = exc
-        if fault is not None:
-            raise ScenarioFormatError(f"{name}: {fault}") from fault
-        averaged.append(reduced)
-    if len(averaged) != 4:
-        raise InvalidArgumentError(f"need four traces, got {len(averaged)}")
-    return [normalize(v, sn, rate / RAW_PER_QUADRATURE, out=v) for v, sn in zip(averaged, stats * 2)]
-
-
 def _delay_candidates(max_delay: int):
     yield 0
     for k in range(1, max_delay + 1):
@@ -291,24 +401,21 @@ def _delay_candidates(max_delay: int):
         yield k
 
 
-def _window_deviations(x: np.ndarray, edges: np.ndarray, window: int) -> np.ndarray:
-    """Sum of squared deviations from the mean of x over x[edges[j, k] :
-    edges[j, k + 1]], each of `window` samples, for every row j and window k.
-
-    The window sums and sums of squares are read at `edges` from one prefix
-    sum each of x and x**2, built one after the other in one buffer."""
-    prefix = np.zeros(x.size + 1)
-    np.cumsum(x, out=prefix[1:])
-    sums = np.diff(prefix[edges], axis=1)
-    np.square(x, out=prefix[1:])
-    np.cumsum(prefix[1:], out=prefix[1:])
-    dev = np.diff(prefix[edges], axis=1)
-    dev -= sums * sums / window
-    return dev
+def _tile_groups(n_tiles: int, window: int) -> list[int]:
+    """Where the delay search's groups of tiles start, then n_tiles: about
+    `_STEP` samples a group, and never one tile alone unless there is only
+    one, since numpy's row-wise sum of products can round a lone row's sum
+    differently."""
+    rows = max(2, _STEP // window)
+    bounds = [*range(0, n_tiles, rows), n_tiles]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return bounds
 
 
-def _delay_objectives(a: np.ndarray, b: np.ndarray, max_delay: int, window: int):
-    """[(delay, objective)] for every candidate delay, in `_delay_candidates` order.
+def _delay_objectives(a, b, max_delay: int, window: int):
+    """[(delay, objective)] for every candidate delay, in `_delay_candidates`
+    order, from one read of q1 and q2 (arrays or series of one length).
 
     The objective is the mean, over the T = (len(a) - 2 * max_delay) // window
     windows that tile a[max_delay : max_delay + T * window] without overlap,
@@ -320,27 +427,80 @@ def _delay_objectives(a: np.ndarray, b: np.ndarray, max_delay: int, window: int)
     anchor per trace, its sample at max_delay, is subtracted first, so a
     large offset costs no precision.  a's windows are centred once, so they
     sum to zero and a candidate's covariances are one row-wise dot product
-    with b's windows as they lie; b's window variances come from
-    `_window_deviations`.  Windows where var a + var b_d is not positive
-    contribute zero.
+    with b's windows as they lie; b's window variances come from its prefix
+    sums and those of its squares, read where the windows start and end.
+    Windows where var a + var b_d is not positive contribute zero.
+
+    The two series are read in lockstep, a group of tiles at a time
+    (`_tile_groups`), and each group's contrasts are added to the running
+    totals, so what is held does not grow with the trace.  Of b, a group
+    keeps for the next the 2 * max_delay samples they share, and the prefix
+    sums there: the sums carry their running totals from one stretch to the
+    next, so they are those of one cumulative sum.  Reading both to the end
+    gives their ranges: a constant trace raises DegenerateInputError, then
+    traces too short for one window with every delay raise
+    InvalidArgumentError.
     """
-    start, n_tiles = max_delay, (a.size - 2 * max_delay) // window
-    stop = start + n_tiles * window
+    a, b = _series(a, "q1"), _series(b, "q2")
+    n = len(a)
+    fits = n - window + 1 > 2 * max_delay
+    n_tiles = (n - 2 * max_delay) // window if fits else 0
     delays = list(_delay_candidates(max_delay))
-    b = b - b[start]
-    # edges[j]: where candidate j's windows of b start, then where its last one ends
-    edges = np.add.outer([start + d for d in delays], np.arange(n_tiles + 1) * window)
-    totals = _window_deviations(b, edges, window)  # var b_d, then var a + var b_d
-    tiles_a = (a[start:stop] - a[start]).reshape(n_tiles, window)
-    tiles_a -= tiles_a.mean(axis=1, keepdims=True)
-    totals += np.einsum("ij,ij->i", tiles_a, tiles_a)
-    covs = np.empty_like(totals)
-    for j, d in enumerate(delays):
-        tiles_b = b[start + d : stop + d].reshape(n_tiles, window)
-        np.einsum("ij,ij->i", tiles_a, tiles_b, out=covs[j])
-    np.abs(covs, out=covs)
-    contrast = np.divide(covs, totals, out=np.zeros_like(covs), where=totals > 0.0)
-    return list(zip(delays, (2.0 * contrast.sum(axis=1) / n_tiles).tolist()))
+    # where each candidate's first window of b starts in a group's span of b
+    offsets = [max_delay + d for d in delays]
+    totals = np.zeros(len(delays))  # each candidate's contrasts, summed
+    ranges = [[math.inf, -math.inf], [math.inf, -math.inf]]
+
+    def seen(k, x):
+        if x.size:
+            ranges[k] = [min(ranges[k][0], float(x.min())), max(ranges[k][1], float(x.max()))]
+
+    ra, rb = _Reader(a), _Reader(b)
+    a_at, b_at = min(max_delay, n), 0  # the values taken of each
+    seen(0, ra.take(a_at))
+    shared = np.empty(0)  # b - b0 over the span this group shares with the last
+    prefix = np.zeros((2, 1))  # b's two prefix sums from where the shared span starts
+    bounds = _tile_groups(n_tiles, window)
+    for g0, g1 in zip(bounds, bounds[1:]):
+        tiles_a = ra.take((g1 - g0) * window)
+        fresh = rb.take(g1 * window + 2 * max_delay - b_at)  # b to where this group's last window can end
+        seen(0, tiles_a)
+        seen(1, fresh)
+        if g0 == 0:
+            a0, b0 = tiles_a[0], fresh[max_delay]
+        fresh = fresh - b0
+        run = np.stack([fresh, fresh * fresh])
+        run[:, :1] += prefix[:, -1:]
+        np.cumsum(run, axis=1, out=run)
+        prefix = np.concatenate([prefix, run], axis=1)
+        span = np.concatenate([shared, fresh])  # b - b0 over [g0 * window, g1 * window + 2 * max_delay)
+        a_at, b_at = a_at + tiles_a.size, b_at + fresh.size
+
+        tiles = (tiles_a - a0).reshape(-1, window)
+        tiles -= tiles.mean(axis=1, keepdims=True)
+        edges = np.add.outer(offsets, np.arange(tiles.shape[0] + 1) * window)
+        sums = np.diff(prefix[0, edges], axis=1)
+        var_sums = np.diff(prefix[1, edges], axis=1)  # var b_d, then var a + var b_d
+        var_sums -= sums * sums / window
+        var_sums += np.einsum("ij,ij->i", tiles, tiles)
+        covs = np.empty_like(var_sums)
+        for j, offset in enumerate(offsets):
+            tiles_b = span[offset : offset + tiles.size].reshape(-1, window)
+            np.einsum("ij,ij->i", tiles, tiles_b, out=covs[j])
+        np.abs(covs, out=covs)
+        contrast = np.divide(covs, var_sums, out=np.zeros_like(covs), where=var_sums > 0.0)
+        totals += contrast.sum(axis=1)
+        shared = span[span.size - 2 * max_delay :].copy()
+        prefix = prefix[:, prefix.shape[1] - 2 * max_delay - 1 :].copy()
+    for reader, k, left in ((ra, 0, n - a_at), (rb, 1, n - b_at)):
+        for i in range(0, left, _STEP):
+            seen(k, reader.take(min(_STEP, left - i)))
+
+    if n and (ranges[0][0] == ranges[0][1] or ranges[1][0] == ranges[1][1]):
+        raise DegenerateInputError("constant trace carries no delay information")
+    if not fits:
+        raise InvalidArgumentError(f"traces too short for window {window} with max_delay {max_delay}")
+    return list(zip(delays, (2.0 * totals / n_tiles).tolist()))
 
 
 def delay_search(q1, q2, max_delay: int, window: int) -> tuple[int, float]:
@@ -351,22 +511,16 @@ def delay_search(q1, q2, max_delay: int, window: int) -> tuple[int, float]:
     of q1+q2 and q1-q2 over non-overlapping windows of `window` samples, the
     same windows of q1 for every candidate (see `_delay_objectives`).  Returns
     (best delay, its objective); ties break toward smaller |d|, then the
-    negative one.  Runs on the calling thread.
+    negative one.  Runs on the calling thread, in one read of both traces.
     """
-    a, b = _as_1d(q1, "q1"), _as_1d(q2, "q2")
-    if a.size != b.size:
-        raise DimensionMismatchError(f"trace lengths differ ({a.size} vs {b.size})")
+    a, b = _series(q1, "q1"), _series(q2, "q2")
+    if len(a) != len(b):
+        raise DimensionMismatchError(f"trace lengths differ ({len(a)} vs {len(b)})")
     max_delay = int(max_delay)
     if max_delay < 0:
         raise InvalidArgumentError("max_delay must be >= 0")
     if window < 2:
         raise InvalidArgumentError("window must be >= 2")
-    if a.size and (np.ptp(a) == 0.0 or np.ptp(b) == 0.0):
-        raise DegenerateInputError("constant trace carries no delay information")
-    if a.size - window + 1 <= 2 * max_delay:
-        raise InvalidArgumentError(
-            f"traces too short for window {window} with max_delay {max_delay}"
-        )
     best_d, best_obj = 0, -1.0
     for d, obj in _delay_objectives(a, b, max_delay, int(window)):
         if obj > best_obj:
@@ -374,25 +528,27 @@ def delay_search(q1, q2, max_delay: int, window: int) -> tuple[int, float]:
     return best_d, best_obj
 
 
-def align(q1, q2, delay: int, max_delay: int) -> tuple[np.ndarray, np.ndarray]:
+def align(q1, q2, delay: int, max_delay: int):
     """Apply a found delay, trimming `max_delay` points off both ends.
 
     The trim is delay-independent so every candidate in [-max_delay,
     +max_delay] maps onto the same index set; output length is
     len(q) - 2*max_delay for any accepted delay.  Returns read-only views
-    of the inputs, not copies.
+    of input arrays, not copies; of the series `analyze_traces` reads, the
+    same spans of them.
     """
-    a, b = _as_1d(q1, "q1"), _as_1d(q2, "q2")
-    if a.size != b.size:
-        raise DimensionMismatchError(f"trace lengths differ ({a.size} vs {b.size})")
+    a, b = (x if isinstance(x, _Series) else _as_1d(x, name) for x, name in ((q1, "q1"), (q2, "q2")))
+    if len(a) != len(b):
+        raise DimensionMismatchError(f"trace lengths differ ({len(a)} vs {len(b)})")
     if abs(delay) > max_delay:
         raise InvalidArgumentError(f"|delay| {abs(delay)} exceeds max_delay {max_delay}")
-    if a.size <= 2 * max_delay:
+    if len(a) <= 2 * max_delay:
         raise InvalidArgumentError("trace shorter than the alignment trim")
-    lo, hi = max_delay, a.size - max_delay
+    lo, hi = max_delay, len(a) - max_delay
     a, b = a[lo:hi], b[lo + delay : hi + delay]
-    a.setflags(write=False)
-    b.setflags(write=False)
+    for x in (a, b):
+        if isinstance(x, np.ndarray):
+            x.setflags(write=False)
     return a, b
 
 
@@ -407,31 +563,64 @@ def squeezing_report(q1, q2, sn1, sn2, window: int | None = None) -> dict:
     biased low.  The error bar is 10*log10(1 + sd/ref) where sd is the
     standard deviation of the shot-noise rolling series (averaged over the
     two combinations); a single window has no spread, giving 0.0.
+
+    The four traces are read once, in lockstep, `_STEP` values at a time;
+    each variance is kept as running sums (`_Sums`), and each rolling
+    series only as its extrema or its sums (`_Rolling`).
     """
-    a, b = _as_1d(q1, "q1"), _as_1d(q2, "q2")
-    ra, rb = _as_1d(sn1, "sn1"), _as_1d(sn2, "sn2")
-    if a.size != b.size or ra.size != rb.size:
+    a, b = _series(q1, "q1"), _series(q2, "q2")
+    ra, rb = _series(sn1, "sn1"), _series(sn2, "sn2")
+    n, n_ref = len(a), len(ra)
+    if n != len(b) or n_ref != len(rb):
         raise DimensionMismatchError("combination partners must have equal lengths")
-    if min(a.size, ra.size) < 2:
+    if min(n, n_ref) < 2:
         raise InvalidArgumentError("traces too short")
 
+    def rolling(size, width):  # a `_Rolling` per combination, or what stops one
+        try:
+            return [_Rolling(size, width), _Rolling(size, width)], None
+        except InvalidArgumentError as exc:
+            return None, exc
+
+    w_sig = window if window is not None else n
+    w_ref = window if window is not None else n_ref
+    # a window as long as its series is one variance: running sums
+    whole = w_sig == n
+    signal, signal_fault = ([_Sums(), _Sums()], None) if whole else rolling(n, w_sig)
+    spread, spread_fault = (None, None) if w_ref == n_ref else rolling(n_ref, w_ref)
+    refs, spread_sums = [_Sums(), _Sums()], [_Sums(), _Sums()]
+    lows, highs = [math.inf, math.inf], [-math.inf, -math.inf]
+    sig_readers = [_Reader(a), _Reader(b)] if signal else []
+    ref_readers = [_Reader(ra), _Reader(rb)]
+    for i in range(0, max(n, n_ref), _STEP):
+        if sig_readers and i < n:
+            x, y = (r.take(min(_STEP, n - i)) for r in sig_readers)
+            for c, combined in enumerate((x + y, x - y)):
+                if whole:
+                    signal[c].add(combined)
+                    continue
+                for v in signal[c].add(combined):
+                    lows[c], highs[c] = min(lows[c], float(v.min())), max(highs[c], float(v.max()))
+        if i < n_ref:
+            x, y = (r.take(min(_STEP, n_ref - i)) for r in ref_readers)
+            for c, combined in enumerate((x + y, x - y)):
+                refs[c].add(combined)
+                for v in spread[c].add(combined) if spread else []:
+                    spread_sums[c].add(v)
+
     min_ratio, max_ratio, spreads = math.inf, -math.inf, []
-    for combine in (np.add, np.subtract):
-        ref_series = combine(ra, rb)
-        ref = _variance(ref_series)
+    for c in (0, 1):
+        ref = refs[c].var()
         if ref <= 0.0:
             raise DegenerateInputError("shot-noise reference variance is zero")
-        w_ref = window if window is not None else ref_series.size
-        if w_ref == ref_series.size:
-            ref_series = None  # one window has no spread; drop it before sig is made
-        sig = combine(a, b)
-        ratios = rolling_variance(sig, window if window is not None else sig.size)
-        del sig
-        ratios /= ref
-        min_ratio = min(min_ratio, float(ratios.min()))
-        max_ratio = max(max_ratio, float(ratios.max()))
-        spread = 0.0 if ref_series is None else math.sqrt(max(_variance(rolling_variance(ref_series, w_ref)), 0.0))
-        spreads.append(spread / ref)
+        for fault in (signal_fault, spread_fault):
+            if fault is not None:
+                raise fault
+        if whole:
+            lows[c] = highs[c] = max(signal[c].var(), 0.0)
+        min_ratio = min(min_ratio, lows[c] / ref)
+        max_ratio = max(max_ratio, highs[c] / ref)
+        spreads.append(0.0 if spread is None else math.sqrt(max(spread_sums[c].var(), 0.0)) / ref)
 
     if min_ratio <= 0.0:
         raise DegenerateInputError("window variance collapsed to zero")
@@ -517,22 +706,32 @@ def analysis_report(
     The end-to-end analysis behind the CLI: returns a dict with keys
     optimal_delay, squeezing_db, antisqueezing_db, error_db, fwhm_samples
     (the last in quadrature samples; None when no dip is resolvable, e.g.
-    vacuum input) plus fwhm_ns for convenience.
+    vacuum input) plus fwhm_ns for convenience.  The four inputs are
+    arrays, read in place, or the series `analyze_traces` reads.
     """
-    a, b = _as_1d(q1, "q1"), _as_1d(q2, "q2")
-    search_window = window or default_window(a.size - 2 * max_delay)
+    a, b = _series(q1, "q1"), _series(q2, "q2")
+    search_window = window or default_window(len(a) - 2 * max_delay)
+    # Coherence dip: a single-window variance scan around the midpoint of the
+    # aligned span.  Its windows lie at fixed indices of the traces, so the
+    # delay search's read captures them, b's with max_delay of margin either
+    # side for the delay it is about to find.  w_dip leaves 2 * DIP_DELAY_SPAN
+    # samples for the scan's delays, so it always fits.
+    span = len(a) - 2 * max_delay
+    w_dip = min(window or 30_000, span - 2 * DIP_DELAY_SPAN)
+    width = w_dip + 2 * DIP_DELAY_SPAN
+    if w_dip >= 2:
+        at = max_delay + (span - w_dip) // 2 - DIP_DELAY_SPAN
+        dip_a = a.capture(at, at + width)
+        dip_b = b.capture(at - max_delay, at + width + max_delay)
     delay, _ = delay_search(a, b, max_delay, search_window)
     a1, b1 = align(a, b, delay, max_delay)
     report = squeezing_report(a1, b1, sn1, sn2, window)
 
-    # Coherence dip: single-window variance scan around the trace midpoint.
     fwhm = None
-    # w_dip leaves 2 * DIP_DELAY_SPAN samples for the scan's delays, so it always fits
-    w_dip = min(window or 30_000, a1.size - 2 * DIP_DELAY_SPAN)
     if w_dip >= 2:
-        at = (a1.size - w_dip) // 2
         delays = range(-DIP_DELAY_SPAN, DIP_DELAY_SPAN + 1)
-        scan = variance_vs_delay(a1, b1, w_dip, at, delays)
+        dip_b = dip_b[max_delay + delay : max_delay + delay + width]
+        scan = variance_vs_delay(dip_a, dip_b, w_dip, DIP_DELAY_SPAN, delays)
         d_axis = [row[0] for row in scan]
         v_plus = np.array([row[1] for row in scan])
         v_minus = np.array([row[2] for row in scan])
@@ -550,3 +749,147 @@ def analysis_report(
         }
     )
     return report
+
+
+def _calibrated(traces, fraction: float, names) -> tuple[list[_Series], float]:
+    """Pass 1 of `analyze_traces`: the four traces as normalized series, and
+    their quadrature rate.  Each trace is read to its end, with its checks,
+    before the next is taken from `traces`."""
+    names = list(names or ("signal 1", "signal 2", "shot noise 1", "shot noise 2"))
+    taken, stats = [], []
+    for k, (name, trace) in enumerate(zip(names, traces)):
+        read = trace if callable(trace) else _in_memory(*trace)
+        chunks, n, trace_rate = read()
+        chunks = iter(chunks)
+        first = next(chunks, None)
+        chunks = itertools.chain(() if first is None else (first,), chunks)
+        # A trace that comes as one chunk is in memory whole, so its averages
+        # are kept; any other is read again for each later pass.
+        averages, sums, fault = None, _Sums(), None
+        try:
+            layout = _layout(n, fraction)
+            if first is not None and np.size(first) == n:
+                averages = np.empty(layout[0])
+            for piece in _average_pieces(chunks, n, layout, averages):
+                if k >= 2:
+                    sums.add(piece)
+        except InvalidArgumentError as exc:  # empty, or too short
+            fault = exc
+            for _ in chunks:
+                pass
+        if k == 0:
+            rate = trace_rate
+        elif trace_rate != rate:
+            raise ScenarioFormatError(
+                f"{name}: sample rate {trace_rate:g} Hz differs from {rate:g} Hz of {names[0]}"
+            )
+        if k % 2 == 0:
+            first_size = n
+        elif n != first_size:
+            raise ScenarioFormatError(f"{name}: {n} samples, but {names[k - 1]} has {first_size}")
+        if fault is None and k >= 2:
+            try:
+                stats.append(ShotNoiseStats._of(sums))
+            except InvalidArgumentError as exc:  # constant shot noise
+                fault = exc
+        if fault is not None:
+            raise ScenarioFormatError(f"{name}: {fault}") from fault
+        taken.append((name, read, n, layout, averages))
+    if len(taken) != 4:
+        raise InvalidArgumentError(f"need four traces, got {len(taken)}")
+    series = []
+    for (name, read, n, layout, averages), sn in zip(taken, stats * 2):
+        if averages is not None:
+            series.append(_Series.of(normalize(averages, sn, out=averages).q))
+        else:
+            series.append(_Series(layout[0], _rereader(name, read, n, layout, sn)))
+    return series, rate / RAW_PER_QUADRATURE
+
+
+def _in_memory(volts, sample_rate):
+    return lambda: ([volts], np.size(volts), sample_rate)
+
+
+def _rereader(name, read, n, layout, sn):
+    """The normalized averages of a trace, read again."""
+
+    def pieces():
+        chunks, n_again, _ = read()
+        if n_again != n:
+            raise ScenarioFormatError(f"{name}: {n_again} samples, {n} when first read")
+        for v in _average_pieces(chunks, n, layout):
+            yield normalize(v, sn, out=v).q
+
+    return pieces
+
+
+def _write_series(path, series, window, max_delay: int, delay: int, quadrature_rate: float) -> None:
+    """The rolling variances of both combinations of the aligned signal pair,
+    and of the shot-noise pair trimmed as the signal, written as CSV
+    (`traceio.write_analysis_csv`) as the four series are read in lockstep."""
+    from . import traceio
+
+    a, b = align(series[0], series[1], delay, max_delay)
+    s1, s2 = (s[max_delay : len(series[2]) - max_delay] for s in series[2:])
+    w = window or default_window(len(a))
+    rolls = [_Rolling(len(a), w), _Rolling(len(a), w), _Rolling(len(s1), w), _Rolling(len(s1), w)]
+    if len(s1) != len(a):
+        raise ScenarioFormatError("analysis columns must share one length")
+
+    def blocks():
+        readers = [_Reader(x) for x in (a, b, s1, s2)]
+        rows = 0
+        for i in range(0, len(a), _STEP):
+            x, y, u, v = (r.take(min(_STEP, len(a) - i)) for r in readers)
+            done = [roll.add(c) for roll, c in zip(rolls, (x + y, x - y, u + v, u - v))]
+            for columns in zip(*done):  # the four complete their blocks together
+                time_ms = np.arange(rows, rows + columns[0].size) / quadrature_rate * 1e3
+                rows += columns[0].size
+                yield (time_ms, *columns)
+
+    traceio.write_analysis_csv(path, blocks())
+
+
+def analyze_traces(
+    traces,
+    *,
+    fraction: float,
+    window: int | None = None,
+    max_delay: int = 25,
+    names=None,
+    series_out=None,
+) -> dict:
+    """The report of one measurement from its four raw traces: signal 1,
+    signal 2, shot noise 1 and shot noise 2, in that order.
+
+    Each trace is ``(volts, sample_rate)`` for one held in memory, or a
+    callable that reads it anew each time it is called and returns
+    ``(chunks, n_samples, sample_rate)``, the chunks as `discard_average4`
+    takes them (`traceio.trace_reader` makes one for a file).  `traces` is
+    advanced only once the trace before is read to its end.  Each trace is
+    checked against the first one's rate and its partner's length, each
+    shot-noise trace calibrates its detector, and `analysis_report` runs on
+    the four normalized series; the passes are in the module docstring.
+
+    Returns `analysis_report`'s dict, then ``window``, ``max_delay``,
+    ``n_quadrature_samples`` (of signal 1) and ``quadrature_rate_hz``.  With
+    `series_out`, a path, the rolling variances of both combinations and of
+    the shot-noise reference are also written there as CSV, over `window`
+    samples, or `default_window` of the aligned span for a full window.
+
+    A fault in trace k raises ScenarioFormatError naming ``names[k]``.  Of
+    one trace's faults, what its chunks raise comes first (such as a
+    non-finite sample), then its rate, its length, and last what stops its
+    reduction, so a trace that cannot be reduced is still read to the end.
+    """
+    series, rate = _calibrated(traces, fraction, names)
+    report = analysis_report(*series, window=window, max_delay=max_delay, quadrature_rate=rate)
+    if series_out is not None:
+        _write_series(series_out, series, window, max_delay, report["optimal_delay"], rate)
+    return {
+        **report,
+        "window": window,
+        "max_delay": max_delay,
+        "n_quadrature_samples": len(series[0]),
+        "quadrature_rate_hz": rate,
+    }

@@ -200,12 +200,6 @@ def _csv_lines(*columns):
         yield lines.T.tobytes().translate(None, b"\0")
 
 
-def _csv_table(header: str, *columns):
-    """The header line, then `_csv_lines` of the columns."""
-    yield header.encode("ascii")
-    yield from _csv_lines(*columns)
-
-
 def _f32_chunks(volts):
     """`volts` as little-endian float32 bytes, `_CHUNK_ROWS` values at a time."""
     for i in range(0, volts.size, _CHUNK_ROWS):
@@ -341,6 +335,34 @@ def read_trace_chunks(path):
     return _finite(path, _binary_chunks(path, n)), n, rate
 
 
+def trace_reader(path):
+    """A callable that reads the trace at `path` with `read_trace_chunks`
+    each time it is called, for a caller that reads a trace more than once.
+    From the second call on, it first checks that the payload is still the
+    file the first call read, by its inode, size and modification time, and
+    raises ScenarioFormatError naming it if not, so a trace rewritten
+    between reads cannot mix into one result."""
+    path = Path(path)
+    first = []
+
+    def mark():
+        try:
+            st = path.stat()
+        except OSError as exc:
+            raise ScenarioFormatError(f"{path}: cannot read the trace again: {exc}") from exc
+        return st.st_ino, st.st_size, st.st_mtime_ns
+
+    def read():
+        if first and mark() != first[0]:
+            raise ScenarioFormatError(f"{path}: the trace changed after it was first read")
+        trace = read_trace_chunks(path)
+        if not first:
+            first.append(mark())
+        return trace
+
+    return read
+
+
 def read_trace(path) -> tuple[np.ndarray, float]:
     """(volts, sample_rate) of a trace: every chunk of `read_trace_chunks`."""
     chunks, n, rate = read_trace_chunks(path)
@@ -352,13 +374,22 @@ def read_trace(path) -> tuple[np.ndarray, float]:
     return volts, rate
 
 
-def write_analysis_csv(path, time_ms, v_plus, v_minus, v_sn_plus, v_sn_minus) -> None:
-    """Rolling-variance series export: one row per window position."""
-    cols = [np.asarray(c, dtype=np.float64) for c in (time_ms, v_plus, v_minus, v_sn_plus, v_sn_minus)]
-    n = cols[0].size
-    if any(c.size != n for c in cols):
-        raise ScenarioFormatError("analysis columns must share one length")
-    atomic_write(path, _csv_table("time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus\n", *cols))
+def write_analysis_csv(path, blocks) -> None:
+    """Rolling-variance series export: one row per window position.
+
+    `blocks` yields the rows in order, a run at a time, as the columns
+    (time_ms, V_plus, V_minus, V_SN_plus, V_SN_minus) of one length each;
+    each run is rendered as it arrives."""
+
+    def chunks():
+        yield b"time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus\n"
+        for block in blocks:
+            cols = [np.asarray(c, dtype=np.float64) for c in block]
+            if any(c.size != cols[0].size for c in cols):
+                raise ScenarioFormatError("analysis columns must share one length")
+            yield from _csv_lines(*cols)
+
+    atomic_write(path, chunks())
 
 
 def _read_rows(path, what: str, row_name: str, columns, make) -> list:

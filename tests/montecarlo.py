@@ -2,9 +2,9 @@
 
 A check names a scenario and overrides of its synthesis settings, runs it
 once per seed through the synthesizer and the analysis chain that
-``sqzkit analyze`` runs (`pipeline.quadratures`, then
-`pipeline.analysis_report`), and takes the mean and standard error of the
-reported numbers over the seeds, to hold against a prediction.
+``sqzkit analyze`` runs (`pipeline.analyze_traces`), and takes the mean
+and standard error of the reported numbers over the seeds, to hold
+against a prediction.
 """
 
 import dataclasses
@@ -16,18 +16,17 @@ from sqzkit import cli, pipeline, synth
 
 
 def run_report(config, *, window=None, max_delay=8) -> dict:
-    """`analysis_report` of one synthesized measurement of `config`: the
-    signal pair, then the shot-noise pair, each trace reduced once."""
+    """`analyze_traces` of one synthesized measurement of `config`: the
+    signal pair, then the shot-noise pair, each drawn once the pair before
+    is reduced."""
 
     def traces():
         for draw in (synth.synthesize_pair, synth.synthesize_shot_noise):
             for trace in draw(config):
-                yield [trace.samples], trace.samples.size, trace.sample_rate
+                yield trace.samples, trace.sample_rate
 
-    quads = pipeline.quadratures(traces(), fraction=pipeline.DISCARD_FRACTION)
-    return pipeline.analysis_report(
-        *(t.q for t in quads), window=window, max_delay=max_delay,
-        quadrature_rate=quads[0].quadrature_rate,
+    return pipeline.analyze_traces(
+        traces(), fraction=pipeline.DISCARD_FRACTION, window=window, max_delay=max_delay
     )
 
 

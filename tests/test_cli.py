@@ -538,18 +538,18 @@ def _traced_peak(run):
 def test_simulate_and_analyze_hold_one_pair_of_raw_traces(capsys, tmp_path):
     # simulate streams each pair from the synthesizer to its files a block
     # at a time, so it peaks at about 17 block-sized buffers (8.5-9.7 MB,
-    # with the filter design), whatever the duration; analyze reduces each
-    # chunk of a raw trace as it reads it, so it peaks at about 1.7 raw
-    # traces (6.4 holding all four)
-    config = cli.scenario_synth_config(cli.load_scenario("deployed"), duration=2e-3)
-    n = config.n_samples
+    # with the filter design), whatever the duration; analyze reads its
+    # traces in passes, a chunk, a group of tiles or 16 384 values of each
+    # at a time, and keeps no series as long as a trace, so it peaks at
+    # about 5.7 MB, whatever the duration (about 1.7 raw traces here, 13.6
+    # MB, when it kept its four averaged series)
     report, simulate_peak = _traced_peak(lambda: run_json(
         capsys, "simulate", "--scenario", "deployed", "--duration", "2e-3",
         "--out-dir", str(tmp_path / "run"),
     ))
     analyze_peak = _traced_peak(lambda: run_json(capsys, *_analyze_args(report["files"])))[1]
     assert simulate_peak < 24 * 8 * synth.BLOCK, simulate_peak / (8 * synth.BLOCK)
-    assert analyze_peak < 2 * 8 * n, analyze_peak / (8 * n)
+    assert analyze_peak < 7.5e6, analyze_peak / 1e6
 
 
 def test_simulate_memory_does_not_grow_with_the_duration(capsys, tmp_path):
@@ -560,6 +560,48 @@ def test_simulate_memory_does_not_grow_with_the_duration(capsys, tmp_path):
             "--out-dir", str(tmp_path / str(k)),
         ))[1])
     assert abs(peaks[2] - peaks[1]) < 1e6, peaks
+
+
+def test_analyze_memory_does_not_grow_with_the_duration(capsys, tmp_path):
+    peaks = []
+    for k, duration in enumerate(["1e-4", "1e-3", "8e-3"]):  # the first loads the modules
+        files = run_json(
+            capsys, "simulate", "--scenario", "deployed", "--duration", duration,
+            "--out-dir", str(tmp_path / str(k)),
+        )["files"]
+        peaks.append(_traced_peak(lambda: run_json(capsys, *_analyze_args(files)))[1])
+    assert abs(peaks[2] - peaks[1]) < 1e6, peaks
+
+
+@pytest.mark.parametrize("stage", ["delay_search", "squeezing_report"])
+@pytest.mark.parametrize("rewrite", ["replaced", "truncated"])
+def test_analyze_stops_on_a_trace_that_changes_between_passes(capsys, tmp_path, monkeypatch, stage, rewrite):
+    # a float32 trace is read again in each pass; one rewritten in between
+    # would mix two files into one number, so analyze stops, naming it,
+    # and writes neither a report nor a series file
+    from sqzkit import pipeline
+
+    scen = write_scenario(tmp_path, minimal_scenario(synthesis={"duration": 2e-4}))
+    files = run_json(capsys, "simulate", "--scenario", scen, "--out-dir", str(tmp_path / "r"))["files"]
+    changed = Path(files["signal_C45" if stage == "delay_search" else "shot_noise_C43"])
+    volts, rate = traceio.read_trace(changed)
+    original = getattr(pipeline, stage)
+
+    def change_then_run(*args, **kwargs):
+        if rewrite == "replaced":
+            traceio.write_trace_binary(changed, volts[::-1].copy(), rate)  # a new file, same size
+        else:
+            with open(changed, "r+b") as fh:
+                fh.truncate(4 * (volts.size - 4))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, stage, change_then_run)
+    series = tmp_path / "series.csv"
+    code, out, err = run_cli(capsys, *_analyze_args(files), "--series-out", str(series))
+    assert code == 1 and out == "" and not series.exists()
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "ScenarioFormatError"
+    assert diag["message"] == f"{changed}: the trace changed after it was first read"
 
 
 # ------------------------------------------------------------ fit / RF

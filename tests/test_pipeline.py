@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqzkit import cli, pipeline, synth
+from sqzkit import cli, pipeline, synth, traceio
 from sqzkit.errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -24,11 +24,11 @@ from sqzkit.pipeline import (
     ShotNoiseStats,
     align,
     analysis_report,
+    analyze_traces,
     delay_search,
     dip_fwhm,
     discard_average4,
     normalize,
-    quadratures,
     raw_to_quadratures,
     rolling_variance,
     shot_noise_stats,
@@ -156,33 +156,53 @@ def _four_traces(seed=20, n=10_003):
     return [x1 + 1e3, x2 - 5.0, rng.standard_normal(n) + 1e3, 2 * rng.standard_normal(n) - 5.0]
 
 
-def test_quadratures_of_chunks_are_those_of_whole_arrays():
+def _analyze(traces, **kwargs):
+    return analyze_traces(traces, fraction=0.05, window=200, max_delay=3, **kwargs)
+
+
+def test_analyze_traces_of_chunks_is_that_of_whole_arrays():
     raw = _four_traces()
-    whole = quadratures((([v], v.size, 5e8) for v in raw), fraction=0.05)
-    for k, (got, v) in enumerate(zip(whole, raw)):  # the chain, one step at a time
-        sn = ShotNoiseStats.from_samples(discard_average4(raw[2 + k % 2], 0.05))
-        assert np.array_equal(got.q, normalize(discard_average4(v, 0.05), sn).q), k
-        assert got.quadrature_rate == 1.25e8
+    whole = _analyze([(v, 5e8) for v in raw])
+    # the chain, one step at a time
+    stats = [ShotNoiseStats.from_samples(discard_average4(v, 0.05)) for v in raw[2:]]
+    q = [normalize(discard_average4(v, 0.05), sn).q for v, sn in zip(raw, stats * 2)]
+    want = analysis_report(*q, window=200, max_delay=3, quadrature_rate=1.25e8)
+    assert whole == {
+        **want, "window": 200, "max_delay": 3, "n_quadrature_samples": q[0].size,
+        "quadrature_rate_hz": 1.25e8,
+    }
     rng = np.random.default_rng(21)
     uneven = [np.split(v, np.sort(rng.integers(0, v.size, 40))) for v in raw]  # empty chunks too
-    chunked = quadratures(((iter(c), v.size, 5e8) for c, v in zip(uneven, raw)), fraction=0.05)
-    assert all(np.array_equal(a.q, b.q) for a, b in zip(chunked, whole))
+    assert _analyze([lambda c=c, v=v: (iter(c), v.size, 5e8) for c, v in zip(uneven, raw)]) == whole
 
 
-def test_quadratures_reads_each_trace_to_the_end_before_it_takes_the_next():
+def test_analyze_traces_reads_each_trace_to_the_end_before_it_takes_the_next():
     raw, events = _four_traces(), []
 
-    def chunks(k, v):
-        yield from np.array_split(v, 3)
-        events.append(("read", k))
+    def reader(k, v):
+        def read():
+            events.append(("open", k))
+
+            def chunks():
+                yield from np.array_split(v, 3)
+                events.append(("read", k))
+
+            return chunks(), v.size, 5e8
+
+        return read
 
     def traces():
         for k, v in enumerate(raw):
-            events.append(("open", k))
-            yield chunks(k, v), v.size, 5e8
+            events.append(("take", k))
+            yield reader(k, v)
 
-    assert len(quadratures(traces(), fraction=0.05)) == 4
-    assert events == [(event, k) for k in range(4) for event in ("open", "read")]
+    _analyze(traces())
+    assert events[:12] == [(event, k) for k in range(4) for event in ("take", "open", "read")]
+    # a trace read in chunks is read again by each pass that needs it: the
+    # delay search and the squeezing report each read the signal pair, the
+    # squeezing report the shot-noise pair
+    opens = [k for event, k in events if event == "open"]
+    assert [opens.count(k) for k in range(4)] == [3, 3, 2, 2]
 
 
 @pytest.mark.parametrize(
@@ -194,21 +214,87 @@ def test_quadratures_reads_each_trace_to_the_end_before_it_takes_the_next():
         (3, lambda v: v[:-1], "samples, but shot noise 1 has"),
     ],
 )
-def test_quadratures_names_the_faulty_trace(k, fault, says):
+def test_analyze_traces_names_the_faulty_trace(k, fault, says):
     raw = _four_traces()
     raw[k] = fault(raw[k])
     for names in (None, ["a.f32", "b.f32", "c.f32", "d.f32"]):
         with pytest.raises(ScenarioFormatError) as exc:
-            quadratures((([v], v.size, 5e8) for v in raw), fraction=0.05, names=names)
+            _analyze([(v, 5e8) for v in raw], names=names)
         name = (names or ["signal 1", "signal 2", "shot noise 1", "shot noise 2"])[k]
         assert str(exc.value).startswith(f"{name}: "), str(exc.value)
         if names is None:
             assert says in str(exc.value)
     rates = [5e8, 5e8, 2.5e8, 5e8]
     with pytest.raises(ScenarioFormatError, match="^shot noise 1: sample rate 2.5e"):
-        quadratures((([v], v.size, r) for v, r in zip(_four_traces(), rates)), fraction=0.05)
+        _analyze([(v, r) for v, r in zip(_four_traces(), rates)])
     with pytest.raises(InvalidArgumentError, match="need four traces, got 3"):
-        quadratures((([v], v.size, 5e8) for v in _four_traces()[:3]), fraction=0.05)
+        _analyze([(v, 5e8) for v in _four_traces()[:3]])
+
+
+@pytest.mark.parametrize("window", [None, 2000])
+def test_files_arrays_and_uneven_chunks_give_one_report_and_series(tmp_path, window):
+    # float32 files are read again in each pass, arrays are kept, and
+    # chunks cut anew at random on every read are read again too
+    raw, rate = _reference_raw_traces()
+    raw = [v.astype(np.float32).astype(np.float64) for v in raw]
+    paths = [tmp_path / f"{k}.f32" for k in range(4)]
+    for path, v in zip(paths, raw):
+        traceio.write_trace_binary(path, v, rate)
+    rng = np.random.default_rng(22)
+
+    def uneven(v):
+        return lambda: (iter(np.split(v, np.sort(rng.integers(0, v.size, 60)))), v.size, rate)
+
+    sources = {
+        "files": [traceio.trace_reader(path) for path in paths],
+        "arrays": [(v, rate) for v in raw],
+        "chunks": [uneven(v) for v in raw],
+    }
+    reports, series = [], []
+    for how, traces in sources.items():
+        out = tmp_path / f"{how}.csv"
+        reports.append(analyze_traces(traces, fraction=0.05, window=window, max_delay=8, series_out=out))
+        series.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert series[0] == series[1] == series[2]
+    assert reports[0]["optimal_delay"] == 3 and reports[0]["window"] == window
+
+
+@pytest.mark.parametrize("n, window", [(250_003, 2000), (230_001, 150_000), (5_000, 5_000), (7, 2)])
+def test_rolling_fed_in_pieces_is_rolling_variance(n, window):
+    # blocks that span the pieces, windows longer than a block, one window
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1e3
+    roll = pipeline._Rolling(n, window)
+    pieces = np.split(x, np.sort(rng.integers(0, n, 30)))
+    got = [v for piece in pieces for v in roll.add(piece)]
+    assert np.array_equal(np.concatenate(got), rolling_variance(x, window))
+    assert all(v.size == pipeline.RENORM_INTERVAL for v in got[:-1])
+
+
+def test_sums_fed_in_pieces_are_one_full_window():
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal(300_001) * 0.1 + 1e4
+    for cuts in ([], np.sort(rng.integers(0, x.size, 25))):
+        sums = pipeline._Sums()
+        for piece in np.split(x, cuts):
+            sums.add(piece)
+        assert max(sums.var(), 0.0) == rolling_variance(x, x.size)[0]
+        assert sums.mean() == pytest.approx(x.mean(), rel=1e-15)
+
+
+def test_delay_objectives_do_not_depend_on_the_pieces():
+    rng = np.random.default_rng(24)
+    a = rng.standard_normal(53_117) + 7.0
+    b = 0.6 * np.roll(a, -4) + 0.8 * rng.standard_normal(a.size)
+
+    def pieced(x):
+        return pipeline._Series(x.size, lambda: np.split(x, np.sort(rng.integers(0, x.size, 20))))
+
+    for window, max_delay in ((10_000, 25), (1_000, 6), (700, 400)):
+        want = pipeline._delay_objectives(a, b, max_delay, window)
+        assert pipeline._delay_objectives(pieced(a), pieced(b), max_delay, window) == want
+        assert max(want, key=lambda row: row[1])[0] == -4  # b[i] = a[i + 4] + noise
 
 
 def test_normalize_writes_into_out():

@@ -127,7 +127,7 @@ def test_two_channel_files_of_older_versions_read_back_their_volts(tmp_path, tra
 def test_a_csv_with_no_volts_column_fails_naming_the_file(tmp_path, trace):
     # an analysis series handed over as a trace: its second column is not volts
     p = tmp_path / "t.csv"
-    traceio.write_analysis_csv(p, *[trace] * 5)
+    traceio.write_analysis_csv(p, [[trace] * 5])
     with pytest.raises(ScenarioFormatError, match=f"^{re.escape(str(p))}: .*no volts column"):
         traceio.read_trace(p)
 
@@ -185,12 +185,12 @@ def test_analysis_csv(tmp_path):
     t = np.linspace(0, 1, 5)
     cols = [t, t + 1, t + 2, t + 3, t + 4]
     p = tmp_path / "series.csv"
-    traceio.write_analysis_csv(p, *cols)
+    traceio.write_analysis_csv(p, [cols])
     lines = p.read_text().splitlines()
     assert lines[0] == "time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus"
     assert len(lines) == 6
     with pytest.raises(ScenarioFormatError):
-        traceio.write_analysis_csv(p, t, t, t, t, t[:-1])
+        traceio.write_analysis_csv(p, [(t, t, t, t, t[:-1])])
 
 
 def _row_by_row(values):
@@ -211,7 +211,11 @@ def test_csv_writers_match_a_row_by_row_rendering(tmp_path, monkeypatch):
             m.setattr(traceio, "_CHUNK_ROWS", chunk_rows)
             traceio.write_trace_csv(tmp_path / "t.csv", values, 1e6)
             assert (tmp_path / "t.csv").read_text() == trace_text
-            traceio.write_analysis_csv(tmp_path / "s.csv", *cols)
+            traceio.write_analysis_csv(tmp_path / "s.csv", [cols])
+            assert (tmp_path / "s.csv").read_text() == series_text
+            # the rows in runs of any length, as the analysis streams them
+            runs = [[c[:4] for c in cols], [c[4:4] for c in cols], [c[4:] for c in cols]]
+            traceio.write_analysis_csv(tmp_path / "s.csv", runs)
             assert (tmp_path / "s.csv").read_text() == series_text
 
 
@@ -228,7 +232,7 @@ def test_csv_writers_start_no_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(traceio, "_CHUNK_ROWS", 8)  # five chunks
     traceio.write_trace_csv(tmp_path / "t.csv", values, 1e6)
     assert (tmp_path / "t.csv").read_text() == trace_text
-    traceio.write_analysis_csv(tmp_path / "s.csv", *cols)
+    traceio.write_analysis_csv(tmp_path / "s.csv", [cols])
     assert (tmp_path / "s.csv").read_text() == series_text
 
 
@@ -282,7 +286,7 @@ def test_numpy_rendering_is_percent_g(values):
             assert _may_leave(v), v
         else:
             assert got == "%.9g\n" % v, v
-    rendered = b"".join(traceio._csv_table("", x, x[::-1].copy())).decode()
+    rendered = b"".join(traceio._csv_lines(x, x[::-1].copy())).decode()
     assert rendered == "".join("%.9g,%.9g\n" % pair for pair in zip(values, values[::-1]))
 
 
