@@ -203,7 +203,8 @@ class _Rolling:
     a time.  `add` returns the values its piece completes, one
     renormalization block to an array, each block computed by
     `rolling_variance` from its own samples as the whole call computes it.
-    It holds at most a block, a window and a piece of samples."""
+    It holds at most a block, a window and a piece of samples, keeping the
+    pieces it is given as they are."""
 
     def __init__(self, n: int, window: int):
         self.window = check_window(n, window)
@@ -463,7 +464,8 @@ def _delay_objectives(a, b, max_delay: int, window: int):
     bounds = _tile_groups(n_tiles, window)
     for g0, g1 in zip(bounds, bounds[1:]):
         tiles_a = ra.take((g1 - g0) * window)
-        fresh = rb.take(g1 * window + 2 * max_delay - b_at)  # b to where this group's last window can end
+        # b up to where this group's last window can end
+        fresh = rb.take(g1 * window + 2 * max_delay - b_at)
         seen(0, tiles_a)
         seen(1, fresh)
         if g0 == 0:
@@ -473,7 +475,8 @@ def _delay_objectives(a, b, max_delay: int, window: int):
         run[:, :1] += prefix[:, -1:]
         np.cumsum(run, axis=1, out=run)
         prefix = np.concatenate([prefix, run], axis=1)
-        span = np.concatenate([shared, fresh])  # b - b0 over [g0 * window, g1 * window + 2 * max_delay)
+        # b - b0 over [g0 * window, g1 * window + 2 * max_delay)
+        span = np.concatenate([shared, fresh])
         a_at, b_at = a_at + tiles_a.size, b_at + fresh.size
 
         tiles = (tiles_a - a0).reshape(-1, window)
@@ -762,15 +765,20 @@ def _calibrated(traces, fraction: float, names) -> tuple[list[_Series], float]:
         chunks, n, trace_rate = read()
         chunks = iter(chunks)
         first = next(chunks, None)
-        chunks = itertools.chain(() if first is None else (first,), chunks)
         # A trace that comes as one chunk is in memory whole, so its averages
         # are kept; any other is read again for each later pass.
+        whole = first is not None and np.size(first) == n
+        chunks = itertools.chain(() if first is None else (first,), chunks)
+        del first  # the chunks hold it until they are read
         averages, sums, fault = None, _Sums(), None
         try:
             layout = _layout(n, fraction)
-            if first is not None and np.size(first) == n:
-                averages = np.empty(layout[0])
-            for piece in _average_pieces(chunks, n, layout, averages):
+            if whole:
+                averages = discard_average4(chunks, fraction, n)
+                pieces = [averages]
+            else:
+                pieces = _average_pieces(chunks, n, layout)
+            for piece in pieces:
                 if k >= 2:
                     sums.add(piece)
         except InvalidArgumentError as exc:  # empty, or too short
@@ -794,7 +802,7 @@ def _calibrated(traces, fraction: float, names) -> tuple[list[_Series], float]:
                 fault = exc
         if fault is not None:
             raise ScenarioFormatError(f"{name}: {fault}") from fault
-        taken.append((name, read, n, layout, averages))
+        taken.append((name, None if whole else read, n, layout, averages))
     if len(taken) != 4:
         raise InvalidArgumentError(f"need four traces, got {len(taken)}")
     series = []

@@ -13,6 +13,8 @@ names ``volts``; the float32 reader takes the first block, by the sidecar's
 ``["volts", "monitor_volts"]``.  A sample that is not finite fails the
 read.  `read_trace_chunks` reads a float32 payload a chunk at a time, so a
 caller can reduce each chunk as it arrives; a CSV is read whole.
+`trace_reader` reads a trace anew each time it is called, once it has
+checked that the file is the one it read first.
 
 All writes are atomic (temp file + rename) so a crashed run never leaves a
 half-written file behind.  `write_traces` takes each trace a run of samples

@@ -541,8 +541,7 @@ def test_simulate_and_analyze_hold_one_pair_of_raw_traces(capsys, tmp_path):
     # with the filter design), whatever the duration; analyze reads its
     # traces in passes, a chunk, a group of tiles or 16 384 values of each
     # at a time, and keeps no series as long as a trace, so it peaks at
-    # about 5.7 MB, whatever the duration (about 1.7 raw traces here, 13.6
-    # MB, when it kept its four averaged series)
+    # about 5.7 MB, whatever the duration
     report, simulate_peak = _traced_peak(lambda: run_json(
         capsys, "simulate", "--scenario", "deployed", "--duration", "2e-3",
         "--out-dir", str(tmp_path / "run"),
@@ -575,7 +574,9 @@ def test_analyze_memory_does_not_grow_with_the_duration(capsys, tmp_path):
 
 @pytest.mark.parametrize("stage", ["delay_search", "squeezing_report"])
 @pytest.mark.parametrize("rewrite", ["replaced", "truncated"])
-def test_analyze_stops_on_a_trace_that_changes_between_passes(capsys, tmp_path, monkeypatch, stage, rewrite):
+def test_analyze_stops_on_a_trace_that_changes_between_passes(
+    capsys, tmp_path, monkeypatch, stage, rewrite
+):
     # a float32 trace is read again in each pass; one rewritten in between
     # would mix two files into one number, so analyze stops, naming it,
     # and writes neither a report nor a series file

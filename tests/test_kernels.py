@@ -345,11 +345,9 @@ def test_run_both_works_in_a_forked_child():
 
 
 def test_delay_search_memory_stays_below_three_traces():
-    # a (candidates x n) array alone would be 51 traces here, and a rolling
-    # search peaked at about 5; the tiled search reads both traces a group of
-    # tiles at a time and keeps running sums, so it peaks at about 2.0 MB,
-    # 0.53 traces here, at any length (2.0 traces when it cut whole traces
-    # into tiles)
+    # a (candidates x n) array alone would be 51 traces here; the tiled
+    # search reads both traces a group of tiles at a time and keeps running
+    # sums, so it peaks at about 2.0 MB, 0.53 traces here, at any length
     rng = np.random.default_rng(13)
     n = 475_000
     a = rng.standard_normal(n)

@@ -213,6 +213,7 @@ def test_analyze_traces_reads_each_trace_to_the_end_before_it_takes_the_next():
         (2, lambda v: np.full(v.size, 2.0), "shot-noise variance must be positive"),
         (3, lambda v: v[:-1], "samples, but shot noise 1 has"),
     ],
+    ids=["too-short", "signal-length", "constant-shot-noise", "shot-noise-length"],
 )
 def test_analyze_traces_names_the_faulty_trace(k, fault, says):
     raw = _four_traces()
@@ -253,7 +254,8 @@ def test_files_arrays_and_uneven_chunks_give_one_report_and_series(tmp_path, win
     reports, series = [], []
     for how, traces in sources.items():
         out = tmp_path / f"{how}.csv"
-        reports.append(analyze_traces(traces, fraction=0.05, window=window, max_delay=8, series_out=out))
+        report = analyze_traces(traces, fraction=0.05, window=window, max_delay=8, series_out=out)
+        reports.append(report)
         series.append(out.read_bytes())
     assert reports[0] == reports[1] == reports[2]
     assert series[0] == series[1] == series[2]
