@@ -7,10 +7,10 @@ every `RENORM_INTERVAL` output points so rounding error cannot accumulate
 over long traces.  Subtracting an anchor (the trace value at the start of
 each renormalization block) is the shifted-data method of Chan, Golub &
 LeVeque, Am. Stat. 37 (1983); it also makes a constant input produce
-exactly zero variance.  Each block takes one prefix sum of the differences
-and one of their squares, `_RUN` samples at a time, and keeps them only
-where its windows start and end, so a window as long as the trace costs no
-scratch of its length.
+exactly zero variance.  `RollingVariance` takes a trace a piece at a time
+and each block's prefix sums, P of the differences and Q of their squares,
+`_RUN` samples at a time; it keeps them only where windows start that have
+not yet ended, and holds no samples.  `rolling_variance` feeds it once.
 
 `run_both` runs two callables at once, one on a thread it starts and joins
 before it returns.  numpy's random generators, its FFT and its array loops
@@ -22,6 +22,7 @@ The thread drops its task before `join` returns, so what a task reaches is
 freed on the calling thread as well.
 """
 
+import collections
 import threading
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 RENORM_INTERVAL = 100_000
-#: `rolling_variance` adds its prefix sums this many samples at a time.
+#: `RollingVariance` adds its prefix sums this many samples at a time.
 _RUN = 65_536
 
 
@@ -71,49 +72,75 @@ def check_window(n: int, window) -> int:
 
 def rolling_variance(x, window: int) -> np.ndarray:
     """Unbiased variance of every length-`window` slice of `x`."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InvalidArgumentError("expected a 1-D sample array")
-    window = check_window(x.size, window)
-    m = x.size - window + 1
-    out = np.empty(m)
-    k_max = min(RENORM_INTERVAL, m)
-    ends = np.empty((2, 2, k_max))
-    run = np.empty((2, min(k_max + window - 1, _RUN) + 1))
-    for i0 in range(0, m, RENORM_INTERVAL):
-        k = min(RENORM_INTERVAL, m - i0)
-        (lo, hi), (lo_sq, hi_sq) = _prefix_ends(x[i0 : i0 + k + window - 1], window, ends[:, :, :k], run)
-        # (sum of squares - sum * sum / window) / (window - 1)
-        var = out[i0 : i0 + k]
-        np.subtract(hi_sq, lo_sq, out=var)
-        s = np.subtract(hi, lo, out=lo)
-        s *= s
-        s /= window
-        var -= s
-        var /= window - 1.0
-    return np.maximum(out, 0.0, out=out)
+    x = np.asarray(x, dtype=np.float64)
+    (out,) = RollingVariance(x.size, window).add(x)
+    return out
 
 
-def _prefix_ends(x, window, ends, run):
-    """The prefix sums P of d = x - x[0] (P[i] = d[0] + ... + d[i - 1], added
-    in order) and Q of d * d where the k = ends.shape[2] windows start and
-    end: ends[0] = (P[:k], P[window : window + k]) and ends[1] the same of Q.
+class RollingVariance:
+    """`rolling_variance` of a series of n values fed a piece at a time:
+    `add` returns, in order, the variances its piece completes.  Where a
+    window starts, its block's P waits in a copy and Q in the slot its
+    variance will take, until the window ends."""
 
-    The sums run `_RUN` samples at a time through `run`, whose first column
-    carries each running total into the next stretch, so the additions are
-    those of one cumsum, and the scratch does not grow with the window.
-    """
-    k = ends.shape[2]
-    run[:, 0] = 0.0
-    for j0 in range(0, x.size, run.shape[1] - 1):
-        j1 = min(j0 + run.shape[1] - 1, x.size)
-        part = run[:, : j1 - j0 + 1]  # P[j0 : j1 + 1] and Q[j0 : j1 + 1]
-        np.subtract(x[j0:j1], x[0], out=part[0, 1:])
-        np.multiply(part[0, 1:], part[0, 1:], out=part[1, 1:])
-        np.cumsum(part, axis=1, out=part)
-        for side, lo in enumerate((0, window)):
-            a, b = max(lo, j0), min(lo + k, j1 + 1)
-            if a < b:
-                ends[:, side, a - lo : b - lo] = part[:, a - j0 : b - j0]
-        run[:, 0] = part[:, -1]
-    return ends
+    def __init__(self, n: int, window: int):
+        self.window = check_window(n, window)
+        self.m = n - self.window + 1  # variances
+        self.taken = self.started = self.ended = 0  # samples; windows begun, ended
+        # [first window, past its last, anchor, carried P and Q] of each block
+        # whose samples are not all read: two, over window - 1 samples, if
+        # the window is shorter than a block
+        self.blocks = []
+        self.lows = collections.deque()  # [P, Q] at the starts of windows begun, not ended
+        self.slots = collections.deque()  # [first window, slots] of variances not returned
+
+    def add(self, x) -> list[np.ndarray]:
+        x = np.asarray(x, dtype=np.float64)
+        p0, p1, w, step = self.taken, self.taken + x.size, self.window, RENORM_INTERVAL
+        if x.ndim != 1 or p1 > self.m + w - 1:
+            raise InvalidArgumentError(f"expected a 1-D piece of the {self.m + w - p0 - 1} samples left")
+        self.taken = p1
+        if min(p1, self.m) > self.started:
+            self.slots.append([self.started, np.empty(min(p1, self.m) - self.started)])
+        for i0 in range(-(-p0 // step) * step, min(p1, self.m), step):
+            self.blocks.append([i0, min(i0 + step, self.m), float(x[i0 - p0]), np.zeros(2)])
+        run = np.empty((2, min(x.size, _RUN) + 1))
+        for i0, last, anchor, carry in self.blocks:
+            for j0 in range(max(p0, i0), min(p1, last + w - 1), _RUN):
+                j1 = min(j0 + _RUN, p1, last + w - 1)
+                part = run[:, : j1 - j0 + 1]  # P and Q from sample j0 to sample j1
+                part[:, 0] = carry
+                np.subtract(x[j0 - p0 : j1 - p0], anchor, out=part[0, 1:])
+                np.multiply(part[0, 1:], part[0, 1:], out=part[1, 1:])
+                np.cumsum(part, axis=1, out=part)
+                carry[:] = part[:, -1]
+                a, b = self.started, min(last, j1)  # the windows that start here
+                if a < b:
+                    o, slots = self.slots[-1]
+                    slots[a - o : b - o] = part[1, a - j0 : b - j0]
+                    self.lows.append([part[0, a - j0 : b - j0].copy(), slots[a - o : b - o]])
+                    self.started = b
+                b = min(last, j1 - w + 1)  # the windows that end here
+                while self.ended < b:
+                    lo, lo_sq = self.lows.popleft()
+                    k, hi = min(lo.size, b - self.ended), self.ended + w - j0
+                    if k < lo.size:
+                        self.lows.appendleft([lo[k:], lo_sq[k:]])
+                    # (sum of squares - sum * sum / window) / (window - 1)
+                    s, var = lo[:k], lo_sq[:k]
+                    np.subtract(part[1, hi : hi + k], var, out=var)
+                    np.subtract(part[0, hi : hi + k], s, out=s)
+                    s *= s
+                    s /= w
+                    var -= s
+                    var /= w - 1.0
+                    np.maximum(var, 0.0, out=var)
+                    self.ended += k
+        self.blocks = [block for block in self.blocks if block[1] + w - 1 > p1]
+        done = []
+        while self.slots and self.slots[0][0] < self.ended:
+            o, slots = self.slots.popleft()
+            done.append(slots[: self.ended - o])
+            if self.ended - o < slots.size:
+                self.slots.appendleft([self.ended, slots[self.ended - o :]])
+        return done

@@ -33,7 +33,7 @@ as long as a trace, so its memory does not grow with the duration:
   shot-noise pair in lockstep into running sums: each reference variance
   and, for one full-length window, each combination's variance; for a
   rolling window, the extrema of the rolling variances and the sums of the
-  reference's, for the error bar (step 5).
+  reference's, for the error bar (step 5), each fed to a `RollingVariance`.
 - With a series file, one more pass streams the four rolling-variance
   series into it.
 
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _RUN, RENORM_INTERVAL, check_window, rolling_variance
+from ._kernels import _RUN, RollingVariance, rolling_variance  # re-exported
 from .errors import DegenerateInputError, DimensionMismatchError, InvalidArgumentError
 from .errors import ScenarioFormatError
 from .settings import DISCARD_FRACTION, RAW_PER_QUADRATURE  # re-exported
@@ -196,33 +196,6 @@ class _Sums:
 
     def var(self) -> float:
         return (self.q - self.p * self.p / self.n) / (self.n - 1)
-
-
-class _Rolling:
-    """`rolling_variance(x, window)` of a series x of n values fed a piece at
-    a time.  `add` returns the values its piece completes, one
-    renormalization block to an array, each block computed by
-    `rolling_variance` from its own samples as the whole call computes it.
-    It holds at most a block, a window and a piece of samples, keeping the
-    pieces it is given as they are."""
-
-    def __init__(self, n: int, window: int):
-        self.window = check_window(n, window)
-        self.left = n - self.window + 1  # values not yet returned
-        self.held, self.n_held = [], 0  # the pieces from the next block's first sample on
-
-    def add(self, x: np.ndarray) -> list[np.ndarray]:
-        self.held.append(x)
-        self.n_held += x.size
-        done = []
-        while self.left:
-            k = min(RENORM_INTERVAL, self.left)
-            if self.n_held < k + self.window - 1:
-                break
-            held = np.concatenate(self.held)  # once a block, not once a piece
-            done.append(rolling_variance(held[: k + self.window - 1], self.window))
-            self.held, self.n_held, self.left = [held[k:]], held.size - k, self.left - k
-        return done
 
 
 @dataclass(frozen=True)
@@ -392,7 +365,8 @@ def raw_to_quadratures(
     fraction: float = DISCARD_FRACTION,
 ) -> QuadratureTrace:
     """Full raw-voltage -> quadrature conversion for one detector trace."""
-    return normalize(discard_average4(raw_samples, fraction), sn, sample_rate / RAW_PER_QUADRATURE)
+    v = discard_average4(raw_samples, fraction)
+    return normalize(v, sn, sample_rate / RAW_PER_QUADRATURE, out=v)
 
 
 def _delay_candidates(max_delay: int):
@@ -569,7 +543,7 @@ def squeezing_report(q1, q2, sn1, sn2, window: int | None = None) -> dict:
 
     The four traces are read once, in lockstep, `_STEP` values at a time;
     each variance is kept as running sums (`_Sums`), and each rolling
-    series only as its extrema or its sums (`_Rolling`).
+    series only as its extrema or its sums (`RollingVariance`).
     """
     a, b = _series(q1, "q1"), _series(q2, "q2")
     ra, rb = _series(sn1, "sn1"), _series(sn2, "sn2")
@@ -579,9 +553,9 @@ def squeezing_report(q1, q2, sn1, sn2, window: int | None = None) -> dict:
     if min(n, n_ref) < 2:
         raise InvalidArgumentError("traces too short")
 
-    def rolling(size, width):  # a `_Rolling` per combination, or what stops one
+    def rolling(size, width):  # a `RollingVariance` per combination, or what stops one
         try:
-            return [_Rolling(size, width), _Rolling(size, width)], None
+            return [RollingVariance(size, width), RollingVariance(size, width)], None
         except InvalidArgumentError as exc:
             return None, exc
 
@@ -758,7 +732,6 @@ def _calibrated(traces, fraction: float, names) -> tuple[list[_Series], float]:
     """Pass 1 of `analyze_traces`: the four traces as normalized series, and
     their quadrature rate.  Each trace is read to its end, with its checks,
     before the next is taken from `traces`."""
-    names = list(names or ("signal 1", "signal 2", "shot noise 1", "shot noise 2"))
     taken, stats = [], []
     for k, (name, trace) in enumerate(zip(names, traces)):
         read = trace if callable(trace) else _in_memory(*trace)
@@ -840,9 +813,7 @@ def _write_series(path, series, window, max_delay: int, delay: int, quadrature_r
     a, b = align(series[0], series[1], delay, max_delay)
     s1, s2 = (s[max_delay : len(series[2]) - max_delay] for s in series[2:])
     w = window or default_window(len(a))
-    rolls = [_Rolling(len(a), w), _Rolling(len(a), w), _Rolling(len(s1), w), _Rolling(len(s1), w)]
-    if len(s1) != len(a):
-        raise ScenarioFormatError("analysis columns must share one length")
+    rolls = [RollingVariance(len(a), w) for _ in range(4)]
 
     def blocks():
         readers = [_Reader(x) for x in (a, b, s1, s2)]
@@ -850,7 +821,7 @@ def _write_series(path, series, window, max_delay: int, delay: int, quadrature_r
         for i in range(0, len(a), _STEP):
             x, y, u, v = (r.take(min(_STEP, len(a) - i)) for r in readers)
             done = [roll.add(c) for roll, c in zip(rolls, (x + y, x - y, u + v, u - v))]
-            for columns in zip(*done):  # the four complete their blocks together
+            for columns in zip(*done):  # the four complete their values together
                 time_ms = np.arange(rows, rows + columns[0].size) / quadrature_rate * 1e3
                 rows += columns[0].size
                 yield (time_ms, *columns)
@@ -890,7 +861,13 @@ def analyze_traces(
     non-finite sample), then its rate, its length, and last what stops its
     reduction, so a trace that cannot be reduced is still read to the end.
     """
+    names = list(names or ("signal 1", "signal 2", "shot noise 1", "shot noise 2"))
     series, rate = _calibrated(traces, fraction, names)
+    if series_out is not None and len(series[2]) != len(series[0]):
+        raise ScenarioFormatError(
+            f"{names[2]}: {len(series[2])} quadrature samples, but {names[0]} has {len(series[0])};"
+            " a series file needs one length"
+        )
     report = analysis_report(*series, window=window, max_delay=max_delay, quadrature_rate=rate)
     if series_out is not None:
         _write_series(series_out, series, window, max_delay, report["optimal_delay"], rate)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -570,6 +571,58 @@ def test_analyze_memory_does_not_grow_with_the_duration(capsys, tmp_path):
         )["files"]
         peaks.append(_traced_peak(lambda: run_json(capsys, *_analyze_args(files)))[1])
     assert abs(peaks[2] - peaks[1]) < 1e6, peaks
+
+
+def test_windowed_analyze_peaks_as_a_full_window_does(capsys, tmp_path):
+    # a rolling variance keeps the prefix sums where windows start that
+    # have not yet ended, at most a window of them, and no samples; it
+    # peaked about 12 MB above a full window when it held a renormalization
+    # block of samples for each of its four series
+    files = run_json(
+        capsys, "simulate", "--scenario", "deployed", "--duration", "8e-3",
+        "--out-dir", str(tmp_path / "run"),
+    )["files"]
+    run_json(capsys, *_analyze_args(files))  # loads the modules
+    full = _traced_peak(lambda: run_json(capsys, *_analyze_args(files)))[1]
+    windowed = _traced_peak(lambda: run_json(capsys, *_analyze_args(files), "--window", "2000"))[1]
+    assert windowed - full < 1.5e6, (windowed / 1e6, full / 1e6)
+
+
+def test_analyze_series_out_stops_before_the_analysis_on_unequal_lengths(capsys, tmp_path, monkeypatch):
+    # shot noise recorded longer than the signal analyses, but a series file
+    # gives the four rolling variances one row each: analyze says so after
+    # the first pass, naming shot-noise trace 1, and writes nothing
+    from sqzkit import pipeline
+
+    scen = write_scenario(tmp_path, minimal_scenario())
+    files = {}
+    for what, duration in (("signal", "2e-4"), ("shot_noise", "2.4e-4")):
+        out = str(tmp_path / what)
+        files[what] = run_json(capsys, "simulate", "--scenario", scen, "--duration", duration, "--out-dir", out)
+    args = [
+        "analyze",
+        "--trace", files["signal"]["files"]["signal_C43"],
+        "--trace", files["signal"]["files"]["signal_C45"],
+        "--shot-noise", files["shot_noise"]["files"]["shot_noise_C43"],
+        "--shot-noise", files["shot_noise"]["files"]["shot_noise_C45"],
+    ]
+    n = run_json(capsys, *args)["n_quadrature_samples"]
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("an analysis pass ran")
+
+    monkeypatch.setattr(pipeline, "analysis_report", no_analysis)
+    series = tmp_path / "series.csv"
+    code, out, err = run_cli(capsys, *args, "--series-out", str(series))
+    assert code == 1 and out == "" and not series.exists()
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "ScenarioFormatError"
+    said = re.fullmatch(
+        rf"{re.escape(args[6])}: (\d+) quadrature samples, but {re.escape(args[2])} has {n};"
+        " a series file needs one length",
+        diag["message"],
+    )
+    assert said and int(said[1]) > n, diag["message"]
 
 
 @pytest.mark.parametrize("stage", ["delay_search", "squeezing_report"])

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqzkit import cli, pipeline, synth, traceio
+from sqzkit._kernels import _RUN, RENORM_INTERVAL, RollingVariance
 from sqzkit.errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -267,11 +268,21 @@ def test_rolling_fed_in_pieces_is_rolling_variance(n, window):
     # blocks that span the pieces, windows longer than a block, one window
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) + 1e3
-    roll = pipeline._Rolling(n, window)
     pieces = np.split(x, np.sort(rng.integers(0, n, 30)))
-    got = [v for piece in pieces for v in roll.add(piece)]
+    got, state = [], 0
+    tracemalloc.start()
+    try:
+        roll = RollingVariance(n, window)
+        for piece in pieces:
+            got += roll.add(piece)
+            # what the kernel holds between pieces, past the values it returned
+            state = max(state, tracemalloc.get_traced_memory()[0] - sum(v.nbytes for v in got))
+    finally:
+        tracemalloc.stop()
     assert np.array_equal(np.concatenate(got), rolling_variance(x, window))
-    assert all(v.size == pipeline.RENORM_INTERVAL for v in got[:-1])
+    # the prefix values of the starts still waiting for their end, in at
+    # most two live blocks, and one run of the prefix sums
+    assert state < 4 * 8 * min(window, RENORM_INTERVAL) + 2 * 8 * _RUN, state
 
 
 def test_sums_fed_in_pieces_are_one_full_window():
@@ -321,6 +332,22 @@ def test_shot_noise_self_normalization_is_exact():
     assert abs(float(np.mean(q.q))) < 1e-12
     assert float(np.var(q.q, ddof=1)) == pytest.approx(QUADRATURE_VACUUM_VARIANCE, abs=1e-9)
     assert q.quadrature_rate == pytest.approx(1.25e8)
+
+
+def test_raw_to_quadratures_normalizes_its_averages_in_place():
+    # the averages become the quadratures where they lie, so the call holds
+    # one n/4 array, not a second one for the normalized copy
+    raw = np.random.default_rng(24).standard_normal(400_000) + 0.3
+    sn = shot_noise_stats(raw)
+    want = normalize(discard_average4(raw, pipeline.DISCARD_FRACTION), sn, 1.25e8).q
+    tracemalloc.start()
+    try:
+        q = raw_to_quadratures(raw, sn, sample_rate=5e8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(q.q, want)
+    assert peak - q.q.nbytes < q.q.nbytes, peak / q.q.nbytes
 
 
 def test_normalize_scales_third_party_trace():
