@@ -109,7 +109,7 @@ class RollingVariance:
             for j0 in range(max(p0, i0), min(p1, last + w - 1), _RUN):
                 j1 = min(j0 + _RUN, p1, last + w - 1)
                 part = run[:, : j1 - j0 + 1]  # P and Q from sample j0 to sample j1
-                part[:, 0] = carry
+                part[:, 0] = carry  # so the additions are those of one cumsum
                 np.subtract(x[j0 - p0 : j1 - p0], anchor, out=part[0, 1:])
                 np.multiply(part[0, 1:], part[0, 1:], out=part[1, 1:])
                 np.cumsum(part, axis=1, out=part)

@@ -32,8 +32,8 @@ as long as a trace, so its memory does not grow with the duration:
 - *Pass 3* (`squeezing_report`) reads the aligned signal pair and the
   shot-noise pair in lockstep into running sums: each reference variance
   and, for one full-length window, each combination's variance; for a
-  rolling window, the extrema of the rolling variances and the sums of the
-  reference's, for the error bar (step 5), each fed to a `RollingVariance`.
+  rolling window (`RollingVariance`), the extrema of the rolling variances
+  and the sums of the reference's, for the error bar (step 5).
 - With a series file, one more pass streams the four rolling-variance
   series into it.
 
