@@ -59,21 +59,38 @@ class PhaseModel:
         if not (math.isfinite(self.amplitude) and math.isfinite(self.offset)):
             raise InvalidArgumentError("amplitude and offset must be finite")
 
-    def angles(self, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def angles(self, t: np.ndarray, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+        """The phase at times `t` (seconds), written into `out` (a new array
+        if None; it may be `t` itself) and returned.  `rng` is read only by
+        `noise_injected` and by jitter."""
         import numpy as np
 
-        if self.kind == "constant":
-            out = np.full(t.shape, self.offset)
-        elif self.kind == "drift_sinusoid":
-            out = self.offset + self.amplitude * np.sin(2.0 * math.pi * self.frequency * t)
+        if out is None:
+            out = np.empty(t.shape)
+        # read before `out`, which may be `t`, is written
+        span = float(t[-1] - t[0]) if t.size > 1 else 0.0
+        if self.kind == "drift_sinusoid":
+            # offset + amplitude * sin(2 pi f t), one operation at a time
+            np.multiply(t, 2.0 * math.pi * self.frequency, out=out)
+            np.sin(out, out=out)
+            out *= self.amplitude
+            out += self.offset
         elif self.kind == "triangle_sweep":
-            # symmetric triangle of period 1/frequency: -1 at t = 0, +1 half-way
-            cycle = np.mod(2.0 * math.pi * self.frequency * t, 2.0 * math.pi) / math.pi
-            out = self.offset + self.amplitude * (1.0 - 2.0 * np.abs(cycle - 1.0))
-        else:  # noise_injected: Poisson bursts of a clamped random walk
-            out = np.full(t.shape, self.offset)
+            # symmetric triangle of period 1/frequency: -1 at t = 0, +1 half-way;
+            # offset + amplitude * (1 - 2 |cycle - 1|), cycle = mod(2 pi f t, 2 pi) / pi
+            np.multiply(t, 2.0 * math.pi * self.frequency, out=out)
+            np.mod(out, 2.0 * math.pi, out=out)
+            out /= math.pi
+            out -= 1.0
+            np.abs(out, out=out)
+            out *= 2.0
+            np.subtract(1.0, out, out=out)
+            out *= self.amplitude
+            out += self.offset
+        else:
+            out.fill(self.offset)
+        if self.kind == "noise_injected":  # Poisson bursts of a clamped random walk
             if t.size and self.frequency > 0:
-                span = float(t[-1] - t[0]) if t.size > 1 else 0.0
                 dt = span / (t.size - 1) if t.size > 1 else 0.0
                 n_bursts = rng.poisson(self.frequency * span)
                 for _ in range(n_bursts):
@@ -84,7 +101,7 @@ class PhaseModel:
                     np.clip(walk, -abs(self.amplitude), abs(self.amplitude), out=walk)
                     out[i0:i1] += walk
         if self.transient_jitter_rms > 0 and self.kind != "noise_injected":
-            out = out + rng.normal(0.0, self.transient_jitter_rms, t.shape)
+            out += rng.normal(0.0, self.transient_jitter_rms, t.shape)
         return out
 
 

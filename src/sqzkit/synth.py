@@ -200,7 +200,7 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
         # whole grid, so its draws come in one order whatever the blocks.
         t = (np.arange(n_out + pad) - pad // 2) / fs
         theta = phase_b.angles(t, _rng(seed, family, _STREAM_PHASE_B))
-        theta += phase_c.angles(t, _rng(seed, family, _STREAM_PHASE_C))
+        theta += phase_c.angles(t, _rng(seed, family, _STREAM_PHASE_C), out=t)
         del t
     spectrum = _filter_spectrum(band[0], band[1], fs) if band is not None else None
     sigma_e = None
@@ -220,20 +220,21 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
     # x2 = sqrt(max(v2 - cov^2 / v1, 0)) * g2 + (cov / sd1) * g1.  Channel 1
     # passes g1 on in a slot of the handoff, with the two factors of every
     # other block computed; channel 2 computes those of the rest, and
-    # applies them.
+    # applies them.  When neither phase varies in time, the factors are the
+    # same for every block: they are computed once, here, and each block
+    # reuses them.
     mixing = cross != 0.0
-    handoff = _Handoff((np.empty(size), np.empty(size)) for _ in range(2 if mixing else 0))
-    scratch1, scratch2 = (np.empty(size) if mixing else None for _ in range(2))
 
-    def factors(root, term, lo, hi, cov):
-        """root = sqrt(max(v2 - cov^2 / v1, 0)), and term, which holds g1,
-        times cov / sd1, with cov = cross * cos(theta_b + theta_c) over grid
-        samples [lo, hi)."""
+    def factors(root, cov, lo, hi):
+        """root = sqrt(max(v2 - cov^2 / v1, 0)), and cov / sd1, with
+        cov = cross * cos(theta_b + theta_c) over grid samples [lo, hi)."""
         if theta is None:
-            t = np.arange(lo - pad // 2, hi - pad // 2) / fs
-            angles = phase_b.angles(t, None)
-            angles += phase_c.angles(t, None)
-            np.cos(angles, out=cov)
+            t = root  # the time grid, until root is computed
+            np.add(iota[: hi - lo], lo - pad // 2, out=t)
+            t /= fs
+            phase_b.angles(t, None, out=cov)
+            cov += phase_c.angles(t, None, out=t)
+            np.cos(cov, out=cov)
         else:
             np.cos(theta[lo:hi], out=cov)
         cov *= cross
@@ -243,7 +244,23 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
         np.maximum(root, 0.0, out=root)
         np.sqrt(root, out=root)
         cov /= sd1
-        term *= cov  # g1 * (cov / sd1): a product commutes exactly
+
+    # Every buffer the mixing fills is allocated here, on the calling thread
+    # (see `_kernels`).  iota holds a block's sample offsets 0, 1, ... as
+    # floats: plus the block's first grid index, over fs, they are its times,
+    # exactly as (np.arange(lo, hi) - pad // 2) / fs.
+    iota = np.arange(size, dtype=float) if mixing and theta is None else None
+    static = None
+    if iota is not None and phase_b.kind == phase_c.kind == "constant":
+        static = np.empty(size), np.empty(size)  # root and cov / sd1
+        factors(*static, 0, size)
+        iota = None
+    # A slot holds root and term; with static factors every slot's root is
+    # the static one, which nothing writes.
+    handoff = _Handoff(
+        (np.empty(size) if static is None else static[0], np.empty(size)) for _ in range(2 if mixing else 0)
+    )
+    scratch = np.empty(size) if mixing and static is None else None  # channel 2's cov
 
     def mix1(g, lo, hi):
         if mixing:
@@ -251,9 +268,13 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
             if slot is None:
                 return False
             root, term = slot[0][: hi - lo], slot[1][: hi - lo]
-            term[:] = g
-            if lo // step % 2 == 0:
-                factors(root, term, lo, hi, scratch1[: hi - lo])
+            if static is not None:
+                np.multiply(g, static[1][: hi - lo], out=term)
+            elif lo // step % 2 == 0:
+                factors(root, term, lo, hi)
+                term *= g  # (cov / sd1) * g1: a product commutes exactly
+            else:
+                term[:] = g
             handoff.put(slot)
         g *= sd1
         return True
@@ -268,8 +289,10 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
         if slot is None:
             return False
         root, term = slot[0][: hi - lo], slot[1][: hi - lo]
-        if lo // step % 2 == 1:
-            factors(root, term, lo, hi, scratch2[: hi - lo])
+        if static is None and lo // step % 2 == 1:
+            cov = scratch[: hi - lo]
+            factors(root, cov, lo, hi)
+            term *= cov  # g1 * (cov / sd1)
         g *= root
         g += term
         handoff.release(slot)

@@ -1,6 +1,7 @@
 """Synthetic trace generator: determinism, statistics, band shape, plumbing."""
 
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -190,6 +191,34 @@ def test_triangle_sweep_matches_scipy_sawtooth():
     np.testing.assert_allclose(tri.angles(t, None), want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "phase",
+    [
+        PhaseModel(offset=0.4),
+        PhaseModel(kind="drift_sinusoid", frequency=1e5, amplitude=0.6, offset=0.2),
+        PhaseModel(kind="triangle_sweep", frequency=1e5, amplitude=2.0, offset=0.1),
+        PhaseModel(kind="noise_injected", frequency=2e4, amplitude=0.5, offset=0.3),
+        PhaseModel(kind="drift_sinusoid", frequency=1e5, amplitude=0.6, transient_jitter_rms=0.05),
+    ],
+    ids=["constant", "drift_sinusoid", "triangle_sweep", "noise_injected", "jittered"],
+)
+def test_angles_into_out_are_the_angles(phase):
+    # `out`, a separate buffer or the time grid itself, holds the same bits
+    # as a fresh array, and the stream is left where a fresh array leaves it
+    t = np.arange(-8192, 200_000) / 5e8
+    rng = np.random.default_rng(5)
+    want = phase.angles(t, rng)
+    assert phase.kind == "constant" or np.any(want != phase.offset)  # bursts, jitter or a sweep landed
+    after = rng.random()
+    grid = t.copy()
+    for times, out in ((t, np.full(t.size, np.nan)), (grid, grid)):
+        rng = np.random.default_rng(5)
+        assert phase.angles(times, rng, out=out) is out
+        assert np.array_equal(out, want)
+        assert rng.random() == after
+    assert phase.angles(t[:0], np.random.default_rng(5), out=np.empty(0)).size == 0
+
+
 def _scipy_bandpass_taps(low_hz, high_hz, fs):
     sos = sig.butter(2, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
     freqs = np.linspace(0.0, fs / 2.0, 4097)
@@ -234,6 +263,17 @@ def test_fft_filter_matches_direct_convolution(n_out):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+# phase_c of the whole-grid oracles: a drift, and the kinds the bundled
+# scenarios use (`deployed` and `spools5km` hold both phases constant, which
+# synthesis mixes with factors computed once; `reference` sweeps phase_c
+# with a triangle and holds phase_b)
+_PHASES_C = {
+    "drift_sinusoid": PhaseModel(kind="drift_sinusoid", frequency=3e4, amplitude=0.3),
+    "constant": PhaseModel(offset=1.2),
+    "triangle_sweep": PhaseModel(kind="triangle_sweep", frequency=1e5, amplitude=3.0, offset=1.5),
+}
+
+
 def _whole_array_mixing(cfg):
     """Both channels' samples with no band and no electronics noise, mixed
     over the whole grid at once in the order `synth` mixes each chunk."""
@@ -263,14 +303,15 @@ def _whole_array_mixing(cfg):
     ids=["constant", "drift_sinusoid", "triangle_sweep", "noise_injected", "jittered"],
 )
 def test_chunked_two_thread_mixing_is_the_whole_array_mixing(phase_b, n):
-    cfg = small_config(
-        duration=n / SMALL["sample_rate"], detector_band=None, electronics_noise_db=None,
-        phase_b=phase_b, phase_c=PhaseModel(kind="drift_sinusoid", frequency=3e4, amplitude=0.3),
-    )
-    assert cfg.n_samples == n
-    got = _samples(synthesize_pair(cfg))
-    want = _whole_array_mixing(cfg)
-    assert all(np.array_equal(u, v) for u, v in zip(got, want))
+    for name, phase_c in _PHASES_C.items():
+        cfg = small_config(
+            duration=n / SMALL["sample_rate"], detector_band=None, electronics_noise_db=None,
+            phase_b=phase_b, phase_c=phase_c,
+        )
+        assert cfg.n_samples == n
+        got = _samples(synthesize_pair(cfg))
+        want = _whole_array_mixing(cfg)
+        assert all(np.array_equal(u, v) for u, v in zip(got, want)), name
 
 
 @pytest.mark.parametrize("kind", ["constant", "noise_injected"])
@@ -440,20 +481,20 @@ def test_streamed_synthesis_is_the_whole_grid_synthesis(phase_b, n):
         (-7, dict(electronics_noise_db=None)),
         (0, dict(detector_band=None, electronics_noise_db=None)),
     ]
-    for delay, kw in cases:
+    for (delay, kw), (name, phase_c) in itertools.product(cases, _PHASES_C.items()):
         cfg = small_config(
             duration=n / SMALL["sample_rate"], relative_delay_samples=delay, phase_b=phase_b,
-            phase_c=PhaseModel(kind="drift_sinusoid", frequency=3e4, amplitude=0.3), **kw,
+            phase_c=phase_c, **kw,
         )
         assert cfg.n_samples == n
         draws = [(synthesize_pair, synth._FAMILY_SIGNAL, cfg)]
-        if phase_b.kind == "constant" and not phase_b.transient_jitter_rms:
+        if phase_b.kind == "constant" and not phase_b.transient_jitter_rms and name == "constant":
             blocked = dataclasses.replace(cfg, r=0.0, relative_delay_samples=0)
             draws.append((synthesize_shot_noise, synth._FAMILY_SHOT, blocked))
         for fn, family, want_cfg in draws:
             got = _samples(fn(cfg))
             want = _whole_grid(want_cfg, family)
-            assert all(np.array_equal(u, v) for u, v in zip(got, want)), (delay, kw, fn.__name__)
+            assert all(np.array_equal(u, v) for u, v in zip(got, want)), (delay, kw, name, fn.__name__)
 
 
 def test_concurrent_pairs_under_a_short_switch_interval():
@@ -507,3 +548,30 @@ def test_synthesis_peak_memory_stays_below_four_traces():
         tracemalloc.stop()
     assert traces[0].samples.shape == (cfg.n_samples,)
     assert peak < 4 * 8 * n_ext, peak / (8 * n_ext)
+
+
+@pytest.mark.parametrize("scenario", ["reference", "deployed"])
+def test_mixing_allocates_nothing_per_block(scenario):
+    # Channel 2's mixing fills buffers the calling thread allocates once:
+    # the handoff's slots and, with a phase that varies in time, a cov block
+    # and the block's sample offsets, or, with both phases constant, the two
+    # factors.  Per-block temporaries, several block buffers on each thread,
+    # would show in the peak.  The shot noise does not mix: each channel
+    # holds its filter's input, output and spectrum and a block of
+    # electronics noise, and nothing more.
+    cfg = dataclasses.replace(cli.scenario_synth_config(cli.load_scenario(scenario)), duration=1e-3)
+    block = 8 * synth.BLOCK  # bytes of one block buffer
+
+    def peak(stream):
+        stream(cfg, lambda b: None, lambda b: None)  # fills the filter's caches
+        tracemalloc.start()
+        try:
+            stream(cfg, lambda b: None, lambda b: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    shot = peak(synth.stream_shot_noise)
+    assert shot < 2 * (3 * block + 8 * _STEP) + 64 * 1024, shot / 2**20  # 3.77 MiB
+    mixing = peak(synth.stream_pair) - shot
+    assert mixing < 8 * block, mixing / block
