@@ -20,14 +20,18 @@ block with one BLOCK-point FFT, adds electronics noise to the outputs that
 fall in its n-sample window, scales them to volts and hands them to its sink.
 Channel 2 is mixed with channel 1's normals, which channel 1's thread
 passes on through a `_Handoff` of two slots; each thread computes the
-mixing factors of every other block.  Phase models that draw from a random
-stream take their angles over the whole grid on the calling thread first,
-so their draw order does not depend on the blocks.
+mixing factors of every other block, in buffers the calling thread
+allocated, so the mixing allocates nothing per block.  When neither phase
+varies in time (both constant, no jitter), the factors are computed once
+on the calling thread and every block reuses them.  Phase models that draw
+from a random stream take their angles over the whole grid on the calling
+thread first, so their draw order does not depend on the blocks.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -225,6 +229,12 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
     # reuses them.
     mixing = cross != 0.0
 
+    # Every buffer the mixing fills is allocated here, on the calling thread
+    # (see `_kernels`).  iota holds a block's sample offsets 0, 1, ... as
+    # floats: plus the block's first grid index, over fs, they are its times,
+    # exactly as (np.arange(lo, hi) - pad // 2) / fs.
+    iota = np.arange(size, dtype=float) if mixing and theta is None else None
+
     def factors(root, cov, lo, hi):
         """root = sqrt(max(v2 - cov^2 / v1, 0)), and cov / sd1, with
         cov = cross * cos(theta_b + theta_c) over grid samples [lo, hi)."""
@@ -245,12 +255,8 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
         np.sqrt(root, out=root)
         cov /= sd1
 
-    # Every buffer the mixing fills is allocated here, on the calling thread
-    # (see `_kernels`).  iota holds a block's sample offsets 0, 1, ... as
-    # floats: plus the block's first grid index, over fs, they are its times,
-    # exactly as (np.arange(lo, hi) - pad // 2) / fs.
-    iota = np.arange(size, dtype=float) if mixing and theta is None else None
     static = None
+    # both phases constant and unjittered (jitter draws, and sets theta)
     if iota is not None and phase_b.kind == phase_c.kind == "constant":
         static = np.empty(size), np.empty(size)  # root and cov / sd1
         factors(*static, 0, size)
@@ -382,7 +388,10 @@ def _collect(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
         return sink
 
     meta1, meta2 = _synthesize(config, family, into(volts1), into(volts2))
-    monitor = np.zeros(n)
+    # The monitor's zeros are the untouched pages of an anonymous map, so
+    # they take no memory.  np.zeros would take them from malloc's heap once
+    # a freed trace has raised its mmap threshold, and clear all n of them.
+    monitor = np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
     monitor[n // 2 : n // 2 + max(1, round(TRIGGER_WIDTH_S * fs))] = TRIGGER_VOLTS
     return RawTrace(volts1, fs, monitor, meta1), RawTrace(volts2, fs, monitor, meta2)
 
