@@ -21,17 +21,14 @@ fall in its n-sample window, scales them to volts and hands them to its sink.
 Channel 2 is mixed with channel 1's normals, which channel 1's thread
 passes on through a `_Handoff` of two slots; each thread computes the
 mixing factors of every other block, in buffers the calling thread
-allocated, so the mixing allocates nothing per block.  When neither phase
-varies in time (both constant, no jitter), the factors are computed once
-on the calling thread and every block reuses them.  Phase models that draw
-from a random stream take their angles over the whole grid on the calling
-thread first, so their draw order does not depend on the blocks.
+allocated, so the mixing allocates nothing per block.  Phase models that
+draw from a random stream take their angles over the whole grid on the
+calling thread first, so their draw order does not depend on the blocks.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -224,9 +221,7 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
     # x2 = sqrt(max(v2 - cov^2 / v1, 0)) * g2 + (cov / sd1) * g1.  Channel 1
     # passes g1 on in a slot of the handoff, with the two factors of every
     # other block computed; channel 2 computes those of the rest, and
-    # applies them.  When neither phase varies in time, the factors are the
-    # same for every block: they are computed once, here, and each block
-    # reuses them.
+    # applies them.
     mixing = cross != 0.0
 
     # Every buffer the mixing fills is allocated here, on the calling thread
@@ -255,18 +250,9 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
         np.sqrt(root, out=root)
         cov /= sd1
 
-    static = None
-    # both phases constant and unjittered (jitter draws, and sets theta)
-    if iota is not None and phase_b.kind == phase_c.kind == "constant":
-        static = np.empty(size), np.empty(size)  # root and cov / sd1
-        factors(*static, 0, size)
-        iota = None
-    # A slot holds root and term; with static factors every slot's root is
-    # the static one, which nothing writes.
-    handoff = _Handoff(
-        (np.empty(size) if static is None else static[0], np.empty(size)) for _ in range(2 if mixing else 0)
-    )
-    scratch = np.empty(size) if mixing and static is None else None  # channel 2's cov
+    # A slot holds root and term; channel 2 computes its cov in scratch.
+    handoff = _Handoff((np.empty(size), np.empty(size)) for _ in range(2 if mixing else 0))
+    scratch = np.empty(size) if mixing else None
 
     def mix1(g, lo, hi):
         if mixing:
@@ -274,9 +260,7 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
             if slot is None:
                 return False
             root, term = slot[0][: hi - lo], slot[1][: hi - lo]
-            if static is not None:
-                np.multiply(g, static[1][: hi - lo], out=term)
-            elif lo // step % 2 == 0:
+            if lo // step % 2 == 0:
                 factors(root, term, lo, hi)
                 term *= g  # (cov / sd1) * g1: a product commutes exactly
             else:
@@ -295,7 +279,7 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
         if slot is None:
             return False
         root, term = slot[0][: hi - lo], slot[1][: hi - lo]
-        if static is None and lo // step % 2 == 1:
+        if lo // step % 2 == 1:
             cov = scratch[: hi - lo]
             factors(root, cov, lo, hi)
             term *= cov  # g1 * (cov / sd1)
@@ -388,10 +372,7 @@ def _collect(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
         return sink
 
     meta1, meta2 = _synthesize(config, family, into(volts1), into(volts2))
-    # The monitor's zeros are the untouched pages of an anonymous map, so
-    # they take no memory.  np.zeros would take them from malloc's heap once
-    # a freed trace has raised its mmap threshold, and clear all n of them.
-    monitor = np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
+    monitor = np.zeros(n)
     monitor[n // 2 : n // 2 + max(1, round(TRIGGER_WIDTH_S * fs))] = TRIGGER_VOLTS
     return RawTrace(volts1, fs, monitor, meta1), RawTrace(volts2, fs, monitor, meta2)
 

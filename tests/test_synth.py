@@ -264,9 +264,8 @@ def test_fft_filter_matches_direct_convolution(n_out):
 
 
 # phase_c of the whole-grid oracles: a drift, and the kinds the bundled
-# scenarios use (`deployed` and `spools5km` hold both phases constant, which
-# synthesis mixes with factors computed once; `reference` sweeps phase_c
-# with a triangle and holds phase_b)
+# scenarios use (`deployed` and `spools5km` hold both phases constant;
+# `reference` sweeps phase_c with a triangle and holds phase_b)
 _PHASES_C = {
     "drift_sinusoid": PhaseModel(kind="drift_sinusoid", frequency=3e4, amplitude=0.3),
     "constant": PhaseModel(offset=1.2),
@@ -535,9 +534,8 @@ def test_electronics_noise_chunks_match_one_normal_draw():
 
 
 def test_synthesis_peak_memory_stays_below_four_traces():
-    # The two channels' n-sample outputs and block-sized scratch: about 2.6
-    # extended-grid traces on this input.  The monitor, an anonymous map, is
-    # not traced.
+    # The two channels' n-sample outputs and the monitor, and block-sized
+    # scratch: about 3.5 extended-grid traces on this input.
     cfg = cli.scenario_synth_config(cli.load_scenario("reference"))
     n_ext = cfg.n_samples + FILTER_TAPS - 1
     synth._filter_spectrum.cache_clear()
@@ -554,10 +552,9 @@ def test_synthesis_peak_memory_stays_below_four_traces():
 @pytest.mark.parametrize("scenario", ["reference", "deployed"])
 def test_mixing_allocates_nothing_per_block(scenario):
     # Channel 2's mixing fills buffers the calling thread allocates once:
-    # the handoff's slots and, with a phase that varies in time, a cov block
-    # and the block's sample offsets, or, with both phases constant, the two
-    # factors.  Per-block temporaries, several block buffers on each thread,
-    # would show in the peak.  The shot noise does not mix: each channel
+    # the handoff's two slots of two blocks, channel 2's cov block and the
+    # block's sample offsets.  Per-block temporaries, several block buffers
+    # on each thread, would show in the peak.  The shot noise does not mix: each channel
     # holds its filter's input, output and spectrum and a block of
     # electronics noise, and nothing more.
     cfg = dataclasses.replace(cli.scenario_synth_config(cli.load_scenario(scenario)), duration=1e-3)
