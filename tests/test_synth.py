@@ -535,7 +535,7 @@ def test_electronics_noise_chunks_match_one_normal_draw():
 
 def test_synthesis_peak_memory_stays_below_four_traces():
     # The two channels' n-sample outputs and the monitor, and block-sized
-    # scratch: about 3.5 extended-grid traces on this input.
+    # scratch: about 3.1 extended-grid traces on this input.
     cfg = cli.scenario_synth_config(cli.load_scenario("reference"))
     n_ext = cfg.n_samples + FILTER_TAPS - 1
     synth._filter_spectrum.cache_clear()
