@@ -30,10 +30,10 @@ as long as a trace, so its memory does not grow with the duration:
   per-tile moments of the delay objective, and captures the two windows,
   at fixed indices, that the coherence-dip scan needs (step 4).
 - *Pass 3* (`squeezing_report`) reads the aligned signal pair and the
-  shot-noise pair in lockstep into running sums: each reference variance
-  and, for one full-length window, each combination's variance; for a
-  rolling window (`RollingVariance`), the extrema of the rolling variances
-  and the sums of the reference's, for the error bar (step 5).
+  shot-noise pair in lockstep into running sums: each reference variance;
+  the extrema of each combination's rolling variances (`RollingVariance`),
+  of which a full-length window has one; and, for a rolling window, the
+  sums of the reference's, for the error bar (step 5).
 - With a series file, one more pass streams the four rolling-variance
   series into it.
 
@@ -312,25 +312,18 @@ def _average_pieces(raw_samples, n_samples: int, layout, out: np.ndarray | None 
         raise InvalidArgumentError(f"the chunks hold {at} samples, not {n_samples}")
 
 
-def discard_average4(raw_samples, fraction: float, n_samples: int | None = None) -> np.ndarray:
+def discard_average4(raw_samples, fraction: float) -> np.ndarray:
     """The mean of every 4 consecutive samples (a trailing remainder dropped)
-    of `raw_samples` with its central `fraction` dropped, without copying
-    the kept samples into one array first: the one reduction a raw trace
-    goes through.  `shot_noise_stats` and `raw_to_quadratures` are this
-    followed by `ShotNoiseStats.from_samples` and `normalize`, and
-    `analyze_traces` does all three for a measurement's four traces.
-
-    `raw_samples` is one array; or, with `n_samples`, an iterable of 1-D
-    arrays that hold the trace's n_samples samples in order, each reduced
-    as it arrives, so a caller reading a trace a chunk at a time never
-    holds it whole.  The layout is checked before the first chunk is taken.
-    """
-    if n_samples is None:
-        raw_samples = [_as_1d(raw_samples)]
-        n_samples = raw_samples[0].size
-    layout = _layout(n_samples, fraction)
+    of the array `raw_samples` with its central `fraction` dropped, without
+    copying the kept samples into one array first: the one reduction a raw
+    trace goes through.  `shot_noise_stats` and `raw_to_quadratures` are
+    this followed by `ShotNoiseStats.from_samples` and `normalize`, and
+    `analyze_traces` does all three for a measurement's four traces, each
+    chunk of a trace reduced as it arrives (`_average_pieces`)."""
+    raw = _as_1d(raw_samples)
+    layout = _layout(raw.size, fraction)
     out = np.empty(layout[0])
-    for _ in _average_pieces(raw_samples, n_samples, layout, out):
+    for _ in _average_pieces([raw], raw.size, layout, out):
         pass
     return out
 
@@ -542,8 +535,9 @@ def squeezing_report(q1, q2, sn1, sn2, window: int | None = None) -> dict:
     two combinations); a single window has no spread, giving 0.0.
 
     The four traces are read once, in lockstep, `_STEP` values at a time;
-    each variance is kept as running sums (`_Sums`), and each rolling
-    series only as its extrema or its sums (`RollingVariance`).
+    each reference variance is kept as running sums (`_Sums`), and each
+    rolling series (`RollingVariance`), a full-length window included, only
+    as its extrema or its sums.
     """
     a, b = _series(q1, "q1"), _series(q2, "q2")
     ra, rb = _series(sn1, "sn1"), _series(sn2, "sn2")
@@ -561,9 +555,7 @@ def squeezing_report(q1, q2, sn1, sn2, window: int | None = None) -> dict:
 
     w_sig = window if window is not None else n
     w_ref = window if window is not None else n_ref
-    # a window as long as its series is one variance: running sums
-    whole = w_sig == n
-    signal, signal_fault = ([_Sums(), _Sums()], None) if whole else rolling(n, w_sig)
+    signal, signal_fault = rolling(n, w_sig)
     spread, spread_fault = (None, None) if w_ref == n_ref else rolling(n_ref, w_ref)
     refs, spread_sums = [_Sums(), _Sums()], [_Sums(), _Sums()]
     lows, highs = [math.inf, math.inf], [-math.inf, -math.inf]
@@ -573,9 +565,6 @@ def squeezing_report(q1, q2, sn1, sn2, window: int | None = None) -> dict:
         if sig_readers and i < n:
             x, y = (r.take(min(_STEP, n - i)) for r in sig_readers)
             for c, combined in enumerate((x + y, x - y)):
-                if whole:
-                    signal[c].add(combined)
-                    continue
                 for v in signal[c].add(combined):
                     lows[c], highs[c] = min(lows[c], float(v.min())), max(highs[c], float(v.max()))
         if i < n_ref:
@@ -593,8 +582,6 @@ def squeezing_report(q1, q2, sn1, sn2, window: int | None = None) -> dict:
         for fault in (signal_fault, spread_fault):
             if fault is not None:
                 raise fault
-        if whole:
-            lows[c] = highs[c] = max(signal[c].var(), 0.0)
         min_ratio = min(min_ratio, lows[c] / ref)
         max_ratio = max(max_ratio, highs[c] / ref)
         spreads.append(0.0 if spread is None else math.sqrt(max(spread_sums[c].var(), 0.0)) / ref)
@@ -743,15 +730,11 @@ def _calibrated(traces, fraction: float, names) -> tuple[list[_Series], float]:
         whole = first is not None and np.size(first) == n
         chunks = itertools.chain(() if first is None else (first,), chunks)
         del first  # the chunks hold it until they are read
-        averages, sums, fault = None, _Sums(), None
+        sums, fault = _Sums(), None
         try:
             layout = _layout(n, fraction)
-            if whole:
-                averages = discard_average4(chunks, fraction, n)
-                pieces = [averages]
-            else:
-                pieces = _average_pieces(chunks, n, layout)
-            for piece in pieces:
+            averages = np.empty(layout[0]) if whole else None
+            for piece in _average_pieces(chunks, n, layout, averages):
                 if k >= 2:
                     sums.add(piece)
         except InvalidArgumentError as exc:  # empty, or too short
@@ -843,12 +826,13 @@ def analyze_traces(
 
     Each trace is ``(volts, sample_rate)`` for one held in memory, or a
     callable that reads it anew each time it is called and returns
-    ``(chunks, n_samples, sample_rate)``, the chunks as `discard_average4`
-    takes them (`traceio.trace_reader` makes one for a file).  `traces` is
-    advanced only once the trace before is read to its end.  Each trace is
-    checked against the first one's rate and its partner's length, each
-    shot-noise trace calibrates its detector, and `analysis_report` runs on
-    the four normalized series; the passes are in the module docstring.
+    ``(chunks, n_samples, sample_rate)``, the chunks 1-D arrays that hold
+    the trace's samples in order (`traceio.trace_reader` makes one for a
+    file).  `traces` is advanced only once the trace before is read to its
+    end.  Each trace is checked against the first one's rate and its
+    partner's length, each shot-noise trace calibrates its detector, and
+    `analysis_report` runs on the four normalized series; the passes are in
+    the module docstring.
 
     Returns `analysis_report`'s dict, then ``window``, ``max_delay``,
     ``n_quadrature_samples`` (of signal 1) and ``quadrature_rate_hz``.  With

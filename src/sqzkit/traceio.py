@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from ._atomic import atomic_files, atomic_write
-from .errors import ScenarioFormatError
+from .errors import InvalidArgumentError, ScenarioFormatError
 
 _BINARY_DTYPE = "<f4"
 DEFAULT_SAMPLE_RATE = 5e8
@@ -216,8 +216,13 @@ def write_traces(paths, fmt: str, sample_rate: float, produce) -> None:
     to ``sinks[k](volts)`` for the trace at ``paths[k]``, and returns the
     traces' meta dicts.  A sink may be called on any thread, but one
     thread at a time.  Every file appears when `produce` returns; if it
-    raises, none does.
+    raises, none does.  A format or rate that `read_trace_chunks` would
+    reject raises InvalidArgumentError before any file is opened.
     """
+    if fmt not in ("csv", "f32"):
+        raise InvalidArgumentError(f"trace format must be 'csv' or 'f32', got {fmt!r}")
+    if not 0 < sample_rate < math.inf:
+        raise InvalidArgumentError(f"sample rate must be a finite number > 0, got {sample_rate!r}")
     paths = [Path(path) for path in paths]
     encode = _csv_lines if fmt == "csv" else _f32_chunks
     counts = [0] * len(paths)
@@ -238,22 +243,6 @@ def write_traces(paths, fmt: str, sample_rate: float, produce) -> None:
         metas = produce([sink_for(k, fh) for k, fh in enumerate(traces)])
         for fh, n, meta in zip(sidecars, counts, metas):
             fh.write(_sidecar_text(fmt, sample_rate, n, meta))
-
-
-def _write_trace(path, fmt, volts, sample_rate, meta) -> None:
-    def produce(sinks):
-        sinks[0](volts)
-        return [meta]
-
-    write_traces([path], fmt, sample_rate, produce)
-
-
-def write_trace_csv(path, volts, sample_rate: float, meta: dict | None = None) -> None:
-    _write_trace(path, "csv", np.asarray(volts, dtype=np.float64), sample_rate, meta)
-
-
-def write_trace_binary(path, volts, sample_rate: float, meta: dict | None = None) -> None:
-    _write_trace(path, "f32", np.ravel(volts), sample_rate, meta)
 
 
 def _read_csv(path: Path, sidecar: dict | None) -> np.ndarray:
@@ -363,17 +352,6 @@ def trace_reader(path):
         return trace
 
     return read
-
-
-def read_trace(path) -> tuple[np.ndarray, float]:
-    """(volts, sample_rate) of a trace: every chunk of `read_trace_chunks`."""
-    chunks, n, rate = read_trace_chunks(path)
-    volts = np.empty(n)
-    at = 0
-    for chunk in chunks:
-        volts[at : at + chunk.size] = chunk
-        at += chunk.size
-    return volts, rate
 
 
 def write_analysis_csv(path, blocks) -> None:

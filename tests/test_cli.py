@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqzkit import cli, synth, traceio
+import tracefiles
+from sqzkit import cli, synth
 from sqzkit.errors import ScenarioFormatError
 from sqzkit.fitting import SqueezeParams, synthetic_sweep
 from sqzkit.gaussian import analytic_squeezing
@@ -370,8 +371,8 @@ def test_analyze_rejects_mismatched_sample_rate(capsys, tmp_path):
 def test_analyze_rejects_mismatched_lengths(capsys, tmp_path):
     scen = write_scenario(tmp_path, minimal_scenario(synthesis={"duration": 1e-4}))
     files = run_json(capsys, "simulate", "--scenario", scen, "--out-dir", str(tmp_path / "r"))["files"]
-    volts, rate = traceio.read_trace(files["shot_noise_C45"])
-    traceio.write_trace_binary(files["shot_noise_C45"], volts[:-400], rate)
+    volts, rate = tracefiles.read(files["shot_noise_C45"])
+    tracefiles.write(files["shot_noise_C45"], "f32", volts[:-400], rate)
 
     code, _, err = run_cli(capsys, *_analyze_args(files))
     assert code == 1
@@ -638,12 +639,12 @@ def test_analyze_stops_on_a_trace_that_changes_between_passes(
     scen = write_scenario(tmp_path, minimal_scenario(synthesis={"duration": 2e-4}))
     files = run_json(capsys, "simulate", "--scenario", scen, "--out-dir", str(tmp_path / "r"))["files"]
     changed = Path(files["signal_C45" if stage == "delay_search" else "shot_noise_C43"])
-    volts, rate = traceio.read_trace(changed)
+    volts, rate = tracefiles.read(changed)
     original = getattr(pipeline, stage)
 
     def change_then_run(*args, **kwargs):
         if rewrite == "replaced":
-            traceio.write_trace_binary(changed, volts[::-1].copy(), rate)  # a new file, same size
+            tracefiles.write(changed, "f32", volts[::-1].copy(), rate)  # a new file, same size
         else:
             with open(changed, "r+b") as fh:
                 fh.truncate(4 * (volts.size - 4))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tracefiles
 from sqzkit import cli, pipeline, synth, traceio
 from sqzkit._kernels import _RUN, RENORM_INTERVAL, RollingVariance
 from sqzkit.errors import (
@@ -137,16 +138,20 @@ def test_discard_then_average_matches_averaging_the_concatenation():
 def test_discard_average4_of_chunks_is_that_of_the_array(fraction):
     # a trace read in chunks of any sizes, down to single samples, so that
     # groups straddle chunk boundaries and the cut at every offset
+    def average_pieces(chunks, fraction, n_samples):  # what `_average_pieces` yields, joined
+        layout = pipeline._layout(n_samples, fraction)
+        return np.concatenate(list(pipeline._average_pieces(chunks, n_samples, layout)))
+
     v = np.random.default_rng(18).standard_normal(10_003) + 1e3
     want = discard_average4(v, fraction)
     for seed in range(4):
         cuts = np.flatnonzero(np.random.default_rng(seed).random(v.size - 1) < 0.3) + 1
-        got = discard_average4(iter(np.split(v, cuts)), fraction, v.size)
+        got = average_pieces(iter(np.split(v, cuts)), fraction, v.size)
         assert np.array_equal(got, want), seed
-    assert np.array_equal(discard_average4([v[:5000], v[5000:]], fraction, v.size), want)
+    assert np.array_equal(average_pieces([v[:5000], v[5000:]], fraction, v.size), want)
     for chunks in ([v[:-1]], [v, v[:1]]):  # one sample short, one too many
         with pytest.raises(InvalidArgumentError, match="chunks hold"):
-            discard_average4(chunks, fraction, v.size)
+            average_pieces(chunks, fraction, v.size)
 
 
 def _four_traces(seed=20, n=10_003):
@@ -241,7 +246,7 @@ def test_files_arrays_and_uneven_chunks_give_one_report_and_series(tmp_path, win
     raw = [v.astype(np.float32).astype(np.float64) for v in raw]
     paths = [tmp_path / f"{k}.f32" for k in range(4)]
     for path, v in zip(paths, raw):
-        traceio.write_trace_binary(path, v, rate)
+        tracefiles.write(path, "f32", v, rate)
     rng = np.random.default_rng(22)
 
     def uneven(v):

@@ -4,9 +4,11 @@ pair being written, and end both threads without a hang."""
 
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
+import tracefiles
 from sqzkit import cli, synth, traceio
 
 #: Long enough for several blocks a channel, so one channel can fail while
@@ -134,8 +136,8 @@ def test_a_streamed_pair_writes_what_the_arrays_hold(tmp_path, capsys):
     for (stem, path), trace in zip(
         files.items(), synth.synthesize_pair(config) + synth.synthesize_shot_noise(config)
     ):
-        volts, rate = traceio.read_trace(path)
+        volts, rate = tracefiles.read(path)
         assert (volts == trace.samples.astype("<f4")).all(), stem
-        sidecar = json.loads(open(path + ".json").read())
+        sidecar = json.loads(Path(path + ".json").read_text())
         assert sidecar["meta"] == json.loads(json.dumps(trace.meta))
         assert sidecar["n_samples"] == N_SAMPLES

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tracefiles
 from sqzkit import _kernels, cli, synth, traceio
-from sqzkit.errors import ScenarioFormatError
+from sqzkit.errors import InvalidArgumentError, ScenarioFormatError
 
 
 @pytest.fixture
@@ -25,8 +26,8 @@ def trace():
 
 def test_csv_round_trip(tmp_path, trace):
     p = tmp_path / "t.csv"
-    traceio.write_trace_csv(p, trace, 5e8, meta={"channel": 1})
-    v, rate = traceio.read_trace(p)
+    tracefiles.write(p, "csv", trace, 5e8, meta={"channel": 1})
+    v, rate = tracefiles.read(p)
     np.testing.assert_allclose(v, trace, rtol=1e-8)
     assert rate == 5e8
     sidecar = json.loads((tmp_path / "t.csv.json").read_text())
@@ -38,8 +39,8 @@ def test_csv_round_trip(tmp_path, trace):
 
 def test_binary_round_trip(tmp_path, trace):
     p = tmp_path / "t.f32"
-    traceio.write_trace_binary(p, trace, 2.5e8)
-    v, rate = traceio.read_trace(p)
+    tracefiles.write(p, "f32", trace, 2.5e8)
+    v, rate = tracefiles.read(p)
     np.testing.assert_allclose(v, trace, atol=1e-8)  # float32 storage
     assert rate == 2.5e8
     assert p.stat().st_size == 500 * 4
@@ -47,21 +48,21 @@ def test_binary_round_trip(tmp_path, trace):
     sidecar = json.loads((tmp_path / "t.f32.json").read_text())
     del sidecar["channels"]
     (tmp_path / "t.f32.json").write_text(json.dumps(sidecar))
-    assert np.array_equal(traceio.read_trace(p)[0], v)
+    assert np.array_equal(tracefiles.read(p)[0], v)
 
 
 def test_read_trace_dispatch(tmp_path, trace):
-    traceio.write_trace_csv(tmp_path / "a.csv", trace, 1e6)
-    traceio.write_trace_binary(tmp_path / "b.f32", trace, 1e6)
+    tracefiles.write(tmp_path / "a.csv", "csv", trace, 1e6)
+    tracefiles.write(tmp_path / "b.f32", "f32", trace, 1e6)
     for name in ("a.csv", "b.f32"):
-        v, rate = traceio.read_trace(tmp_path / name)
+        v, rate = tracefiles.read(tmp_path / name)
         assert v.size == 500
         assert rate == 1e6
 
 
 def test_read_trace_reads_the_sidecar_once(tmp_path, trace, monkeypatch):
-    traceio.write_trace_csv(tmp_path / "a.csv", trace, 1e6)
-    traceio.write_trace_binary(tmp_path / "b.f32", trace, 1e6)
+    tracefiles.write(tmp_path / "a.csv", "csv", trace, 1e6)
+    tracefiles.write(tmp_path / "b.f32", "f32", trace, 1e6)
     reads = []
     read_text = Path.read_text
 
@@ -71,15 +72,15 @@ def test_read_trace_reads_the_sidecar_once(tmp_path, trace, monkeypatch):
 
     monkeypatch.setattr(Path, "read_text", counting_read_text)
     for name in ("a.csv", "b.f32"):
-        traceio.read_trace(tmp_path / name)
+        tracefiles.read(tmp_path / name)
     assert reads == ["a.csv.json", "b.f32.json"]
 
 
 def test_missing_sidecar_defaults_rate(tmp_path, trace):
     p = tmp_path / "t.f32"
-    traceio.write_trace_binary(p, trace, 1e6)
+    tracefiles.write(p, "f32", trace, 1e6)
     (tmp_path / "t.f32.json").unlink()
-    v, rate = traceio.read_trace(p)
+    v, rate = tracefiles.read(p)
     assert v.size == 500
     assert rate == traceio.DEFAULT_SAMPLE_RATE
 
@@ -119,7 +120,7 @@ def test_two_channel_files_of_older_versions_read_back_their_volts(tmp_path, tra
             "meta": {},
         }
         (tmp_path / f"{name}.json").write_text(json.dumps(sidecar, indent=2) + "\n")
-    volts, rate = traceio.read_trace(p)
+    volts, rate = tracefiles.read(p)
     assert np.array_equal(volts, want)
     assert rate == (2.5e8 if with_sidecar else traceio.DEFAULT_SAMPLE_RATE)
 
@@ -129,37 +130,37 @@ def test_a_csv_with_no_volts_column_fails_naming_the_file(tmp_path, trace):
     p = tmp_path / "t.csv"
     traceio.write_analysis_csv(p, [[trace] * 5])
     with pytest.raises(ScenarioFormatError, match=f"^{re.escape(str(p))}: .*no volts column"):
-        traceio.read_trace(p)
+        tracefiles.read(p)
 
 
 def test_corrupt_sidecar_raises(tmp_path, trace):
     p = tmp_path / "t.f32"
-    traceio.write_trace_binary(p, trace, 1e6)
+    tracefiles.write(p, "f32", trace, 1e6)
     (tmp_path / "t.f32.json").write_text("{not json")
     with pytest.raises(ScenarioFormatError):
-        traceio.read_trace(p)
+        tracefiles.read(p)
 
 
 def test_truncated_binary_raises(tmp_path, trace):
     p = tmp_path / "t.f32"
-    traceio.write_trace_binary(p, trace, 1e6)
+    tracefiles.write(p, "f32", trace, 1e6)
     data = p.read_bytes()
     p.write_bytes(data[:-8])
     with pytest.raises(ScenarioFormatError):
-        traceio.read_trace(p)
+        tracefiles.read(p)
 
 
 def test_unreadable_csv_raises(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("index,volts,monitor_volts\n0,abc,def\n")
     with pytest.raises(ScenarioFormatError):
-        traceio.read_trace(p)
+        tracefiles.read(p)
 
 
 def test_chunked_reads_check_each_chunk_as_it_is_read(tmp_path, trace, monkeypatch):
     monkeypatch.setattr(traceio, "_READ_ROWS", 64)
     p = tmp_path / "t.f32"
-    traceio.write_trace_binary(p, trace, 1e6)
+    tracefiles.write(p, "f32", trace, 1e6)
     chunks, n, rate = traceio.read_trace_chunks(p)
     got = list(chunks)
     assert (n, rate) == (500, 1e6)
@@ -175,10 +176,26 @@ def test_chunked_reads_check_each_chunk_as_it_is_read(tmp_path, trace, monkeypat
 
 
 def test_no_leftover_temp_files(tmp_path, trace):
-    traceio.write_trace_binary(tmp_path / "t.f32", trace, 1e6)
-    traceio.write_trace_csv(tmp_path / "t.csv", trace, 1e6)
+    tracefiles.write(tmp_path / "t.f32", "f32", trace, 1e6)
+    tracefiles.write(tmp_path / "t.csv", "csv", trace, 1e6)
     names = sorted(q.name for q in tmp_path.iterdir())
     assert names == ["t.csv", "t.csv.json", "t.f32", "t.f32.json"]
+
+
+@pytest.mark.parametrize(
+    "fmt, rate",
+    [("F32", 1e6), ("txt", 1e6), ("f32", 0.0), ("csv", -1e6), ("f32", math.nan), ("csv", math.inf)],
+    ids=["F32", "txt", "rate-zero", "rate-negative", "rate-nan", "rate-inf"],
+)
+def test_write_traces_refuses_what_its_reader_rejects(tmp_path, trace, fmt, rate):
+    # a format or a rate the sidecar check of read_trace_chunks would reject
+    # fails before the producer runs, and leaves no file, temp or final
+    def produce(sinks):
+        raise AssertionError("the producer ran")
+
+    with pytest.raises(InvalidArgumentError, match="format must be|sample rate must be"):
+        traceio.write_traces([tmp_path / "t.f32", tmp_path / "u.f32"], fmt, rate, produce)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_analysis_csv(tmp_path):
@@ -195,7 +212,7 @@ def test_analysis_csv(tmp_path):
 
 def _row_by_row(values):
     """A trace of `values` and a five-column series of its rolls, each as
-    `write_trace_csv` and `write_analysis_csv` must write it."""
+    a CSV trace write and `write_analysis_csv` must write it."""
     cols = [np.roll(values, k) for k in range(5)]
     header = "time_ms,V_plus,V_minus,V_SN_plus,V_SN_minus\n"
     series = "".join(",".join(f"{c[i]:.9g}" for c in cols) + "\n" for i in range(values.size))
@@ -209,7 +226,7 @@ def test_csv_writers_match_a_row_by_row_rendering(tmp_path, monkeypatch):
     for chunk_rows in (traceio._CHUNK_ROWS, 5, 4, 2, 1):
         with monkeypatch.context() as m:
             m.setattr(traceio, "_CHUNK_ROWS", chunk_rows)
-            traceio.write_trace_csv(tmp_path / "t.csv", values, 1e6)
+            tracefiles.write(tmp_path / "t.csv", "csv", values, 1e6)
             assert (tmp_path / "t.csv").read_text() == trace_text
             traceio.write_analysis_csv(tmp_path / "s.csv", [cols])
             assert (tmp_path / "s.csv").read_text() == series_text
@@ -230,7 +247,7 @@ def test_csv_writers_start_no_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(_kernels, "run_both", no_thread)
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     monkeypatch.setattr(traceio, "_CHUNK_ROWS", 8)  # five chunks
-    traceio.write_trace_csv(tmp_path / "t.csv", values, 1e6)
+    tracefiles.write(tmp_path / "t.csv", "csv", values, 1e6)
     assert (tmp_path / "t.csv").read_text() == trace_text
     traceio.write_analysis_csv(tmp_path / "s.csv", [cols])
     assert (tmp_path / "s.csv").read_text() == series_text
@@ -298,7 +315,7 @@ def test_a_synthesized_trace_takes_the_numpy_path(tmp_path, monkeypatch):
         volts = trace.samples
         rows = _numpy_rows(volts)
         assert sum(row is None for row in rows) <= 0.001 * volts.size
-        traceio.write_trace_csv(tmp_path / "t.csv", volts, trace.sample_rate)
+        tracefiles.write(tmp_path / "t.csv", "csv", volts, trace.sample_rate)
         want = "".join(f"{v:.9g}\n" for v in volts)
         assert (tmp_path / "t.csv").read_text() == "volts\n" + want
 
@@ -312,7 +329,7 @@ def test_csv_write_memory_does_not_grow_with_the_trace(tmp_path):
         volts = 0.05 * np.random.default_rng(chunks).standard_normal(chunks * traceio._CHUNK_ROWS)
         tracemalloc.start()
         try:
-            traceio.write_trace_csv(tmp_path / "t.csv", volts, 1e6)
+            tracefiles.write(tmp_path / "t.csv", "csv", volts, 1e6)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -324,7 +341,7 @@ def test_binary_writer_writes_volts(tmp_path, monkeypatch):
     want = volts.astype("<f4").tobytes()
     for chunk_rows in (traceio._CHUNK_ROWS, 4):
         monkeypatch.setattr(traceio, "_CHUNK_ROWS", chunk_rows)
-        traceio.write_trace_binary(tmp_path / "t.f32", volts, 1e6)
+        tracefiles.write(tmp_path / "t.f32", "f32", volts, 1e6)
         assert (tmp_path / "t.f32").read_bytes() == want
         assert (tmp_path / "t.f32").stat().st_size == 4 * volts.size
 
