@@ -29,11 +29,11 @@ as long as a trace, so its memory does not grow with the duration:
 - *Pass 2* (`delay_search`) reads the signal pair in lockstep into the
   per-tile moments of the delay objective, and captures the two windows,
   at fixed indices, that the coherence-dip scan needs (step 4).
-- *Pass 3* (`squeezing_report`) reads the aligned signal pair and the
-  shot-noise pair in lockstep into running sums: each reference variance;
-  the extrema of each combination's rolling variances (`RollingVariance`),
-  of which a full-length window has one; and, for a rolling window, the
-  sums of the reference's, for the error bar (step 5).
+- *Pass 3* (`squeezing_report`) reads the aligned signal pair, then the
+  shot-noise pair, as sums and differences into running sums: each
+  reference variance; the extrema of each combination's rolling variances
+  (`RollingVariance`), of which a full-length window has one; and, for a
+  rolling window, the sums of the reference's, for the error bar (step 5).
 - With a series file, one more pass streams the four rolling-variance
   series into it.
 
@@ -66,8 +66,9 @@ DEFAULT_WINDOW = 10_000
 #: `analysis_report` scans the coherence dip over delays of -DIP_DELAY_SPAN
 #: to +DIP_DELAY_SPAN quadrature samples.
 DIP_DELAY_SPAN = 25
-#: The lockstep passes take each series this many values at a time, and the
-#: delay search its tiles in groups of about as many samples.
+#: The squeezing report and the series file take each series this many
+#: values at a time, and the delay search its tiles in groups of about as
+#: many samples.
 _STEP = 16_384
 
 
@@ -88,17 +89,17 @@ class _Series:
     """A quadrature series that the analysis reads from its start, as often
     as it needs: `pieces()` yields its values anew, in order, each time.
 
-    A series held in memory (`of`) yields its array, read in place, and its
-    slices and captures are views of it.  Any other is read again on each
-    call; a `capture` of it is a buffer filled as the next read goes by.
+    A series held in memory (`of`) yields its array, read in place.  A slice
+    is read through its series, and a `capture` is a buffer filled as the
+    next read goes by.
     """
 
-    def __init__(self, n: int, read, kept: np.ndarray | None = None):
-        self.n, self._read, self._kept, self._captures = n, read, kept, []
+    def __init__(self, n: int, read):
+        self.n, self._read, self._captures = n, read, []
 
     @classmethod
     def of(cls, q: np.ndarray) -> "_Series":
-        return cls(q.size, lambda: [q], q)
+        return cls(q.size, lambda: [q])
 
     def __len__(self) -> int:
         return self.n
@@ -106,22 +107,18 @@ class _Series:
     def __getitem__(self, span: slice) -> "_Series":
         lo, hi, _ = span.indices(self.n)
         hi = max(lo, hi)
-        if self._kept is not None:
-            return _Series.of(self._kept[lo:hi])
         return _Series(hi - lo, lambda: _restrict(self.pieces(), lo, hi))
 
     def capture(self, lo: int, hi: int) -> np.ndarray:
-        """The values [lo, hi): for a series not held in memory, once a read has gone by."""
-        if self._kept is not None:
-            return self._kept[lo:hi]
+        """The values [lo, hi), once the next read has gone by."""
         buf = np.empty(hi - lo)
         self._captures.append((lo, buf))
         return buf
 
     def pieces(self):
-        at = 0
+        at, captures, self._captures = 0, self._captures, []
         for piece in self._read():
-            for lo, buf in self._captures:
+            for lo, buf in captures:
                 a, b = max(lo, at), min(lo + buf.size, at + piece.size)
                 if a < b:
                     buf[a - lo : b - lo] = piece[a - at : b - at]
@@ -166,6 +163,14 @@ class _Reader:
                 break
             self._piece, self._at = next(self._pieces), 0
         return parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty(0)])
+
+
+def _sums_and_differences(x: _Series, y: _Series):
+    """x + y and x - y of two series of one length, `_STEP` values at a time."""
+    rx, ry = _Reader(x), _Reader(y)
+    for i in range(0, len(x), _STEP):
+        a, b = (r.take(min(_STEP, len(x) - i)) for r in (rx, ry))
+        yield a + b, a - b
 
 
 class _Sums:
@@ -534,8 +539,9 @@ def squeezing_report(q1, q2, sn1, sn2, window: int | None = None) -> dict:
     standard deviation of the shot-noise rolling series (averaged over the
     two combinations); a single window has no spread, giving 0.0.
 
-    The four traces are read once, in lockstep, `_STEP` values at a time;
-    each reference variance is kept as running sums (`_Sums`), and each
+    The signal pair is read once, then the shot-noise pair, as sums and
+    differences `_STEP` values at a time (`_sums_and_differences`); each
+    reference variance is kept as running sums (`_Sums`), and each
     rolling series (`RollingVariance`), a full-length window included, only
     as its extrema or its sums.
     """
@@ -559,20 +565,15 @@ def squeezing_report(q1, q2, sn1, sn2, window: int | None = None) -> dict:
     spread, spread_fault = (None, None) if w_ref == n_ref else rolling(n_ref, w_ref)
     refs, spread_sums = [_Sums(), _Sums()], [_Sums(), _Sums()]
     lows, highs = [math.inf, math.inf], [-math.inf, -math.inf]
-    sig_readers = [_Reader(a), _Reader(b)] if signal else []
-    ref_readers = [_Reader(ra), _Reader(rb)]
-    for i in range(0, max(n, n_ref), _STEP):
-        if sig_readers and i < n:
-            x, y = (r.take(min(_STEP, n - i)) for r in sig_readers)
-            for c, combined in enumerate((x + y, x - y)):
-                for v in signal[c].add(combined):
-                    lows[c], highs[c] = min(lows[c], float(v.min())), max(highs[c], float(v.max()))
-        if i < n_ref:
-            x, y = (r.take(min(_STEP, n_ref - i)) for r in ref_readers)
-            for c, combined in enumerate((x + y, x - y)):
-                refs[c].add(combined)
-                for v in spread[c].add(combined) if spread else []:
-                    spread_sums[c].add(v)
+    for pair in _sums_and_differences(a, b) if signal else []:
+        for c, combined in enumerate(pair):
+            for v in signal[c].add(combined):
+                lows[c], highs[c] = min(lows[c], float(v.min())), max(highs[c], float(v.max()))
+    for pair in _sums_and_differences(ra, rb):
+        for c, combined in enumerate(pair):
+            refs[c].add(combined)
+            for v in spread[c].add(combined) if spread else []:
+                spread_sums[c].add(v)
 
     min_ratio, max_ratio, spreads = math.inf, -math.inf, []
     for c in (0, 1):
@@ -719,7 +720,9 @@ def _calibrated(traces, fraction: float, names) -> tuple[list[_Series], float]:
     """Pass 1 of `analyze_traces`: the four traces as normalized series, and
     their quadrature rate.  Each trace is read to its end, with its checks,
     before the next is taken from `traces`."""
-    taken, stats = [], []
+    if len(names) != 4:
+        raise InvalidArgumentError(f"need four names, got {len(names)}")
+    traces, taken, stats = iter(traces), [], []
     for k, (name, trace) in enumerate(zip(names, traces)):
         read = trace if callable(trace) else _in_memory(*trace)
         chunks, n, trace_rate = read()
@@ -761,6 +764,8 @@ def _calibrated(traces, fraction: float, names) -> tuple[list[_Series], float]:
         taken.append((name, None if whole else read, n, layout, averages))
     if len(taken) != 4:
         raise InvalidArgumentError(f"need four traces, got {len(taken)}")
+    if next(traces, None) is not None:
+        raise InvalidArgumentError("need four traces, got more")
     series = []
     for (name, read, n, layout, averages), sn in zip(taken, stats * 2):
         if averages is not None:
@@ -790,7 +795,7 @@ def _rereader(name, read, n, layout, sn):
 def _write_series(path, series, window, max_delay: int, delay: int, quadrature_rate: float) -> None:
     """The rolling variances of both combinations of the aligned signal pair,
     and of the shot-noise pair trimmed as the signal, written as CSV
-    (`traceio.write_analysis_csv`) as the four series are read in lockstep."""
+    (`traceio.write_analysis_csv`) as the two pairs are read side by side."""
     from . import traceio
 
     a, b = align(series[0], series[1], delay, max_delay)
@@ -799,11 +804,9 @@ def _write_series(path, series, window, max_delay: int, delay: int, quadrature_r
     rolls = [RollingVariance(len(a), w) for _ in range(4)]
 
     def blocks():
-        readers = [_Reader(x) for x in (a, b, s1, s2)]
         rows = 0
-        for i in range(0, len(a), _STEP):
-            x, y, u, v = (r.take(min(_STEP, len(a) - i)) for r in readers)
-            done = [roll.add(c) for roll, c in zip(rolls, (x + y, x - y, u + v, u - v))]
+        for signal, shot_noise in zip(_sums_and_differences(a, b), _sums_and_differences(s1, s2)):
+            done = [roll.add(c) for roll, c in zip(rolls, (*signal, *shot_noise))]
             for columns in zip(*done):  # the four complete their values together
                 time_ms = np.arange(rows, rows + columns[0].size) / quadrature_rate * 1e3
                 rows += columns[0].size
@@ -829,8 +832,9 @@ def analyze_traces(
     ``(chunks, n_samples, sample_rate)``, the chunks 1-D arrays that hold
     the trace's samples in order (`traceio.trace_reader` makes one for a
     file).  `traces` is advanced only once the trace before is read to its
-    end.  Each trace is checked against the first one's rate and its
-    partner's length, each shot-noise trace calibrates its detector, and
+    end, and once more after the fourth, to check that it holds no fifth.
+    Each trace is checked against the first one's rate and its partner's
+    length, each shot-noise trace calibrates its detector, and
     `analysis_report` runs on the four normalized series; the passes are in
     the module docstring.
 
@@ -840,10 +844,12 @@ def analyze_traces(
     the shot-noise reference are also written there as CSV, over `window`
     samples, or `default_window` of the aligned span for a full window.
 
-    A fault in trace k raises ScenarioFormatError naming ``names[k]``.  Of
-    one trace's faults, what its chunks raise comes first (such as a
-    non-finite sample), then its rate, its length, and last what stops its
-    reduction, so a trace that cannot be reduced is still read to the end.
+    `traces`, and `names` if given, hold four items each, else
+    InvalidArgumentError is raised.  A fault in trace k raises
+    ScenarioFormatError naming ``names[k]``.  Of one trace's faults, what
+    its chunks raise comes first (such as a non-finite sample), then its
+    rate, its length, and last what stops its reduction, so a trace that
+    cannot be reduced is still read to the end.
     """
     names = list(names or ("signal 1", "signal 2", "shot noise 1", "shot noise 2"))
     series, rate = _calibrated(traces, fraction, names)

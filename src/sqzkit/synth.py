@@ -19,11 +19,12 @@ after the FILTER_TAPS - 1 it carries over from the block before, filters the
 block with one BLOCK-point FFT, adds electronics noise to the outputs that
 fall in its n-sample window, scales them to volts and hands them to its sink.
 Channel 2 is mixed with channel 1's normals, which channel 1's thread
-passes on through a `_Handoff` of two slots; each thread computes the
-mixing factors of every other block, in buffers the calling thread
-allocated, so the mixing allocates nothing per block.  Phase models that
-draw from a random stream take their angles over the whole grid on the
-calling thread first, so their draw order does not depend on the blocks.
+passes on in two slots, block k in slot k % 2, with two semaphores to
+order them; each thread computes the mixing factors of every other block,
+in buffers the calling thread allocated, so the mixing allocates nothing
+per block.  Phase models that draw from a random stream take their angles
+over the whole grid on the calling thread first, so their draw order does
+not depend on the blocks.
 """
 
 from __future__ import annotations
@@ -135,47 +136,6 @@ def _draws(phase: PhaseModel) -> bool:
     return phase.kind == "noise_injected" or phase.transient_jitter_rms > 0
 
 
-class _Handoff:
-    """Slots passed from one thread to another and back, in order: the
-    producer `take`s a free slot, fills it and `put`s it; the consumer `get`s
-    it and `release`s it when done.  A side that fails `close`s the handoff,
-    and from then on `take` and `get` return None, so the other side stops
-    instead of waiting for a thread that has died."""
-
-    def __init__(self, slots):
-        self._free, self._full = list(slots), []
-        self._changed = threading.Condition()
-        self._closed = False
-
-    def _pop(self, items):
-        with self._changed:
-            while not (items or self._closed):
-                self._changed.wait()
-            return None if self._closed else items.pop(0)
-
-    def _push(self, items, slot):
-        with self._changed:
-            items.append(slot)
-            self._changed.notify_all()
-
-    def take(self):
-        return self._pop(self._free)
-
-    def put(self, slot):
-        self._push(self._full, slot)
-
-    def get(self):
-        return self._pop(self._full)
-
-    def release(self, slot):
-        self._push(self._free, slot)
-
-    def close(self):
-        with self._changed:
-            self._closed = True
-            self._changed.notify_all()
-
-
 def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, dict]:
     """Hand each channel's n volts to its sink, as `stream_pair` describes;
     returns the two channels' meta."""
@@ -219,9 +179,8 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
     # the joint variance between the squeezed and anti-squeezed values.
     # Cholesky mixing of the two unit-variance streams gives that covariance:
     # x2 = sqrt(max(v2 - cov^2 / v1, 0)) * g2 + (cov / sd1) * g1.  Channel 1
-    # passes g1 on in a slot of the handoff, with the two factors of every
-    # other block computed; channel 2 computes those of the rest, and
-    # applies them.
+    # passes g1 on in one of two slots, with the two factors of every other
+    # block computed; channel 2 computes those of the rest, and applies them.
     mixing = cross != 0.0
 
     # Every buffer the mixing fills is allocated here, on the calling thread
@@ -250,22 +209,28 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
         np.sqrt(root, out=root)
         cov /= sd1
 
-    # A slot holds root and term; channel 2 computes its cov in scratch.
-    handoff = _Handoff((np.empty(size), np.empty(size)) for _ in range(2 if mixing else 0))
+    # Block k passes through slots[k % 2], a (root, term) pair: channel 1
+    # waits on `free` before it fills a slot and releases `full`, channel 2
+    # waits on `full` before it mixes and releases `free` (Dijkstra's bounded
+    # buffer, EWD 123).  Channel 2 computes its cov in scratch.
+    slots = [(np.empty(size), np.empty(size)) for _ in range(2 if mixing else 0)]
+    free, full = threading.Semaphore(len(slots)), threading.Semaphore(0)
     scratch = np.empty(size) if mixing else None
+    failed = False
 
     def mix1(g, lo, hi):
         if mixing:
-            slot = handoff.take()
-            if slot is None:
+            free.acquire()
+            if failed:
                 return False
-            root, term = slot[0][: hi - lo], slot[1][: hi - lo]
-            if lo // step % 2 == 0:
+            k = lo // step % 2
+            root, term = (a[: hi - lo] for a in slots[k])
+            if k == 0:
                 factors(root, term, lo, hi)
                 term *= g  # (cov / sd1) * g1: a product commutes exactly
             else:
                 term[:] = g
-            handoff.put(slot)
+            full.release()
         g *= sd1
         return True
 
@@ -275,17 +240,18 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
             # mixing reduces to exactly this at cov == 0.
             g *= sd2
             return True
-        slot = handoff.get()
-        if slot is None:
+        full.acquire()
+        if failed:
             return False
-        root, term = slot[0][: hi - lo], slot[1][: hi - lo]
-        if lo // step % 2 == 1:
+        k = lo // step % 2
+        root, term = (a[: hi - lo] for a in slots[k])
+        if k == 1:
             cov = scratch[: hi - lo]
             factors(root, cov, lo, hi)
             term *= cov  # g1 * (cov / sd1)
         g *= root
         g += term
-        handoff.release(slot)
+        free.release()
         return True
 
     def channel(stream, elec_stream, start, mix, sink, x, y, work, noise):
@@ -323,10 +289,14 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
                 sink(out)
 
     def run(*args):
+        nonlocal failed
         try:
             channel(*args)
         except BaseException:
-            handoff.close()
+            # wakes a partner parked in its wait, which then sees the flag and stops
+            failed = True
+            free.release()
+            full.release()
             raise
 
     # Every buffer is allocated here, on the calling thread (see `_kernels`).

@@ -234,8 +234,22 @@ def test_analyze_traces_names_the_faulty_trace(k, fault, says):
     rates = [5e8, 5e8, 2.5e8, 5e8]
     with pytest.raises(ScenarioFormatError, match="^shot noise 1: sample rate 2.5e"):
         _analyze([(v, r) for v, r in zip(_four_traces(), rates)])
-    with pytest.raises(InvalidArgumentError, match="need four traces, got 3"):
-        _analyze([(v, 5e8) for v in _four_traces()[:3]])
+
+
+@pytest.mark.parametrize(
+    "n_traces, names, says",
+    [
+        (3, None, "need four traces, got 3"),
+        (5, None, "need four traces, got more"),
+        (4, ["a.f32", "b.f32", "c.f32"], "need four names, got 3"),
+    ],
+    ids=["three-traces", "five-traces", "three-names"],
+)
+def test_analyze_traces_takes_four_traces_and_four_names(n_traces, names, says):
+    raw = _four_traces()
+    traces = [(v, 5e8) for v in (raw + raw)[:n_traces]]
+    with pytest.raises(InvalidArgumentError, match=says):
+        _analyze(traces, names=names)
 
 
 @pytest.mark.parametrize("window", [None, 2000])

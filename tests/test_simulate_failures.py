@@ -4,6 +4,7 @@ pair being written, and end both threads without a hang."""
 
 import json
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import tracefiles
 from sqzkit import cli, synth, traceio
 
 #: Long enough for several blocks a channel, so one channel can fail while
-#: the other waits on the handoff or runs ahead of it.
+#: the other waits on one of the two slots or runs ahead of it.
 DURATION = "6e-4"
 N_SAMPLES = 300_000
 
@@ -107,23 +108,28 @@ def test_an_unwritable_second_path_leaves_no_file_of_the_pair(tmp_path, capsys):
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("block", [0, 3])
 @pytest.mark.parametrize("channel", [1, 2])
-def test_a_failing_sink_stops_both_channels(channel):
-    # a consumer that dies must not leave the producer blocked on a full
-    # handoff, and a producer that dies must not leave the consumer waiting
+def test_a_failing_sink_stops_both_channels(channel, block):
+    # the failing sink sleeps first, so its partner is parked on a semaphore
+    # when it raises: channel 1 on two full slots, or channel 2 waiting for
+    # the next block; either must wake and stop
     config = cli.scenario_synth_config(cli.load_scenario("deployed"), duration=float(DURATION))
-    seen = {1: 0, 2: 0}
+    seen, calls = {1: 0, 2: 0}, {1: 0, 2: 0}
 
     def sink_for(k):
         def sink(volts):
             seen[k] += volts.size
-            if k == channel:
+            calls[k] += 1
+            if k == channel and calls[k] > block:
+                time.sleep(0.2)
                 raise Boom(k)
         return sink
 
     threads = threading.active_count()
     raised = _within(60, lambda: synth.stream_pair(config, sink_for(1), sink_for(2)))
     assert isinstance(raised, Boom) and raised.args == (channel,)
+    assert calls[channel] == block + 1
     assert 0 < seen[channel] < N_SAMPLES
     assert seen[3 - channel] < N_SAMPLES  # the other channel stopped early too
     assert threading.active_count() == threads

@@ -498,7 +498,7 @@ def test_streamed_synthesis_is_the_whole_grid_synthesis(phase_b, n):
 
 def test_concurrent_pairs_under_a_short_switch_interval():
     # four callers, each pair on two threads, eight threads on fewer cores:
-    # a block lost or passed twice through a handoff would change a sample
+    # a block lost, or mixed with the wrong slot, would change a sample
     cfg = small_config(duration=3e-4, relative_delay_samples=5)
     want = _samples(synthesize_pair(cfg))
     results = []
@@ -552,8 +552,8 @@ def test_synthesis_peak_memory_stays_below_three_and_a_half_traces():
 @pytest.mark.parametrize("scenario", ["reference", "deployed"])
 def test_mixing_allocates_nothing_per_block(scenario):
     # Channel 2's mixing fills buffers the calling thread allocates once:
-    # the handoff's two slots of two blocks, channel 2's cov block and the
-    # block's sample offsets.  Per-block temporaries, several block buffers
+    # the two slots of two blocks, channel 2's cov block and the block's
+    # sample offsets.  Per-block temporaries, several block buffers
     # on each thread, would show in the peak.  The shot noise does not mix: each channel
     # holds its filter's input, output and spectrum and a block of
     # electronics noise, and nothing more.
