@@ -12,13 +12,17 @@ and each block's prefix sums, P of the differences and Q of their squares,
 `_RUN` samples at a time; it keeps them only where windows start that have
 not yet ended, and holds no samples.  `rolling_variance` feeds it once.
 
-`run_both` runs two callables at once, one on a thread it starts and joins
-before it returns.  numpy's random generators, its FFT and its array loops
-release the interpreter lock, so the two independent detector channels use
-two cores.  Large buffers are allocated on the calling thread and the
-second thread only fills them (``out=``): a buffer freed on that thread
-would stay cached in its malloc arena and raise the process's peak memory.
-The thread drops its task before `join` returns, so what a task reaches is
+`run_both` runs two callables at once, each on a thread it starts, and joins
+both before it returns.  numpy's random generators, its FFT and its array
+loops release the interpreter lock, so the two independent detector
+channels use two cores.  The calling thread runs neither, because of page
+faults: numpy's FFT takes about 1 MiB of scratch from malloc on every
+call, and on the calling thread each block faults it in again (about
+18 000 minor faults per 2 M-sample channel), while on a thread of its own
+it stays mapped.  Large buffers are allocated on the calling thread and the
+two threads only fill them (``out=``): a buffer freed on a thread would
+stay cached in its malloc arena and raise the process's peak memory.  Each
+thread drops its task before `join` returns, so what a task reaches is
 freed on the calling thread as well.
 """
 
@@ -35,29 +39,42 @@ _RUN = 65_536
 
 
 def run_both(first, second):
-    """``(first(), second())``, with `first` run on a new thread.
+    """``(first(), second())``, each run on a new thread.
 
-    The thread has been joined when this returns or raises, and an exception
-    raised by `first` is re-raised here.
+    Both threads have been joined when this returns or raises.  An
+    exception raised by `first`, or else by `second`, is re-raised here; an
+    interrupt that reaches the calling thread while it waits is re-raised
+    once both have ended.
     """
-    outcome = []
+    outcomes = [None, None]
 
-    def task():
+    def task(i, fn):
         try:
-            outcome.append((first(), None))
+            outcomes[i] = fn(), None
         except BaseException as exc:
-            outcome.append((None, exc))
+            outcomes[i] = None, exc
 
-    thread = threading.Thread(target=task, name="sqzkit-run-both")
-    thread.start()
+    threads = [
+        threading.Thread(target=task, args=(i, fn), name=f"sqzkit-run-both-{i + 1}")
+        for i, fn in enumerate((first, second))
+    ]
     try:
-        mine = second()
+        for thread in threads:
+            thread.start()
     finally:
-        thread.join()
-    theirs, exc = outcome.pop()
-    if exc is not None:
-        raise exc
-    return theirs, mine
+        interrupt = None
+        for thread in threads:
+            while thread.is_alive():
+                try:
+                    thread.join()
+                except BaseException as exc:  # an interrupt: the task still runs
+                    interrupt = exc
+        if interrupt is not None:
+            raise interrupt
+    for _, exc in outcomes:
+        if exc is not None:
+            raise exc
+    return outcomes[0][0], outcomes[1][0]
 
 
 def check_window(n: int, window) -> int:

@@ -13,18 +13,21 @@ independently of each other.
 
 A pair is made one overlap-save block of the band filter at a time
 (Stockham, AFIPS SJCC 1966), so its working memory does not grow with the
-trace.  Each channel runs on its own thread of `_kernels.run_both`.  Per
-block, a channel draws the BLOCK - FILTER_TAPS + 1 new normals of its stream
-after the FILTER_TAPS - 1 it carries over from the block before, filters the
-block with one BLOCK-point FFT, adds electronics noise to the outputs that
-fall in its n-sample window, scales them to volts and hands them to its sink.
-Channel 2 is mixed with channel 1's normals, which channel 1's thread
-passes on in two slots, block k in slot k % 2, with two semaphores to
-order them; each thread computes the mixing factors of every other block,
-in buffers the calling thread allocated, so the mixing allocates nothing
-per block.  Phase models that draw from a random stream take their angles
-over the whole grid on the calling thread first, so their draw order does
-not depend on the blocks.
+trace.  Each channel runs on its own thread of `_kernels.run_both`, in
+three buffers the calling thread allocated: the filter's input, which the
+inverse FFT overwrites with its output, the FILTER_TAPS - 1 input samples
+it carries over to the next block, and the spectrum.  Per block, a channel
+puts back the carried samples, draws the BLOCK - FILTER_TAPS + 1 new normals
+of its stream after them, filters the block with one BLOCK-point FFT, draws
+the electronics noise of the outputs that fall in its n-sample window into
+the spent spectrum, adds it, scales the outputs to volts and hands them to
+its sink.  Channel 2 is mixed with channel 1's normals, which channel 1's
+thread passes on in two slots, block k in slot k % 2, with two semaphores
+to order them; each thread computes the mixing factors of every other
+block, channel 2 its cov in its spectrum before the forward FFT, so the
+mixing allocates nothing per block.  Phase models that draw from a random
+stream take their angles over the whole grid on the calling thread first,
+so their draw order does not depend on the blocks.
 """
 
 from __future__ import annotations
@@ -212,13 +215,12 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
     # Block k passes through slots[k % 2], a (root, term) pair: channel 1
     # waits on `free` before it fills a slot and releases `full`, channel 2
     # waits on `full` before it mixes and releases `free` (Dijkstra's bounded
-    # buffer, EWD 123).  Channel 2 computes its cov in scratch.
+    # buffer, EWD 123).  Channel 2 computes its cov in its spare buffer.
     slots = [(np.empty(size), np.empty(size)) for _ in range(2 if mixing else 0)]
     free, full = threading.Semaphore(len(slots)), threading.Semaphore(0)
-    scratch = np.empty(size) if mixing else None
     failed = False
 
-    def mix1(g, lo, hi):
+    def mix1(g, lo, hi, spare):
         if mixing:
             free.acquire()
             if failed:
@@ -234,7 +236,7 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
         g *= sd1
         return True
 
-    def mix2(g, lo, hi):
+    def mix2(g, lo, hi, spare):
         if not mixing:
             # Uncorrelated quadratures (r = 0, or no light on one arm): the
             # mixing reduces to exactly this at cov == 0.
@@ -246,7 +248,7 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
         k = lo // step % 2
         root, term = (a[: hi - lo] for a in slots[k])
         if k == 1:
-            cov = scratch[: hi - lo]
+            cov = spare[: hi - lo]
             factors(root, cov, lo, hi)
             term *= cov  # g1 * (cov / sd1)
         g *= root
@@ -254,13 +256,14 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
         free.release()
         return True
 
-    def channel(stream, elec_stream, start, mix, sink, x, y, work, noise):
+    def channel(stream, elec_stream, start, mix, sink, x, carry, work, spare):
         rng = _rng(seed, family, stream)
         elec = _rng(seed, family, elec_stream) if sigma_e is not None else None
         for j in range(0, n_out, step):
             k = min(step, n_out - j)
             lo = 0 if j == 0 else pad  # new samples start after the carried ones
-            if not mix(rng.standard_normal(out=x[lo : pad + k]), j + lo, j + pad + k):
+            x[:lo] = carry[:lo]
+            if not mix(rng.standard_normal(out=x[lo : pad + k]), j + lo, j + pad + k, spare):
                 return
             if spectrum is None:
                 out = x[:k]
@@ -268,11 +271,10 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
                 # circular outputs [pad, BLOCK) of x[: pad + k], zero-padded, never
                 # wrap: they are the linear outputs j onwards
                 np.fft.rfft(x[: pad + k], BLOCK, out=work)
+                carry[:] = x[step:]  # the next block's first samples
                 work *= spectrum
-                np.fft.irfft(work, BLOCK, out=y)
-                if j + step < n_out:
-                    x[:pad] = x[step:]  # the next block's first samples
-                out = y[pad : pad + k]
+                np.fft.irfft(work, BLOCK, out=x)
+                out = x[pad : pad + k]
             # Channel 2 lags channel 1 by `delay` samples: output i of channel 2
             # pairs with output i - delay of channel 1.
             a, b = max(j, start), min(j + k, start + n)
@@ -282,7 +284,7 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
                 # the detection band, at sigma_e relative to shot noise
                 # (variance 1).
                 if elec is not None:
-                    e = elec.standard_normal(out=noise[: b - a])
+                    e = elec.standard_normal(out=spare[: b - a])
                     e *= sigma_e
                     out += e
                 out *= config.shot_noise_volts_rms
@@ -299,13 +301,16 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
             full.release()
             raise
 
-    # Every buffer is allocated here, on the calling thread (see `_kernels`).
+    # Every buffer is allocated here, on the calling thread (see `_kernels`):
+    # x, carry, the spectrum and a spare for a block of electronics noise or
+    # of cov.  The inverse FFT writes all BLOCK points of x, and the spent
+    # spectrum's BLOCK + 2 floats are the spare; with no band there is no
+    # spectrum, and the spare is a buffer of its own.
     def buffers():
-        x = np.empty(size)
-        noise = np.empty(min(step, n)) if sigma_e is not None else None
         if spectrum is None:
-            return x, None, None, noise
-        return x, np.empty(BLOCK), np.empty(BLOCK // 2 + 1, dtype=complex), noise
+            return np.empty(size), np.empty(0), None, np.empty(size)
+        work = np.empty(BLOCK // 2 + 1, dtype=complex)
+        return np.empty(BLOCK), np.empty(pad), work, work.view(float)
 
     buffers1, buffers2 = buffers(), buffers()
     _kernels.run_both(
@@ -367,9 +372,10 @@ def synthesize_shot_noise(config: SynthConfig) -> tuple[RawTrace, RawTrace]:
 
 
 def stream_pair(config: SynthConfig, sink1, sink2) -> tuple[dict, dict]:
-    """The volts of `synthesize_pair`, handed to ``sink1(block)`` (detector 1,
-    on a second thread) and ``sink2(block)`` (detector 2, on the calling
-    thread) in order, a block at a time; returns the two traces' meta.
+    """The volts of `synthesize_pair`, handed to ``sink1(block)`` (detector 1)
+    and ``sink2(block)`` (detector 2) in order, a block at a time, each on a
+    thread of its own, never the calling thread; returns the two traces'
+    meta.
 
     A block is a view of a buffer the next block overwrites, so a sink
     copies or writes it before it returns.  An exception raised by a sink

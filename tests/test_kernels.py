@@ -6,6 +6,7 @@ windows past the rolling variance's renormalization boundary.
 """
 
 import multiprocessing
+import signal
 import sys
 import threading
 import time
@@ -263,10 +264,38 @@ def test_rolling_variance_scratch_does_not_grow_with_the_window(window):
     assert peak - out < 8 * 8 * RENORM_INTERVAL, (peak - out) / (8 * RENORM_INTERVAL)
 
 
-def test_run_both_runs_first_on_another_thread():
-    here = threading.get_ident()
-    first, second = run_both(threading.get_ident, threading.get_ident)
-    assert second == here != first
+def test_run_both_runs_each_half_on_a_thread_of_its_own():
+    # both halves wait for each other, so both threads are alive at once and
+    # their idents are distinct; neither is the calling thread
+    here, threads = threading.get_ident(), threading.active_count()
+    meet = threading.Barrier(2)
+
+    def half():
+        meet.wait(timeout=60)
+        return threading.get_ident()
+
+    first, second = run_both(half, half)
+    assert len({here, first, second}) == 3
+    assert threading.active_count() == threads  # both joined
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no pthread_kill")
+def test_run_both_waits_for_both_halves_after_an_interrupt():
+    # a Ctrl-C that lands while the calling thread waits is re-raised only
+    # once both halves have ended, so neither outlives the call
+    assert threading.current_thread() is threading.main_thread()
+    ended = []
+
+    def half():
+        time.sleep(0.5)
+        ended.append(True)
+
+    ctrl_c = threading.Timer(0.1, signal.pthread_kill, (threading.get_ident(), signal.SIGINT))
+    ctrl_c.start()
+    with pytest.raises(KeyboardInterrupt):
+        run_both(half, half)
+    ctrl_c.join(timeout=60)
+    assert ended == [True, True]
 
 
 def test_run_both_reraises_the_worker_exception_and_recovers():

@@ -44,10 +44,9 @@ def _within(seconds, run):
 
 
 def _on(channel):
-    """Whether the calling thread runs `channel` (1 on the worker, 2 on the
-    thread that called `synth`)."""
-    on_worker = threading.current_thread().name == "sqzkit-run-both"
-    return on_worker == (channel == 1)
+    """Whether the calling thread runs `channel`: channel k runs on the k-th
+    thread that `run_both` starts."""
+    return threading.current_thread().name == f"sqzkit-run-both-{channel}"
 
 
 class Boom(Exception):

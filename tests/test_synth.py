@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -390,7 +391,7 @@ def _samples(traces):
 @pytest.mark.parametrize("scenario", ["reference", "spools5km", "deployed"])
 def test_two_threads_change_no_bit(scenario, delay, monkeypatch):
     # each channel on the other thread: the blocks of channel 1's normals
-    # then pass from the calling thread to the worker
+    # then pass from the second thread to the first
     base = cli.scenario_synth_config(cli.load_scenario(scenario))
     variants = [
         dict(),
@@ -552,13 +553,16 @@ def test_synthesis_peak_memory_stays_below_three_and_a_half_traces():
 @pytest.mark.parametrize("scenario", ["reference", "deployed"])
 def test_mixing_allocates_nothing_per_block(scenario):
     # Channel 2's mixing fills buffers the calling thread allocates once:
-    # the two slots of two blocks, channel 2's cov block and the block's
-    # sample offsets.  Per-block temporaries, several block buffers
-    # on each thread, would show in the peak.  The shot noise does not mix: each channel
-    # holds its filter's input, output and spectrum and a block of
-    # electronics noise, and nothing more.
+    # the two slots of two blocks and the block's sample offsets; its cov
+    # block is its spent spectrum.  Per-block temporaries, several block
+    # buffers on each thread, would show in the peak.  The shot noise does
+    # not mix: each channel holds its filter's input, which the inverse FFT
+    # overwrites, the input it carries to the next block and the spectrum,
+    # which takes the electronics noise, and nothing more; an output or a
+    # noise buffer of their own would add a block each.
     cfg = dataclasses.replace(cli.scenario_synth_config(cli.load_scenario(scenario)), duration=1e-3)
     block = 8 * synth.BLOCK  # bytes of one block buffer
+    carry = 8 * (FILTER_TAPS - 1)
 
     def peak(stream):
         stream(cfg, lambda b: None, lambda b: None)  # fills the filter's caches
@@ -570,6 +574,43 @@ def test_mixing_allocates_nothing_per_block(scenario):
             tracemalloc.stop()
 
     shot = peak(synth.stream_shot_noise)
-    assert shot < 2 * (3 * block + 8 * _STEP) + 64 * 1024, shot / 2**20  # 3.77 MiB
+    assert shot < 2 * (2 * block + carry) + 64 * 1024, shot / 2**20  # 2.27 MiB
     mixing = peak(synth.stream_pair) - shot
-    assert mixing < 8 * block, mixing / block
+    assert mixing < 6 * block, mixing / block  # 2.5 MiB: four slot arrays and iota
+
+
+@pytest.mark.parametrize("stream", [synth.stream_pair, synth.stream_shot_noise])
+def test_no_sink_runs_on_the_calling_thread(stream):
+    cfg = small_config(duration=3e-4, relative_delay_samples=5)
+    ran = {1: set(), 2: set()}
+
+    def sink_for(k):
+        return lambda volts: ran[k].add(threading.get_ident())
+
+    stream(cfg, sink_for(1), sink_for(2))
+    assert ran[1] and ran[2]
+    assert threading.get_ident() not in ran[1] | ran[2]
+
+
+def test_the_calling_thread_takes_few_page_faults():
+    # numpy's FFT takes its scratch from malloc on every call; a channel on
+    # the calling thread would fault it in again on every block (about
+    # 18 000 minor faults here), a channel on a thread of its own does not.
+    # A fresh process, as `simulate` runs it: a heap that other tests left
+    # behind can hide the faults.
+    if not hasattr(pytest.importorskip("resource"), "RUSAGE_THREAD"):
+        pytest.skip("no per-thread rusage")
+    probe = (
+        "import resource\n"
+        "from sqzkit import cli, synth\n"
+        "cfg = cli.scenario_synth_config(cli.load_scenario('deployed'), duration=4e-3)\n"
+        "sinks = (lambda volts: None, lambda volts: None)\n"
+        "synth.stream_shot_noise(cfg, *sinks)\n"  # fills the filter's caches
+        "before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt\n"
+        "synth.stream_shot_noise(cfg, *sinks)\n"
+        "print(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    faults = int(out.stdout)
+    assert faults < 2_000, faults
