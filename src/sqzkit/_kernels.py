@@ -38,39 +38,57 @@ RENORM_INTERVAL = 100_000
 _RUN = 65_536
 
 
-def run_both(first, second):
+def run_both(first, second, stop=None):
     """``(first(), second())``, each run on a new thread.
 
     Both threads have been joined when this returns or raises.  An
     exception raised by `first`, or else by `second`, is re-raised here; an
     interrupt that reaches the calling thread while it waits is re-raised
-    once both have ended.
+    once both have ended.  After the first interrupt, or a thread that
+    cannot be started, the calling thread calls `stop()`, if given, so the
+    halves can be told to end early; it calls it again only if an interrupt
+    cut that call short.
     """
     outcomes = [None, None]
+    ended = threading.Semaphore(0)  # released by each task as it ends
 
     def task(i, fn):
         try:
             outcomes[i] = fn(), None
         except BaseException as exc:
             outcomes[i] = None, exc
+        finally:
+            ended.release()
 
     threads = [
         threading.Thread(target=task, args=(i, fn), name=f"sqzkit-run-both-{i + 1}")
         for i, fn in enumerate((first, second))
     ]
+    started, interrupt = 0, None
     try:
         for thread in threads:
             thread.start()
-    finally:
-        interrupt = None
-        for thread in threads:
-            while thread.is_alive():
-                try:
-                    thread.join()
-                except BaseException as exc:  # an interrupt: the task still runs
-                    interrupt = exc
-        if interrupt is not None:
-            raise interrupt
+            started += 1
+    except BaseException as exc:  # an interrupt, or no thread to be had
+        interrupt = exc
+    # The tasks are waited for on `ended`, not in `join`: on Python 3.11 a
+    # join that an interrupt cuts short can mark a thread that still runs as
+    # stopped (the bpo-45274 handling in `threading`), and a later join or
+    # `is_alive` then no longer waits for it.  The loop tests the outcomes,
+    # so a release that an interrupt kept it from counting is not lost.
+    stopped = stop is None
+    while None in outcomes[:started]:
+        try:
+            if interrupt is not None and not stopped:
+                stop()
+                stopped = True
+            ended.acquire()
+        except BaseException as exc:  # an interrupt: the tasks still run
+            interrupt = exc
+    for thread in threads[:started]:
+        thread.join()  # its task has ended: the thread is exiting
+    if interrupt is not None:
+        raise interrupt
     for _, exc in outcomes:
         if exc is not None:
             raise exc

@@ -9,7 +9,9 @@ linear-phase FIR filter so the two channels stay sample-aligned.
 
 Everything is reproducible: one integer seed, expanded through named
 counter-based streams, so individual noise sources can be regenerated
-independently of each other.
+independently of each other.  No step calls BLAS: g_band, which scales the
+electronics noise, is a numpy sum, so the traces do not depend on the BLAS
+thread count either.
 
 A pair is made one overlap-save block of the band filter at a time
 (Stockham, AFIPS SJCC 1966), so its working memory does not grow with the
@@ -21,13 +23,15 @@ puts back the carried samples, draws the BLOCK - FILTER_TAPS + 1 new normals
 of its stream after them, filters the block with one BLOCK-point FFT, draws
 the electronics noise of the outputs that fall in its n-sample window into
 the spent spectrum, adds it, scales the outputs to volts and hands them to
-its sink.  Channel 2 is mixed with channel 1's normals, which channel 1's
-thread passes on in two slots, block k in slot k % 2, with two semaphores
-to order them; each thread computes the mixing factors of every other
-block, channel 2 its cov in its spectrum before the forward FFT, so the
-mixing allocates nothing per block.  Phase models that draw from a random
-stream take their angles over the whole grid on the calling thread first,
-so their draw order does not depend on the blocks.
+its sink.  Each channel looks at a stop flag at the top of every block, so
+a failure or an interrupt ends both within a block.  Channel 2 is mixed
+with channel 1's normals, which channel 1's thread passes on in two slots,
+block k in slot k % 2, with two semaphores to order them; each thread
+computes the mixing factors of every other block, channel 2 its cov in its
+spectrum before the forward FFT, so the mixing allocates nothing per
+block.  Phase models that draw from a random stream take their angles over
+the whole grid on the calling thread first, so their draw order does not
+depend on the blocks.
 """
 
 from __future__ import annotations
@@ -108,8 +112,15 @@ def _bandpass_taps(low_hz: float, high_hz: float, fs: float) -> np.ndarray:
 
     nfreqs = 1 + 2 ** math.ceil(math.log2(FILTER_TAPS))
     grid = np.linspace(0.0, fs / 2.0, nfreqs)
-    shift = np.exp(-(FILTER_TAPS - 1) / 2.0 * 1j * math.pi * grid / (fs / 2.0))
-    taps = np.fft.irfft(np.interp(grid, freqs, gain) * shift)[:FILTER_TAPS]
+    # The delay's phase ramp times the band response, built in one buffer
+    # with the ufuncs of np.exp(c * grid / (fs / 2)) * interp, in their order.
+    # The copy owns its taps, so the cache keeps no 65 536-point irfft alive.
+    shift = -(FILTER_TAPS - 1) / 2.0 * 1j * math.pi * grid
+    shift /= fs / 2.0
+    np.exp(shift, out=shift)
+    shift *= np.interp(grid, freqs, gain)
+    taps = np.fft.irfft(shift)[:FILTER_TAPS].copy()
+    del shift, grid
     taps *= np.hamming(FILTER_TAPS)
     taps /= math.sqrt(float(np.sum(taps * taps)))
     taps.setflags(write=False)
@@ -128,9 +139,12 @@ def _averaged_gain(low_hz: float, high_hz: float, fs: float) -> float:
     """g_band: the share of band-limited unit shot noise's variance that the
     analysis's mean of RAW_PER_QUADRATURE (m) samples keeps,
     sum over |k| < m of (m - |k|) r_h(k) / m^2, with r_h the autocorrelation
-    of the taps.  White noise keeps g_white = 1/m of its variance."""
+    of the taps.  White noise keeps g_white = 1/m of its variance.
+
+    Each r_h(k) is numpy's own pairwise sum, never a BLAS dot product, whose
+    rounding depends on how many threads the BLAS library splits it over."""
     h, m = _bandpass_taps(low_hz, high_hz, fs), RAW_PER_QUADRATURE
-    r = [float(np.dot(h[: h.size - k], h[k:])) for k in range(m)]
+    r = [float(np.add.reduce(h[: h.size - k] * h[k:])) for k in range(m)]
     return (m * r[0] + 2.0 * sum((m - k) * r[k] for k in range(1, m))) / (m * m)
 
 
@@ -260,6 +274,8 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
         rng = _rng(seed, family, stream)
         elec = _rng(seed, family, elec_stream) if sigma_e is not None else None
         for j in range(0, n_out, step):
+            if failed:  # the partner failed, or the caller was interrupted
+                return
             k = min(step, n_out - j)
             lo = 0 if j == 0 else pad  # new samples start after the carried ones
             x[:lo] = carry[:lo]
@@ -290,15 +306,18 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
                 out *= config.shot_noise_volts_rms
                 sink(out)
 
-    def run(*args):
+    def stop():
+        # wakes a channel parked in its wait, which then sees the flag and stops
         nonlocal failed
+        failed = True
+        free.release()
+        full.release()
+
+    def run(*args):
         try:
             channel(*args)
         except BaseException:
-            # wakes a partner parked in its wait, which then sees the flag and stops
-            failed = True
-            free.release()
-            full.release()
+            stop()
             raise
 
     # Every buffer is allocated here, on the calling thread (see `_kernels`):
@@ -316,6 +335,7 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
     _kernels.run_both(
         lambda: run(_STREAM_G1, _STREAM_ELEC1, max(delay, 0), mix1, sink1, *buffers1),
         lambda: run(_STREAM_G2, _STREAM_ELEC2, max(-delay, 0), mix2, sink2, *buffers2),
+        stop=stop,
     )
     meta = {
         "r": config.r,

@@ -282,20 +282,48 @@ def test_run_both_runs_each_half_on_a_thread_of_its_own():
 @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no pthread_kill")
 def test_run_both_waits_for_both_halves_after_an_interrupt():
     # a Ctrl-C that lands while the calling thread waits is re-raised only
-    # once both halves have ended, so neither outlives the call
+    # once both halves have ended, so neither outlives the call; the first
+    # half ends last, so a wait that the interrupt cut short would show
     assert threading.current_thread() is threading.main_thread()
     ended = []
 
-    def half():
-        time.sleep(0.5)
-        ended.append(True)
+    def half(seconds):
+        time.sleep(seconds)
+        ended.append(seconds)
 
     ctrl_c = threading.Timer(0.1, signal.pthread_kill, (threading.get_ident(), signal.SIGINT))
     ctrl_c.start()
     with pytest.raises(KeyboardInterrupt):
-        run_both(half, half)
+        run_both(lambda: half(0.5), lambda: half(0.2))
     ctrl_c.join(timeout=60)
-    assert ended == [True, True]
+    assert ended == [0.2, 0.5]
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no pthread_kill")
+def test_run_both_calls_stop_after_an_interrupt_until_a_call_completes():
+    # the halves wait for `stop`; the first Ctrl-C calls it, a second one
+    # cuts that call short, so it is called again, and the halves end as
+    # soon as a call completes, with neither outliving run_both
+    assert threading.current_thread() is threading.main_thread()
+    here, calls, stopped = threading.get_ident(), [], threading.Event()
+
+    def stop():
+        calls.append(threading.get_ident())
+        time.sleep(0.5)  # the second Ctrl-C lands in the first call
+        stopped.set()
+
+    ctrl_c = [
+        threading.Timer(delay, signal.pthread_kill, (here, signal.SIGINT)) for delay in (0.1, 0.3)
+    ]
+    for timer in ctrl_c:
+        timer.start()
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run_both(lambda: stopped.wait(timeout=60), lambda: stopped.wait(timeout=60), stop)
+    for timer in ctrl_c:
+        timer.join(timeout=60)
+    assert calls == [here, here]
+    assert threading.active_count() == threads - len(ctrl_c)
 
 
 def test_run_both_reraises_the_worker_exception_and_recovers():

@@ -4,9 +4,12 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -230,15 +233,65 @@ def _scipy_bandpass_taps(low_hz, high_hz, fs):
     return taps / math.sqrt(np.sum(taps * taps))
 
 
-@pytest.mark.parametrize(
-    "band, fs",
-    [((2.5e5, 1.5e7), 5e8), ((1e6, 4e7), 2.5e8), ((5e3, 2e5), 1e6), ((1e5, 4.9e8), 1e9)],
-)
+_BANDS = [((2.5e5, 1.5e7), 5e8), ((1e6, 4e7), 2.5e8), ((5e3, 2e5), 1e6), ((1e5, 4.9e8), 1e9)]
+
+
+@pytest.mark.parametrize("band, fs", _BANDS)
 def test_bandpass_taps_match_scipy_design(band, fs):
     taps = synth._bandpass_taps(band[0], band[1], fs)
     want = _scipy_bandpass_taps(band[0], band[1], fs)
     assert taps.shape == (FILTER_TAPS,)
     assert np.max(np.abs(taps - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _one_expression_taps(low_hz, high_hz, fs):
+    """The taps design with its phase ramp, band response and their product
+    in temporaries of their own, and the taps a view of the whole irfft."""
+    freqs = np.linspace(0.0, fs / 2.0, 4097)
+    gain = np.zeros_like(freqs)
+    warp = 2.0 * fs * np.tan(math.pi * freqs[1:-1] / fs)
+    w_lo, w_hi = (2.0 * fs * math.tan(math.pi * f / fs) for f in (low_hz, high_hz))
+    prototype = (warp * warp - w_lo * w_hi) / ((w_hi - w_lo) * warp)
+    gain[1:-1] = 1.0 / np.sqrt(1.0 + prototype**4)
+    grid = np.linspace(0.0, fs / 2.0, 1 + 2 ** math.ceil(math.log2(FILTER_TAPS)))
+    shift = np.exp(-(FILTER_TAPS - 1) / 2.0 * 1j * math.pi * grid / (fs / 2.0))
+    taps = np.fft.irfft(np.interp(grid, freqs, gain) * shift)[:FILTER_TAPS]
+    taps *= np.hamming(FILTER_TAPS)
+    taps /= math.sqrt(float(np.sum(taps * taps)))
+    return taps
+
+
+@pytest.mark.parametrize("band, fs", _BANDS)
+def test_cached_taps_own_their_data_and_keep_their_bits(band, fs):
+    # a view would keep the whole 65 536-point irfft alive in the cache
+    taps = synth._bandpass_taps(band[0], band[1], fs)
+    assert taps.base is None
+    assert taps.nbytes == 8 * FILTER_TAPS
+    want = _one_expression_taps(band[0], band[1], fs)
+    assert taps.tobytes() == want.tobytes()
+    spectrum = synth._filter_spectrum(band[0], band[1], fs)
+    assert spectrum.tobytes() == np.fft.rfft(want, synth.BLOCK).tobytes()
+
+
+def test_one_seed_gives_one_trace_at_any_blas_thread_count():
+    # A BLAS dot product rounds by how many threads it splits the sum over;
+    # g_band, which scales the electronics noise, is summed without one.
+    probe = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from sqzkit import cli, synth\n"
+        "cfg = cli.scenario_synth_config(cli.load_scenario('deployed'), seed=3, duration=2e-4)\n"
+        "pair = synth.synthesize_shot_noise(cfg)\n"
+        "samples = np.concatenate([trace.samples for trace in pair])\n"
+        "print(hashlib.sha256(samples.astype(np.float64).tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1], digests
 
 
 _STEP = synth.BLOCK - FILTER_TAPS + 1  # outputs per overlap-save block
@@ -405,7 +458,9 @@ def test_two_threads_change_no_bit(scenario, delay, monkeypatch):
             again = _samples(fn(cfg))
             with monkeypatch.context() as m:
                 run_both = _kernels.run_both
-                m.setattr(_kernels, "run_both", lambda first, second: run_both(second, first)[::-1])
+                m.setattr(
+                    _kernels, "run_both", lambda first, second, stop: run_both(second, first, stop)[::-1]
+                )
                 swapped = _samples(fn(cfg))
             for got in (again, swapped):
                 assert all(np.array_equal(u, v) for u, v in zip(threaded, got)), (kw, fn.__name__)
@@ -590,6 +645,29 @@ def test_no_sink_runs_on_the_calling_thread(stream):
     stream(cfg, sink_for(1), sink_for(2))
     assert ran[1] and ran[2]
     assert threading.get_ident() not in ran[1] | ran[2]
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no pthread_kill")
+def test_an_interrupt_stops_synthesis_within_a_block():
+    # Ctrl-C 0.1 s into a shot-noise pair of 100 M samples a channel, which
+    # takes seconds: each channel looks at the stop flag at the top of every
+    # block, so the interrupt is re-raised about one block later, and both
+    # channel threads have ended by then.
+    assert threading.current_thread() is threading.main_thread()
+    cfg = cli.scenario_synth_config(cli.load_scenario("deployed"), duration=0.2)
+    synth._filter_spectrum(*cfg.detector_band, cfg.sample_rate)  # design the filter first
+    threads = threading.active_count()
+    blocks = []
+    ctrl_c = threading.Timer(0.1, signal.pthread_kill, (threading.get_ident(), signal.SIGINT))
+    start = time.perf_counter()
+    ctrl_c.start()
+    with pytest.raises(KeyboardInterrupt):
+        synth.stream_shot_noise(cfg, blocks.append, lambda volts: None)
+    elapsed = time.perf_counter() - start
+    ctrl_c.join(timeout=60)
+    assert elapsed < 1.0, elapsed
+    assert 0 < len(blocks) < cfg.n_samples // _STEP
+    assert threading.active_count() == threads
 
 
 def test_the_calling_thread_takes_few_page_faults():
