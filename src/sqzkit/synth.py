@@ -5,7 +5,9 @@ correlated noise on two balanced detectors, white electronics noise,
 a trigger pulse on a monitor channel, and an optional sample offset between
 the channels.  Per-sample statistics follow the Gaussian model in
 `tmsv.lossy_tmsv_moments`; the detection band is imposed with a
-linear-phase FIR filter so the two channels stay sample-aligned.
+linear-phase FIR filter so the two channels stay sample-aligned.  The
+monitor is derived from a trace's length and rate alone: it is built once,
+when `RawTrace.monitor` is first read, and shared, read-only.
 
 Everything is reproducible: one integer seed, expanded through named
 counter-based streams, so individual noise sources can be regenerated
@@ -79,18 +81,34 @@ def _rng(seed: int, family: int, stream: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class RawTrace:
-    """One synthesized scope channel plus its trigger monitor."""
+    """One synthesized scope channel.
+
+    Its trigger monitor is derived from the trace's length and rate: built
+    once, when `monitor` is first read, and shared, read-only, by every
+    trace of that length and rate."""
 
     samples: np.ndarray
     sample_rate: float
-    monitor: np.ndarray
     meta: dict
 
     def __post_init__(self):
-        for name in ("samples", "monitor"):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        a = np.asarray(self.samples, dtype=np.float64)
+        a.setflags(write=False)
+        object.__setattr__(self, "samples", a)
+
+    @property
+    def monitor(self) -> np.ndarray:
+        """The monitor channel: TRIGGER_VOLTS over the trigger pulse, which
+        starts at the middle sample, and 0 elsewhere."""
+        return _monitor(self.samples.size, self.sample_rate)
+
+
+@lru_cache(maxsize=1)
+def _monitor(n: int, fs: float) -> np.ndarray:
+    monitor = np.zeros(n)
+    monitor[n // 2 : n // 2 + max(1, round(TRIGGER_WIDTH_S * fs))] = TRIGGER_VOLTS
+    monitor.setflags(write=False)
+    return monitor
 
 
 @lru_cache(maxsize=8)
@@ -367,9 +385,7 @@ def _collect(config: SynthConfig, family: int) -> tuple[RawTrace, RawTrace]:
         return sink
 
     meta1, meta2 = _synthesize(config, family, into(volts1), into(volts2))
-    monitor = np.zeros(n)
-    monitor[n // 2 : n // 2 + max(1, round(TRIGGER_WIDTH_S * fs))] = TRIGGER_VOLTS
-    return RawTrace(volts1, fs, monitor, meta1), RawTrace(volts2, fs, monitor, meta2)
+    return RawTrace(volts1, fs, meta1), RawTrace(volts2, fs, meta2)
 
 
 def _shot_noise_config(config: SynthConfig) -> SynthConfig:

@@ -796,7 +796,7 @@ _NUMERIC = {"numpy", "sqzkit.pipeline", "sqzkit.synth", "sqzkit.traceio", "sqzki
         (lambda _: [], lambda out: [["expect", "--scenario", "deployed", "--out", out + ".json"]], _NUMERIC),
         (lambda _: [], lambda out: [_simulate(out, "csv"), _analyze(out, "csv")], {"sqzkit.fitting"}),
         (lambda _: [], lambda out: [_simulate(out)], {"sqzkit.pipeline", "sqzkit.fitting"}),
-        (lambda out: [_simulate(out)], lambda out: [_analyze(out)], {"sqzkit.synth", "sqzkit.fitting"}),
+        (lambda out: [_simulate(out)], lambda out: [_analyze(out)], {"sqzkit.synth", "sqzkit.fitting", "numpy.ma"}),
     ],
     ids=["import", "expect", "expect-out", "simulate-analyze-csv", "simulate", "analyze"],
 )
@@ -804,7 +804,8 @@ def test_cli_leaves_scipy_signal_and_fft_unimported(before, commands, unwanted, 
     # concurrent.futures alone costs ~10 ms of import.  Importing starts no
     # thread, and no command leaves one behind: each `run_both` call joins
     # the thread it starts before it returns.  Each command imports only the
-    # layers it runs; `before` makes its inputs in this process.
+    # layers it runs; `before` makes its inputs in this process.  analyze
+    # leaves numpy.ma unloaded too, which np.quantile and np.median import.
     out_dir = str(tmp_path / "run")
     for argv in before(out_dir):
         assert cli.main(argv) == 0

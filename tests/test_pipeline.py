@@ -543,6 +543,22 @@ def test_dip_fwhm_gaussian():
     assert dip_fwhm(d, v) == pytest.approx(want, rel=0.02)
 
 
+#: Finite floats, with -0.0 made 0.0: np.sort and np.partition may order
+#: the two either way.  dip_fwhm's distances and variances hold no -0.0.
+_finite = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(_finite, min_size=1, max_size=60))
+def test_dip_baseline_helpers_match_numpy_bit_for_bit(x):
+    # dip_fwhm's own quantile and median spare `analyze` the import of
+    # numpy.ma that np.quantile and np.median make
+    x = np.array(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.float64(pipeline._quantile(x, 0.75)).tobytes() == np.quantile(x, 0.75).tobytes()
+        assert np.float64(pipeline._median(x)).tobytes() == np.median(x).tobytes()
+
+
 def test_dip_fwhm_rejects_unresolved():
     d = np.arange(-10.0, 11.0)
     with pytest.raises(DegenerateInputError):

@@ -590,8 +590,8 @@ def test_electronics_noise_chunks_match_one_normal_draw():
 
 
 def test_synthesis_peak_memory_stays_below_three_and_a_half_traces():
-    # The two channels' n-sample outputs and the monitor, and block-sized
-    # scratch: about 3.0 extended-grid traces on this input.
+    # The two channels' n-sample outputs, the filter's design and block-sized
+    # scratch: about 2.4 extended-grid traces on this input.
     cfg = cli.scenario_synth_config(cli.load_scenario("reference"))
     n_ext = cfg.n_samples + FILTER_TAPS - 1
     synth._filter_spectrum.cache_clear()
@@ -603,6 +603,31 @@ def test_synthesis_peak_memory_stays_below_three_and_a_half_traces():
         tracemalloc.stop()
     assert traces[0].samples.shape == (cfg.n_samples,)
     assert peak < 3.5 * 8 * n_ext, peak / (8 * n_ext)
+
+
+def test_synthesis_builds_no_monitor():
+    # With the filter's caches warm, a pair is its two n-sample outputs and
+    # block-sized scratch: about 2.3 extended-grid traces on this input.  An
+    # n-sample monitor built per call brought it to 3.0.
+    cfg = cli.scenario_synth_config(cli.load_scenario("reference"))
+    n_ext = cfg.n_samples + FILTER_TAPS - 1
+    synthesize_pair(cfg)  # fills the filter's caches
+    tracemalloc.start()
+    try:
+        synthesize_pair(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * n_ext, peak / (8 * n_ext)
+
+
+def test_monitor_is_shared_and_read_only():
+    cfg = small_config()
+    signal_trace, _ = synthesize_pair(cfg)
+    shot_trace, _ = synthesize_shot_noise(cfg)
+    assert signal_trace.monitor is shot_trace.monitor
+    assert not signal_trace.monitor.flags.writeable
+    assert signal_trace.monitor.shape == (cfg.n_samples,)
 
 
 @pytest.mark.parametrize("scenario", ["reference", "deployed"])
