@@ -44,10 +44,10 @@ def run_both(first, second, stop=None):
     Both threads have been joined when this returns or raises.  An
     exception raised by `first`, or else by `second`, is re-raised here; an
     interrupt that reaches the calling thread while it waits is re-raised
-    once both have ended.  After the first interrupt, or a thread that
-    cannot be started, the calling thread calls `stop()`, if given, so the
-    halves can be told to end early; it calls it again only if an interrupt
-    cut that call short.
+    once both have ended.  `stop()`, if given, tells the halves to end
+    early: a half that raises calls it on its own thread, and after the
+    first interrupt, or a thread that cannot be started, the calling thread
+    calls it, again only if an interrupt cut that call short.
     """
     outcomes = [None, None]
     ended = threading.Semaphore(0)  # released by each task as it ends
@@ -57,6 +57,8 @@ def run_both(first, second, stop=None):
             outcomes[i] = fn(), None
         except BaseException as exc:
             outcomes[i] = None, exc
+            if stop is not None:
+                stop()
         finally:
             ended.release()
 

@@ -13,7 +13,8 @@ A scenario is a JSON file (or the name of a bundled one) holding the source
 strength, the per-arm loss budget, synthesis parameters, and analysis
 defaults.  Reports go to stdout as JSON by default (``--format table|csv``
 for humans/spreadsheets, ``--out`` to write a file atomically).  Errors
-print a one-object JSON diagnostic to stderr and exit 1.
+print a one-object JSON diagnostic to stderr and exit 1; a Ctrl-C of the
+program prints one line to stderr and ends the process by SIGINT.
 """
 
 from __future__ import annotations
@@ -530,6 +531,15 @@ def main(argv=None) -> int:
         diag = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(json.dumps(diag, indent=2) + "\n")
         return 1
+    except KeyboardInterrupt:
+        if argv is not None:  # a caller's call, not the program: theirs to handle
+            raise
+        import signal  # only here, so `import sqzkit.cli` does not load it
+
+        sys.stderr.write("sqzkit: interrupted\n")
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGINT)  # ends the process as an uncaught Ctrl-C does
+        raise
     _emit(report, args)
     return 0
 

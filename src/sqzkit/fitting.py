@@ -10,14 +10,14 @@ eta_w the tap-to-waveguide calibration ratio, eta_p the pump coupling into
 the waveguide, and P the pump power at the monitoring tap (W).  The coupling
 eta_p is not directly measurable; `fit_eta_p` recovers it from a power sweep
 of measured squeezing/anti-squeezing levels using the lossy two-mode model.
+The model itself is plain `math`, so `expect` on a pump-sourced scenario
+loads no numpy; the fit and `synthetic_sweep` import it when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._optim import golden_section_min
 from .errors import DegenerateInputError, InvalidArgumentError
@@ -113,6 +113,8 @@ def fit_eta_p(points, t_b: float, t_c: float, params: SqueezeParams) -> FitResul
     is the sum of squared dB residuals against `piecewise_model`, minimized
     over eta_p in (0, 1].
     """
+    import numpy as np
+
     points = list(points)
     if not points:
         raise InvalidArgumentError("need at least one sweep point")
@@ -149,6 +151,8 @@ def synthetic_sweep(
     rng: np.random.Generator | None = None,
 ) -> list[PowerSweepPoint]:
     """Noisy sweep data from the model itself (test/demo helper)."""
+    import numpy as np
+
     rng = rng or np.random.default_rng(0)
     out = []
     for p in powers_watts:

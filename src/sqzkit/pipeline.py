@@ -20,20 +20,21 @@ and keeps running sums, tile moments and two short windows, never a series
 as long as a trace, so its memory does not grow with the duration:
 
 - *Pass 1* reads each trace in turn, with every check, and reduces each
-  chunk (steps 1 and 2) as it arrives.  A trace that comes in several
-  chunks, such as a float32 file, keeps only its length, and a shot-noise
-  trace the running sums that calibrate its detector (step 3); it is read
-  again in each later pass.  A trace that comes as one chunk, such as a
-  CSV file or an array, is in memory anyway, so its averages are kept and
-  normalized in place.
+  chunk (steps 1 and 2) as it arrives; a shot-noise trace also keeps the
+  running sums that calibrate its detector (step 3).  Where one chunk's
+  averages are all of the trace's, as for a CSV file or an array, the
+  trace is in memory anyway, so they are kept and normalized in place.
+  Any other trace, such as a float32 file, keeps only its length and is
+  read again in each later pass.
 - *Pass 2* (`delay_search`) reads the signal pair in lockstep into the
-  per-tile moments of the delay objective, and captures the two windows,
-  at fixed indices, that the coherence-dip scan needs (step 4).
+  per-tile moments of the delay objective (step 4).
 - *Pass 3* (`squeezing_report`) reads the aligned signal pair, then the
   shot-noise pair, as sums and differences into running sums: each
   reference variance; the extrema of each combination's rolling variances
   (`RollingVariance`), of which a full-length window has one; and, for a
   rolling window, the sums of the reference's, for the error bar (step 5).
+  Its read of the aligned pair fills the two windows the coherence-dip
+  scan needs.
 - With a series file, one more pass streams the four rolling-variance
   series into it.
 
@@ -47,7 +48,6 @@ Unbiased (n-1) variance is used everywhere.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -273,10 +273,10 @@ def _layout(n_samples: int, fraction: float) -> tuple[int, int, int]:
     return n, start, cut
 
 
-def _average_pieces(raw_samples, n_samples: int, layout, out: np.ndarray | None = None):
+def _average_pieces(raw_samples, n_samples: int, layout):
     """Yield, for each chunk of `raw_samples` (1-D arrays holding the
-    trace's n_samples samples in order), the averages it completes: a new
-    array, or the next stretch of `out`.
+    trace's n_samples samples in order), a new array of the averages it
+    completes.
 
     Groups of 4 that lie in one chunk, on one side of the cut, are summed
     by `_sum4`; a group that straddles a chunk boundary or the cut is summed
@@ -294,7 +294,7 @@ def _average_pieces(raw_samples, n_samples: int, layout, out: np.ndarray | None 
         if at + chunk.size > n_samples:
             raise InvalidArgumentError(f"the chunks hold more than {n_samples} samples")
         k0, k1 = groups(at), groups(at + chunk.size)
-        piece = np.empty(k1 - k0) if out is None else out[k0:k1]
+        piece = np.empty(k1 - k0)
         k = 0
         # the kept samples of the chunk: those before the cut, then those after it
         for part in (chunk[: max(start - at, 0)], chunk[max(start + cut - at, 0) :]):
@@ -326,11 +326,8 @@ def discard_average4(raw_samples, fraction: float) -> np.ndarray:
     `analyze_traces` does all three for a measurement's four traces, each
     chunk of a trace reduced as it arrives (`_average_pieces`)."""
     raw = _as_1d(raw_samples)
-    layout = _layout(raw.size, fraction)
-    out = np.empty(layout[0])
-    for _ in _average_pieces([raw], raw.size, layout, out):
-        pass
-    return out
+    (averages,) = _average_pieces([raw], raw.size, _layout(raw.size, fraction))
+    return averages
 
 
 def normalize(
@@ -700,26 +697,21 @@ def analysis_report(
     """
     a, b = _series(q1, "q1"), _series(q2, "q2")
     search_window = window or default_window(len(a) - 2 * max_delay)
-    # Coherence dip: a single-window variance scan around the midpoint of the
-    # aligned span.  Its windows lie at fixed indices of the traces, so the
-    # delay search's read captures them, b's with max_delay of margin either
-    # side for the delay it is about to find.  w_dip leaves 2 * DIP_DELAY_SPAN
-    # samples for the scan's delays, so it always fits.
-    span = len(a) - 2 * max_delay
-    w_dip = min(window or 30_000, span - 2 * DIP_DELAY_SPAN)
-    width = w_dip + 2 * DIP_DELAY_SPAN
-    if w_dip >= 2:
-        at = max_delay + (span - w_dip) // 2 - DIP_DELAY_SPAN
-        dip_a = a.capture(at, at + width)
-        dip_b = b.capture(at - max_delay, at + width + max_delay)
     delay, _ = delay_search(a, b, max_delay, search_window)
     a1, b1 = align(a, b, delay, max_delay)
+    # Coherence dip: a single-window variance scan around the midpoint of the
+    # aligned pair, over two windows that the squeezing report's read of the
+    # pair fills.  w_dip leaves 2 * DIP_DELAY_SPAN samples for the scan's
+    # delays, so it always fits.
+    w_dip = min(window or 30_000, len(a1) - 2 * DIP_DELAY_SPAN)
+    if w_dip >= 2:
+        at = (len(a1) - w_dip) // 2 - DIP_DELAY_SPAN
+        dip_a, dip_b = (x.capture(at, at + w_dip + 2 * DIP_DELAY_SPAN) for x in (a1, b1))
     report = squeezing_report(a1, b1, sn1, sn2, window)
 
     fwhm = None
     if w_dip >= 2:
         delays = range(-DIP_DELAY_SPAN, DIP_DELAY_SPAN + 1)
-        dip_b = dip_b[max_delay + delay : max_delay + delay + width]
         scan = variance_vs_delay(dip_a, dip_b, w_dip, DIP_DELAY_SPAN, delays)
         d_axis = [row[0] for row in scan]
         v_plus = np.array([row[1] for row in scan])
@@ -750,18 +742,14 @@ def _calibrated(traces, fraction: float, names) -> tuple[list[_Series], float]:
     for k, (name, trace) in enumerate(zip(names, traces)):
         read = trace if callable(trace) else _in_memory(*trace)
         chunks, n, trace_rate = read()
-        chunks = iter(chunks)
-        first = next(chunks, None)
-        # A trace that comes as one chunk is in memory whole, so its averages
-        # are kept; any other is read again for each later pass.
-        whole = first is not None and np.size(first) == n
-        chunks = itertools.chain(() if first is None else (first,), chunks)
-        del first  # the chunks hold it until they are read
-        sums, fault = _Sums(), None
+        # A trace whose averages all come from one chunk is in memory whole,
+        # so they are kept; any other is read again for each later pass.
+        sums, fault, averages = _Sums(), None, None
         try:
             layout = _layout(n, fraction)
-            averages = np.empty(layout[0]) if whole else None
-            for piece in _average_pieces(chunks, n, layout, averages):
+            for piece in _average_pieces(chunks, n, layout):
+                if piece.size == layout[0]:
+                    averages = piece
                 if k >= 2:
                     sums.add(piece)
         except InvalidArgumentError as exc:  # empty, or too short
@@ -785,7 +773,7 @@ def _calibrated(traces, fraction: float, names) -> tuple[list[_Series], float]:
                 fault = exc
         if fault is not None:
             raise ScenarioFormatError(f"{name}: {fault}") from fault
-        taken.append((name, None if whole else read, n, layout, averages))
+        taken.append((name, read, n, layout, averages))
     if len(taken) != 4:
         raise InvalidArgumentError(f"need four traces, got {len(taken)}")
     if next(traces, None) is not None:

@@ -331,13 +331,6 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
         free.release()
         full.release()
 
-    def run(*args):
-        try:
-            channel(*args)
-        except BaseException:
-            stop()
-            raise
-
     # Every buffer is allocated here, on the calling thread (see `_kernels`):
     # x, carry, the spectrum and a spare for a block of electronics noise or
     # of cov.  The inverse FFT writes all BLOCK points of x, and the spent
@@ -351,8 +344,8 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
 
     buffers1, buffers2 = buffers(), buffers()
     _kernels.run_both(
-        lambda: run(_STREAM_G1, _STREAM_ELEC1, max(delay, 0), mix1, sink1, *buffers1),
-        lambda: run(_STREAM_G2, _STREAM_ELEC2, max(-delay, 0), mix2, sink2, *buffers2),
+        lambda: channel(_STREAM_G1, _STREAM_ELEC1, max(delay, 0), mix1, sink1, *buffers1),
+        lambda: channel(_STREAM_G2, _STREAM_ELEC2, max(-delay, 0), mix2, sink2, *buffers2),
         stop=stop,
     )
     meta = {

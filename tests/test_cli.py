@@ -3,8 +3,10 @@
 import json
 import math
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -783,6 +785,13 @@ def _analyze(out_dir, fmt="f32"):
             "--shot-noise", shots[0], "--shot-noise", shots[1]]
 
 
+def _expect_pump(out_dir):
+    """An `expect` of a scenario whose source is a pump, written to out_dir."""
+    Path(out_dir).mkdir()
+    doc = minimal_scenario(source={"pump": PUMP})
+    return [["expect", "--scenario", write_scenario(Path(out_dir), doc)]]
+
+
 #: What `import sqzkit.cli` and `expect` must leave unloaded: the budget,
 #: the closed forms and the scenario settings need no numpy.
 _NUMERIC = {"numpy", "sqzkit.pipeline", "sqzkit.synth", "sqzkit.traceio", "sqzkit.fitting"}
@@ -794,11 +803,13 @@ _NUMERIC = {"numpy", "sqzkit.pipeline", "sqzkit.synth", "sqzkit.traceio", "sqzki
         (lambda _: [], lambda _: [], _NUMERIC),
         (lambda _: [], lambda _: [["expect", "--scenario", "deployed"]], _NUMERIC),
         (lambda _: [], lambda out: [["expect", "--scenario", "deployed", "--out", out + ".json"]], _NUMERIC),
+        # a pump's r_from_power is plain math: `fitting` loads, numpy does not
+        (lambda _: [], _expect_pump, _NUMERIC - {"sqzkit.fitting"}),
         (lambda _: [], lambda out: [_simulate(out, "csv"), _analyze(out, "csv")], {"sqzkit.fitting"}),
         (lambda _: [], lambda out: [_simulate(out)], {"sqzkit.pipeline", "sqzkit.fitting"}),
         (lambda out: [_simulate(out)], lambda out: [_analyze(out)], {"sqzkit.synth", "sqzkit.fitting", "numpy.ma"}),
     ],
-    ids=["import", "expect", "expect-out", "simulate-analyze-csv", "simulate", "analyze"],
+    ids=["import", "expect", "expect-out", "expect-pump", "simulate-analyze-csv", "simulate", "analyze"],
 )
 def test_cli_leaves_scipy_signal_and_fft_unimported(before, commands, unwanted, tmp_path, capsys):
     # concurrent.futures alone costs ~10 ms of import.  Importing starts no
@@ -823,6 +834,31 @@ def test_cli_leaves_scipy_signal_and_fft_unimported(before, commands, unwanted, 
     out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stderr.splitlines()[-1] == "[]"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGINT") or sys.platform == "win32", reason="POSIX signals")
+def test_ctrl_c_of_simulate_prints_one_line_and_leaves_no_file(tmp_path):
+    # once the pair's temp files exist, simulate runs its two channels; a
+    # Ctrl-C then stops both, removes the temp files and ends the process
+    # by SIGINT with one line on stderr, not a traceback
+    out_dir = tmp_path / "run"
+    argv = ["simulate", "--scenario", "deployed", "--duration", "0.1", "--out-dir", str(out_dir)]
+    proc = subprocess.Popen([sys.executable, "-m", "sqzkit.cli", *argv],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not (out_dir.is_dir() and any(out_dir.iterdir())):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline, "simulate made no file"
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err.splitlines() == ["sqzkit: interrupted"]
+    assert proc.returncode == -signal.SIGINT
+    assert list(out_dir.iterdir()) == []
 
 
 def test_package_names_resolve_to_their_home_modules():

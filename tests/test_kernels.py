@@ -326,6 +326,28 @@ def test_run_both_calls_stop_after_an_interrupt_until_a_call_completes():
     assert threading.active_count() == threads - len(ctrl_c)
 
 
+@pytest.mark.parametrize("failing", [0, 1])
+def test_run_both_calls_stop_on_the_thread_of_a_half_that_raises(failing):
+    # the partner waits for an event that only `stop` sets, and the raising
+    # half's own thread calls it, so run_both re-raises within seconds
+    calls, stopped = [], threading.Event()
+
+    def stop():
+        calls.append(threading.current_thread().name)
+        stopped.set()
+
+    def fails():
+        raise ZeroDivisionError
+
+    halves = [lambda: stopped.wait(timeout=30)] * 2
+    halves[failing] = fails
+    start = time.monotonic()
+    with pytest.raises(ZeroDivisionError):
+        run_both(*halves, stop)
+    assert time.monotonic() - start < 10
+    assert calls == [f"sqzkit-run-both-{failing + 1}"]
+
+
 def test_run_both_reraises_the_worker_exception_and_recovers():
     ran = []
 

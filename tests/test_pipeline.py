@@ -211,6 +211,23 @@ def test_analyze_traces_reads_each_trace_to_the_end_before_it_takes_the_next():
     assert [opens.count(k) for k in range(4)] == [3, 3, 2, 2]
 
 
+@pytest.mark.parametrize("split", [lambda v: [v], lambda v: [v, v[:0]]], ids=["one-chunk", "then-empty"])
+def test_analyze_traces_keeps_a_trace_that_one_chunk_completes(split):
+    # pass 1 keeps the averages of a trace that one chunk completes, an empty
+    # chunk after it or not, so no later pass opens it again
+    raw, opens = _four_traces(), []
+
+    def reader(k, v):
+        def read():
+            opens.append(k)
+            return iter(split(v)), v.size, 5e8
+
+        return read
+
+    assert _analyze([reader(k, v) for k, v in enumerate(raw)]) == _analyze([(v, 5e8) for v in raw])
+    assert [opens.count(k) for k in range(4)] == [1, 1, 1, 1]
+
+
 @pytest.mark.parametrize(
     "k, fault, says",
     [
