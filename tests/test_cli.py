@@ -836,7 +836,7 @@ def test_cli_leaves_scipy_signal_and_fft_unimported(before, commands, unwanted, 
     assert out.stderr.splitlines()[-1] == "[]"
 
 
-@pytest.mark.skipif(not hasattr(signal, "SIGINT") or sys.platform == "win32", reason="POSIX signals")
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
 def test_ctrl_c_of_simulate_prints_one_line_and_leaves_no_file(tmp_path):
     # once the pair's temp files exist, simulate runs its two channels; a
     # Ctrl-C then stops both, removes the temp files and ends the process
