@@ -1,16 +1,17 @@
-"""Rolling-variance kernel, and `run_both`, which synthesis uses to run its
-two detector channels on two threads.
+"""Running sums, the rolling-variance kernel, and `run_both`, which
+synthesis uses to run its two detector channels on two threads.
 
-`rolling_variance` is the variance of the sliding windows of one trace:
-vectorized numpy over prefix sums of anchor-subtracted values, restarted
-every `RENORM_INTERVAL` output points so rounding error cannot accumulate
-over long traces.  Subtracting an anchor (the trace value at the start of
-each renormalization block) is the shifted-data method of Chan, Golub &
-LeVeque, Am. Stat. 37 (1983); it also makes a constant input produce
-exactly zero variance.  `RollingVariance` takes a trace a piece at a time
-and each block's prefix sums, P of the differences and Q of their squares,
-`_RUN` samples at a time; it keeps them only where windows start that have
-not yet ended, and holds no samples.  `rolling_variance` feeds it once.
+`prefix_sums` is the one place the analysis adds a series up: P of its
+values less an anchor and Q of their squares, carried from one run of
+values to the next as one cumulative sum, whatever the runs.  Subtracting
+an anchor is the shifted-data method of Chan, Golub & LeVeque, Am. Stat. 37
+(1983); it also makes a constant input give exactly zero variance.
+`rolling_variance` is the variance of the sliding windows of one trace,
+from prefix sums restarted, each at its own anchor, every `RENORM_INTERVAL`
+output points, so rounding error cannot accumulate over long traces.
+`RollingVariance` takes a trace a piece at a time and each block's prefix
+sums `_RUN` samples at a time; it keeps them only where windows start that
+have not yet ended, and holds no samples.  `rolling_variance` feeds it once.
 
 `run_both` runs two callables at once, each on a thread it starts, and joins
 both before it returns.  numpy's random generators, its FFT and its array
@@ -97,20 +98,30 @@ def run_both(first, second, stop=None):
     return outcomes[0][0], outcomes[1][0]
 
 
-def check_window(n: int, window) -> int:
-    """`window` as an int, if `rolling_variance` takes it for n samples."""
-    window = int(window)
-    if window < 2:
-        raise InvalidArgumentError("window must be >= 2")
-    if window > n:
-        raise InvalidArgumentError(f"window {window} exceeds trace length {n}")
-    return window
+def check_int(value, name: str, least: int | None = None) -> int:
+    """`value` as an int, if it is an integer (a Python or numpy one, not a
+    bool) of at least `least`; else InvalidArgumentError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidArgumentError(f"{name} must be >= {least}")
+    return int(value)
+
+
+def prefix_sums(x, anchor: float, carry: np.ndarray, out: np.ndarray) -> None:
+    """The running sums P of x - anchor and Q of their squares, after those
+    in `carry`, into the x.size + 1 columns of `out`: out[:, 0] is `carry`,
+    which is left holding the last column, for the next run to continue."""
+    out[:, 0] = carry
+    np.subtract(x, anchor, out=out[0, 1:])
+    np.multiply(out[0, 1:], out[0, 1:], out=out[1, 1:])
+    np.cumsum(out, axis=1, out=out)
+    carry[:] = out[:, -1]
 
 
 def rolling_variance(x, window: int) -> np.ndarray:
     """Unbiased variance of every length-`window` slice of `x`."""
-    x = np.asarray(x, dtype=np.float64)
-    (out,) = RollingVariance(x.size, window).add(x)
+    (out,) = RollingVariance(np.size(x), window).add(x)
     return out
 
 
@@ -121,7 +132,9 @@ class RollingVariance:
     variance will take, until the window ends."""
 
     def __init__(self, n: int, window: int):
-        self.window = check_window(n, window)
+        self.window = check_int(window, "window", 2)
+        if self.window > n:
+            raise InvalidArgumentError(f"window {self.window} exceeds trace length {n}")
         self.m = n - self.window + 1  # variances
         self.taken = self.started = self.ended = 0  # samples; windows begun, ended
         # [first window, past its last, anchor, carried P and Q] of each block
@@ -146,11 +159,7 @@ class RollingVariance:
             for j0 in range(max(p0, i0), min(p1, last + w - 1), _RUN):
                 j1 = min(j0 + _RUN, p1, last + w - 1)
                 part = run[:, : j1 - j0 + 1]  # P and Q from sample j0 to sample j1
-                part[:, 0] = carry  # so the additions are those of one cumsum
-                np.subtract(x[j0 - p0 : j1 - p0], anchor, out=part[0, 1:])
-                np.multiply(part[0, 1:], part[0, 1:], out=part[1, 1:])
-                np.cumsum(part, axis=1, out=part)
-                carry[:] = part[:, -1]
+                prefix_sums(x[j0 - p0 : j1 - p0], anchor, carry, part)
                 a, b = self.started, min(last, j1)  # the windows that start here
                 if a < b:
                     o, slots = self.slots[-1]

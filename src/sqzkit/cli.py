@@ -12,9 +12,9 @@ rf-metrics  THD/SFDR from a spectrum peak list CSV
 A scenario is a JSON file (or the name of a bundled one) holding the source
 strength, the per-arm loss budget, synthesis parameters, and analysis
 defaults.  Reports go to stdout as JSON by default (``--format table|csv``
-for humans/spreadsheets, ``--out`` to write a file atomically).  Errors
-print a one-object JSON diagnostic to stderr and exit 1; a Ctrl-C of the
-program prints one line to stderr and ends the process by SIGINT.
+for humans/spreadsheets, ``--out`` to write a file atomically).  Errors,
+unwritable outputs too, print a one-object JSON diagnostic to stderr and
+exit 1; a Ctrl-C of the program prints one line to stderr, then SIGINT ends it.
 """
 
 from __future__ import annotations
@@ -320,7 +320,7 @@ def _cmd_simulate(args) -> dict:
     meta = {
         "scenario": doc.get("name", ""),
         "synthesis": asdict(config),
-        "files": files,
+        "files": {stem: Path(path).name for stem, path in files.items()},  # the directory can move
         "format": args.trace_format,
     }
     atomic_write_text(out_dir / "meta.json", json.dumps(_json_safe(meta), indent=2) + "\n")
@@ -526,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report = args.func(args)
-    except SqzkitError as exc:
+        _emit(args.func(args), args)
+    except (SqzkitError, OSError) as exc:  # an input, or an output it cannot write
         diag = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(json.dumps(diag, indent=2) + "\n")
         return 1
@@ -540,7 +540,6 @@ def main(argv=None) -> int:
         signal.signal(signal.SIGINT, signal.SIG_DFL)
         signal.raise_signal(signal.SIGINT)  # ends the process as an uncaught Ctrl-C does
         raise
-    _emit(report, args)
     return 0
 
 

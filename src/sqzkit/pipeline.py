@@ -40,10 +40,10 @@ as long as a trace, so its memory does not grow with the duration:
 
 The other public functions take plain float arrays (volts or quadrature
 units), reading an array in place, or the series pass 1 makes; reading
-trace files lives in `traceio`.  Every statistic is a sum added in order,
-with an anchor subtracted, so a number does not depend on how a trace was
-cut into chunks: a file, an array and any chunking give the same bits.
-Unbiased (n-1) variance is used everywhere.
+trace files lives in `traceio`.  Every statistic is made of running sums,
+which `_kernels.prefix_sums` alone adds, in order and less an anchor, so a
+file, an array and any chunking give the same bits.  Unbiased (n-1)
+variance is used everywhere.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _RUN, RollingVariance, rolling_variance  # re-exported
+from ._kernels import _RUN, RollingVariance, check_int, prefix_sums
+from ._kernels import rolling_variance  # re-exported
 from .errors import DegenerateInputError, DimensionMismatchError, InvalidArgumentError
 from .errors import ScenarioFormatError
 from .settings import DISCARD_FRACTION, RAW_PER_QUADRATURE  # re-exported
@@ -175,32 +176,28 @@ def _sums_and_differences(x: _Series, y: _Series):
 
 class _Sums:
     """The sums P of d = x - x0 and Q of d * d over a series taken a piece
-    at a time, x0 its first value, each added in order: the shifted-data
-    form of Chan, Golub & LeVeque, Am. Stat. 37 (1983).  The mean is
-    x0 + P / n and the unbiased variance (Q - P * P / n) / (n - 1), which is
-    `rolling_variance` of a window as long as the series, bit for bit,
-    however the series is cut into pieces."""
+    at a time, x0 its first value, added by `prefix_sums`, `_RUN` values at
+    a time.  The mean is x0 + P / n and the unbiased variance
+    (Q - P * P / n) / (n - 1), which is `rolling_variance` of a window as
+    long as the series, bit for bit, however the series is cut into pieces."""
 
     def __init__(self):
-        self.n, self.anchor, self.p, self.q = 0, 0.0, 0.0, 0.0
+        self.n, self.anchor, self.sums = 0, 0.0, np.zeros(2)
 
     def add(self, x: np.ndarray) -> None:
         if x.size and not self.n:
             self.anchor = float(x[0])
-        for i in range(0, x.size, _RUN):  # bounded scratch; the carry keeps the order
-            d = x[i : i + _RUN] - self.anchor
-            sq = d * d
-            d[0] += self.p
-            sq[0] += self.q
-            self.p = float(np.cumsum(d, out=d)[-1])
-            self.q = float(np.cumsum(sq, out=sq)[-1])
+        for i in range(0, x.size, _RUN):  # bounded scratch
+            part = x[i : i + _RUN]
+            prefix_sums(part, self.anchor, self.sums, np.empty((2, part.size + 1)))
         self.n += x.size
 
     def mean(self) -> float:
-        return self.anchor + self.p / self.n
+        return self.anchor + float(self.sums[0]) / self.n
 
     def var(self) -> float:
-        return (self.q - self.p * self.p / self.n) / (self.n - 1)
+        p, q = self.sums.tolist()
+        return (q - p * p / self.n) / (self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -254,23 +251,27 @@ def _sum4(v: np.ndarray, out: np.ndarray) -> None:
     out += v[3::4]
 
 
-def _discarded(n: int, fraction: float) -> tuple[int, int]:
-    """(start, cut): the central `fraction` of n samples is [start, start + cut)."""
+def _check_settings(window=None, max_delay=0, fraction=0.0) -> None:
+    """InvalidArgumentError unless `window` is None or an integer >= 2,
+    `max_delay` an integer >= 0 and `fraction` in [0, 1)."""
+    if window is not None:
+        check_int(window, "window", 2)
+    check_int(max_delay, "max_delay", 0)
     if not 0.0 <= fraction < 1.0:
         raise InvalidArgumentError("fraction must be in [0, 1)")
-    cut = int(round(n * fraction))
-    if cut >= n:
-        raise InvalidArgumentError("discard region covers the whole trace")
-    return (n - cut) // 2, cut
 
 
 def _layout(n_samples: int, fraction: float) -> tuple[int, int, int]:
-    """(averages, start, cut) of a trace of n_samples raw samples."""
-    start, cut = _discarded(n_samples, fraction)
+    """(averages, start, cut) of a trace of n_samples raw samples, whose
+    central `fraction` is [start, start + cut)."""
+    _check_settings(fraction=fraction)
+    cut = int(round(n_samples * fraction))
+    if cut >= n_samples:
+        raise InvalidArgumentError("discard region covers the whole trace")
     n = (n_samples - cut) // RAW_PER_QUADRATURE
     if n == 0:
         raise InvalidArgumentError("trace too short to average")
-    return n, start, cut
+    return n, (n_samples - cut) // 2, cut
 
 
 def _average_pieces(raw_samples, n_samples: int, layout):
@@ -430,6 +431,7 @@ def _delay_objectives(a, b, max_delay: int, window: int):
     seen(0, ra.take(a_at))
     shared = np.empty(0)  # b - b0 over the span this group shares with the last
     prefix = np.zeros((2, 1))  # b's two prefix sums from where the shared span starts
+    carry = np.zeros(2)  # their last column
     bounds = _tile_groups(n_tiles, window)
     for g0, g1 in zip(bounds, bounds[1:]):
         tiles_a = ra.take((g1 - g0) * window)
@@ -440,10 +442,9 @@ def _delay_objectives(a, b, max_delay: int, window: int):
         if g0 == 0:
             a0, b0 = tiles_a[0], fresh[max_delay]
         fresh = fresh - b0
-        run = np.stack([fresh, fresh * fresh])
-        run[:, :1] += prefix[:, -1:]
-        np.cumsum(run, axis=1, out=run)
-        prefix = np.concatenate([prefix, run], axis=1)
+        run = np.empty((2, fresh.size + 1))
+        prefix_sums(fresh, 0.0, carry, run)
+        prefix = np.concatenate([prefix, run[:, 1:]], axis=1)
         # b - b0 over [g0 * window, g1 * window + 2 * max_delay)
         span = np.concatenate([shared, fresh])
         a_at, b_at = a_at + tiles_a.size, b_at + fresh.size
@@ -488,13 +489,9 @@ def delay_search(q1, q2, max_delay: int, window: int) -> tuple[int, float]:
     a, b = _series(q1, "q1"), _series(q2, "q2")
     if len(a) != len(b):
         raise DimensionMismatchError(f"trace lengths differ ({len(a)} vs {len(b)})")
-    max_delay = int(max_delay)
-    if max_delay < 0:
-        raise InvalidArgumentError("max_delay must be >= 0")
-    if window < 2:
-        raise InvalidArgumentError("window must be >= 2")
+    max_delay, window = check_int(max_delay, "max_delay", 0), check_int(window, "window", 2)
     best_d, best_obj = 0, -1.0
-    for d, obj in _delay_objectives(a, b, max_delay, int(window)):
+    for d, obj in _delay_objectives(a, b, max_delay, window):
         if obj > best_obj:
             best_d, best_obj = d, obj
     return best_d, best_obj
@@ -512,6 +509,7 @@ def align(q1, q2, delay: int, max_delay: int):
     a, b = (x if isinstance(x, _Series) else _as_1d(x, name) for x, name in ((q1, "q1"), (q2, "q2")))
     if len(a) != len(b):
         raise DimensionMismatchError(f"trace lengths differ ({len(a)} vs {len(b)})")
+    delay, max_delay = check_int(delay, "delay"), check_int(max_delay, "max_delay")
     if abs(delay) > max_delay:
         raise InvalidArgumentError(f"|delay| {abs(delay)} exceeds max_delay {max_delay}")
     if len(a) <= 2 * max_delay:
@@ -536,11 +534,11 @@ def squeezing_report(q1, q2, sn1, sn2, window: int | None = None) -> dict:
     standard deviation of the shot-noise rolling series (averaged over the
     two combinations); a single window has no spread, giving 0.0.
 
-    The signal pair is read once, then the shot-noise pair, as sums and
-    differences `_STEP` values at a time (`_sums_and_differences`); each
-    reference variance is kept as running sums (`_Sums`), and each
-    rolling series (`RollingVariance`), a full-length window included, only
-    as its extrema or its sums.
+    Each rolling series (`RollingVariance`), a full-length window included,
+    checks its window before either pair is read.  The signal pair is read
+    once, then the shot-noise pair, as sums and differences `_STEP` values
+    at a time (`_sums_and_differences`); each reference variance is kept as
+    running sums (`_Sums`), each rolling series as its extrema or its sums.
     """
     a, b = _series(q1, "q1"), _series(q2, "q2")
     ra, rb = _series(sn1, "sn1"), _series(sn2, "sn2")
@@ -550,19 +548,12 @@ def squeezing_report(q1, q2, sn1, sn2, window: int | None = None) -> dict:
     if min(n, n_ref) < 2:
         raise InvalidArgumentError("traces too short")
 
-    def rolling(size, width):  # a `RollingVariance` per combination, or what stops one
-        try:
-            return [RollingVariance(size, width), RollingVariance(size, width)], None
-        except InvalidArgumentError as exc:
-            return None, exc
-
-    w_sig = window if window is not None else n
-    w_ref = window if window is not None else n_ref
-    signal, signal_fault = rolling(n, w_sig)
-    spread, spread_fault = (None, None) if w_ref == n_ref else rolling(n_ref, w_ref)
+    w_sig, w_ref = (n, n_ref) if window is None else (window, window)
+    signal = [RollingVariance(n, w_sig) for _ in range(2)]
+    spread = None if w_ref == n_ref else [RollingVariance(n_ref, w_ref) for _ in range(2)]
     refs, spread_sums = [_Sums(), _Sums()], [_Sums(), _Sums()]
     lows, highs = [math.inf, math.inf], [-math.inf, -math.inf]
-    for pair in _sums_and_differences(a, b) if signal else []:
+    for pair in _sums_and_differences(a, b):
         for c, combined in enumerate(pair):
             for v in signal[c].add(combined):
                 lows[c], highs[c] = min(lows[c], float(v.min())), max(highs[c], float(v.max()))
@@ -577,9 +568,6 @@ def squeezing_report(q1, q2, sn1, sn2, window: int | None = None) -> dict:
         ref = refs[c].var()
         if ref <= 0.0:
             raise DegenerateInputError("shot-noise reference variance is zero")
-        for fault in (signal_fault, spread_fault):
-            if fault is not None:
-                raise fault
         min_ratio = min(min_ratio, lows[c] / ref)
         max_ratio = max(max_ratio, highs[c] / ref)
         spreads.append(0.0 if spread is None else math.sqrt(max(spread_sums[c].var(), 0.0)) / ref)
@@ -602,11 +590,10 @@ def variance_vs_delay(q1, q2, window: int, at_index: int, delays) -> list[tuple[
     detectors stay correlated; `dip_fwhm` measures that width.
     """
     a, b = _as_1d(q1, "q1"), _as_1d(q2, "q2")
-    delays = [int(d) for d in delays]
+    delays = [check_int(d, "delay") for d in delays]
     if not delays:
         raise InvalidArgumentError("need at least one delay")
-    if window < 2:
-        raise InvalidArgumentError("window must be >= 2")
+    window, at_index = check_int(window, "window", 2), check_int(at_index, "at_index")
     if not 0 <= at_index <= a.size - window:
         raise InvalidArgumentError(f"window at {at_index} falls outside the first trace")
     if at_index + min(delays) < 0 or at_index + max(delays) + window > b.size:
@@ -693,8 +680,10 @@ def analysis_report(
     optimal_delay, squeezing_db, antisqueezing_db, error_db, fwhm_samples
     (the last in quadrature samples; None when no dip is resolvable, e.g.
     vacuum input) plus fwhm_ns for convenience.  The four inputs are
-    arrays, read in place, or the series `analyze_traces` reads.
+    arrays, read in place, or the series `analyze_traces` reads; `window`
+    and `max_delay` are checked before any of them is read.
     """
+    _check_settings(window, max_delay)
     a, b = _series(q1, "q1"), _series(q2, "q2")
     search_window = window or default_window(len(a) - 2 * max_delay)
     delay, _ = delay_search(a, b, max_delay, search_window)
@@ -856,13 +845,14 @@ def analyze_traces(
     the shot-noise reference are also written there as CSV, over `window`
     samples, or `default_window` of the aligned span for a full window.
 
-    `traces`, and `names` if given, hold four items each, else
-    InvalidArgumentError is raised.  A fault in trace k raises
-    ScenarioFormatError naming ``names[k]``.  Of one trace's faults, what
-    its chunks raise comes first (such as a non-finite sample), then its
-    rate, its length, and last what stops its reduction, so a trace that
-    cannot be reduced is still read to the end.
+    A bad setting, checked before any trace is opened, or `traces` or
+    `names` not of four items raises InvalidArgumentError.  A fault in
+    trace k raises ScenarioFormatError naming ``names[k]``.  Of one trace's
+    faults, what its chunks raise comes first (such as a non-finite sample),
+    then its rate, its length, and last what stops its reduction, so a trace
+    that cannot be reduced is still read to the end.
     """
+    _check_settings(window, max_delay, fraction)
     names = list(names or ("signal 1", "signal 2", "shot noise 1", "shot noise 2"))
     series, rate = _calibrated(traces, fraction, names)
     if series_out is not None and len(series[2]) != len(series[0]):

@@ -277,6 +277,39 @@ def test_simulate_csv_format_and_seed_override(capsys, tmp_path):
     assert meta["synthesis"]["rng_seed"] == 77
 
 
+def test_meta_json_names_its_traces_relative_to_its_directory(capsys, tmp_path):
+    # so the run directory can move; the report on stdout keeps full paths
+    run = tmp_path / "run"
+    sim = run_json(capsys, "simulate", "--scenario", write_scenario(tmp_path, minimal_scenario()),
+                   "--out-dir", str(run))
+    moved = run.rename(tmp_path / "moved")
+    files = json.loads((moved / "meta.json").read_text())["files"]
+    assert sorted(files) == sorted(sim["files"])
+    for stem, name in files.items():
+        assert sim["files"][stem] == str(run / name) and Path(name).name == name
+        assert (moved / name).is_file()
+
+
+@pytest.mark.parametrize("command", ["expect", "simulate", "analyze"])
+def test_an_output_it_cannot_write_is_a_diagnostic(capsys, tmp_path, command):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    argv = {
+        "expect": ["expect", "--scenario", "deployed", "--out", str(tmp_path / "missing" / "x.json")],
+        "simulate": ["simulate", "--scenario", "deployed", "--duration", "5e-5",
+                     "--out-dir", str(blocker / "run")],
+    }.get(command)
+    if argv is None:
+        sim = run_json(capsys, "simulate", "--scenario", write_scenario(tmp_path, minimal_scenario()),
+                       "--out-dir", str(tmp_path / "run"))
+        argv = [*_analyze_args(sim["files"]), "--series-out", str(tmp_path / "missing" / "s.csv")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]  # one JSON object, no traceback
+    assert error["type"] == ("NotADirectoryError" if command == "simulate" else "FileNotFoundError")
+    assert not (tmp_path / "missing").exists() and blocker.read_text() == ""
+
+
 def test_analyze_series_out_and_window_flag(capsys, tmp_path):
     doc = minimal_scenario(synthesis={"duration": 2e-4, "rng_seed": 2})
     scen = write_scenario(tmp_path, doc)

@@ -221,6 +221,9 @@ def test_wrapper_validation():
         rolling_variance(x, 11)
     with pytest.raises(InvalidArgumentError):
         rolling_variance(np.zeros((2, 5)), 2)
+    for window in (2.7, 3.0, True, "3"):  # never truncated to an integer
+        with pytest.raises(InvalidArgumentError, match="window must be an integer"):
+            rolling_variance(x, window)
 
 
 def test_wrapper_accepts_readonly_and_nonfloat_input():

@@ -211,6 +211,59 @@ def test_analyze_traces_reads_each_trace_to_the_end_before_it_takes_the_next():
     assert [opens.count(k) for k in range(4)] == [3, 3, 2, 2]
 
 
+def _counting_readers(raw, opens, chunk=None):
+    """Readers of the traces `raw` that note in `opens` each trace they open,
+    and yield it in chunks of `chunk` samples (one, if None)."""
+
+    def reader(k, v):
+        def read():
+            opens.append(k)
+            return iter(np.split(v, range(chunk, v.size, chunk)) if chunk else [v]), v.size, 5e8
+
+        return read
+
+    return [reader(k, v) for k, v in enumerate(raw)]
+
+
+def test_analyze_traces_checks_the_windows_before_the_squeezing_report_reads():
+    # shot-noise traces shorter than the window: the squeezing report raises
+    # before it reads either pair, so only pass 1 and the delay search open
+    # the traces
+    rng, opens = np.random.default_rng(27), []
+    raw = [rng.standard_normal(n) for n in (40_000, 40_000, 8_000, 8_000)]
+    with pytest.raises(InvalidArgumentError, match="window 2000 exceeds trace length"):
+        analyze_traces(_counting_readers(raw, opens, 4096), fraction=0.05, window=2000, max_delay=5)
+    assert [opens.count(k) for k in range(4)] == [2, 2, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "setting, says",
+    [
+        ({"fraction": 1.5}, "fraction must be in"),
+        ({"window": 2000.5}, "window must be an integer"),
+        ({"window": 0}, "window must be >= 2"),
+        ({"window": True}, "window must be an integer"),
+        ({"max_delay": 3.5}, "max_delay must be an integer"),
+        ({"max_delay": -1}, "max_delay must be >= 0"),
+    ],
+    ids=["fraction", "window-float", "window-0", "window-bool", "max_delay-float", "max_delay-negative"],
+)
+def test_a_bad_setting_opens_no_trace(setting, says):
+    opens = []
+    settings = {"fraction": 0.05, "window": 200, "max_delay": 3, **setting}
+    with pytest.raises(InvalidArgumentError, match=says):
+        analyze_traces(_counting_readers(_four_traces(), opens), **settings)
+    assert opens == []
+    if "fraction" not in setting:  # nor does the report of four series
+
+        def unreadable():
+            raise AssertionError("a series was read")
+
+        q = pipeline._Series(5000, unreadable)
+        with pytest.raises(InvalidArgumentError, match=says):
+            analysis_report(q, q, q, q, window=settings["window"], max_delay=settings["max_delay"])
+
+
 @pytest.mark.parametrize("split", [lambda v: [v], lambda v: [v, v[:0]]], ids=["one-chunk", "then-empty"])
 def test_analyze_traces_keeps_a_trace_that_one_chunk_completes(split):
     # pass 1 keeps the averages of a trace that one chunk completes, an empty
@@ -437,6 +490,10 @@ def test_delay_search_validation():
         delay_search(x, x, 60, 50)  # no windows left
     with pytest.raises(InvalidArgumentError):
         delay_search(x, x, -1, 10)
+    for max_delay, window in ((5.5, 10), (5, 10.5), (5, True), (np.float64(5), 10)):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            delay_search(x, x, max_delay, window)
+    assert delay_search(x, x, np.int64(5), np.int32(10))[0] == 0  # numpy integers are integers
 
 
 def test_align_index_arithmetic():
@@ -454,6 +511,9 @@ def test_align_index_arithmetic():
         align(a, b, delay=6, max_delay=5)
     with pytest.raises(InvalidArgumentError):
         align(a[:8], b[:8], delay=0, max_delay=4)
+    for delay, max_delay in ((1, 3.5), (1.0, 3)):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            align(a, b, delay=delay, max_delay=max_delay)
 
 
 # ---------------------------------------------------------- squeezing report
@@ -495,6 +555,18 @@ def test_squeezing_report_checks_a_window_longer_than_the_reference():
     s = rng.standard_normal(50)
     with pytest.raises(InvalidArgumentError):
         squeezing_report(q, q, s, s, window=80)
+
+
+@pytest.mark.parametrize(
+    "window, says", [(2000, "window 2000 exceeds trace length 1500"), (0, "window must be >= 2")]
+)
+def test_squeezing_report_checks_its_windows_before_it_reads(window, says):
+    def unreadable():
+        raise AssertionError("a pair was read")
+
+    q, s = pipeline._Series(5000, unreadable), pipeline._Series(1500, unreadable)
+    with pytest.raises(InvalidArgumentError, match=says):
+        squeezing_report(q, q, s, s, window=window)
 
 
 @pytest.mark.parametrize("window", [10_000, None])
@@ -543,6 +615,9 @@ def test_variance_vs_delay_bounds_checked():
         variance_vs_delay(a, a, 50, 10, [-11])
     with pytest.raises(InvalidArgumentError):
         variance_vs_delay(a, a, 50, 10, [])
+    for window, at_index, delays in ((50.5, 10, [0]), (50, 10.5, [0]), (50, 10, [0.5])):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            variance_vs_delay(a, a, window, at_index, delays)
 
 
 def test_dip_fwhm_triangle_is_exact():

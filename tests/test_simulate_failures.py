@@ -99,9 +99,10 @@ def test_a_failing_shot_noise_pair_keeps_the_signal_pair(tmp_path, monkeypatch):
 
 def test_an_unwritable_second_path_leaves_no_file_of_the_pair(tmp_path, capsys):
     (tmp_path / "signal_C45.f32").mkdir()  # the pair's second file cannot replace a directory
-    threads = threading.active_count()
-    raised = _within(60, lambda: cli.main(_simulate_args(tmp_path)))
-    assert isinstance(raised, OSError), raised
+    threads, codes = threading.active_count(), []
+    raised = _within(60, lambda: codes.append(cli.main(_simulate_args(tmp_path))))
+    assert raised is None and codes == [1], raised  # a diagnostic, not a traceback
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "IsADirectoryError"
     assert [p.name for p in tmp_path.iterdir()] == ["signal_C45.f32"]
     assert list((tmp_path / "signal_C45.f32").iterdir()) == []
     assert threading.active_count() == threads
