@@ -294,12 +294,11 @@ def test_meta_json_names_its_traces_relative_to_its_directory(capsys, tmp_path):
 def test_an_output_it_cannot_write_is_a_diagnostic(capsys, tmp_path, command):
     blocker = tmp_path / "a-file"
     blocker.write_text("")
-    argv = {
-        "expect": ["expect", "--scenario", "deployed", "--out", str(tmp_path / "missing" / "x.json")],
-        "simulate": ["simulate", "--scenario", "deployed", "--duration", "5e-5",
-                     "--out-dir", str(blocker / "run")],
-    }.get(command)
-    if argv is None:
+    if command == "expect":
+        argv = ["expect", "--scenario", "deployed", "--out", str(tmp_path / "missing" / "x.json")]
+    elif command == "simulate":
+        argv = ["simulate", "--scenario", "deployed", "--duration", "5e-5", "--out-dir", str(blocker / "run")]
+    else:
         sim = run_json(capsys, "simulate", "--scenario", write_scenario(tmp_path, minimal_scenario()),
                        "--out-dir", str(tmp_path / "run"))
         argv = [*_analyze_args(sim["files"]), "--series-out", str(tmp_path / "missing" / "s.csv")]
