@@ -6,10 +6,29 @@ Plain Python, so `sqzkit expect --out` writes its report without loading
 numpy; `traceio` writes every trace and series through here.
 """
 
+import errno
 import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
+
+
+def check_writable(path) -> None:
+    """OSError naming `path`, as given, unless a file can be written there:
+    its directory exists and may be written, and `path` is no directory.
+    A command that checks this before its work fails at once, naming the
+    user's path rather than the temp file the write would have opened."""
+    path = os.fspath(path)
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 @contextmanager

@@ -49,10 +49,12 @@ variance is used everywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._atomic import check_writable
 from ._kernels import _RUN, RollingVariance, check_int, prefix_sums
 from ._kernels import rolling_variance  # re-exported
 from .errors import DegenerateInputError, DimensionMismatchError, InvalidArgumentError
@@ -253,10 +255,13 @@ def _sum4(v: np.ndarray, out: np.ndarray) -> None:
 
 def _check_settings(window=None, max_delay=0, fraction=0.0) -> None:
     """InvalidArgumentError unless `window` is None or an integer >= 2,
-    `max_delay` an integer >= 0 and `fraction` in [0, 1)."""
+    `max_delay` an integer >= 0 and `fraction` a real number (not a bool)
+    in [0, 1)."""
     if window is not None:
         check_int(window, "window", 2)
     check_int(max_delay, "max_delay", 0)
+    if isinstance(fraction, bool) or not isinstance(fraction, numbers.Real):
+        raise InvalidArgumentError(f"fraction must be a real number, got {fraction!r}")
     if not 0.0 <= fraction < 1.0:
         raise InvalidArgumentError("fraction must be in [0, 1)")
 
@@ -846,13 +851,17 @@ def analyze_traces(
     samples, or `default_window` of the aligned span for a full window.
 
     A bad setting, checked before any trace is opened, or `traces` or
-    `names` not of four items raises InvalidArgumentError.  A fault in
+    `names` not of four items raises InvalidArgumentError.  A `series_out`
+    that cannot be written (`_atomic.check_writable`) raises OSError naming
+    it, also before any trace is opened.  A fault in
     trace k raises ScenarioFormatError naming ``names[k]``.  Of one trace's
     faults, what its chunks raise comes first (such as a non-finite sample),
     then its rate, its length, and last what stops its reduction, so a trace
     that cannot be reduced is still read to the end.
     """
     _check_settings(window, max_delay, fraction)
+    if series_out is not None:
+        check_writable(series_out)
     names = list(names or ("signal 1", "signal 2", "shot noise 1", "shot noise 2"))
     series, rate = _calibrated(traces, fraction, names)
     if series_out is not None and len(series[2]) != len(series[0]):

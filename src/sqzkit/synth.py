@@ -31,9 +31,11 @@ with channel 1's normals, which channel 1's thread passes on in two slots,
 block k in slot k % 2, with two semaphores to order them; each thread
 computes the mixing factors of every other block, channel 2 its cov in its
 spectrum before the forward FFT, so the mixing allocates nothing per
-block.  Phase models that draw from a random stream take their angles over
-the whole grid on the calling thread first, so their draw order does not
-depend on the blocks.
+block.  Steady phases (constant, without jitter) are mixed with one pair
+of factors, computed once on the calling thread, so a slot holds only
+channel 1's share of the mixed block.  Phase models that draw from a
+random stream take their angles over the whole grid on the calling thread
+first, so their draw order does not depend on the blocks.
 """
 
 from __future__ import annotations
@@ -171,6 +173,11 @@ def _draws(phase: PhaseModel) -> bool:
     return phase.kind == "noise_injected" or phase.transient_jitter_rms > 0
 
 
+def _steady(phase: PhaseModel) -> bool:
+    """Whether `phase.angles` is the offset at every time, drawing nothing."""
+    return phase.kind == "constant" and phase.transient_jitter_rms == 0
+
+
 def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, dict]:
     """Hand each channel's n volts to its sink, as `stream_pair` describes;
     returns the two channels' meta."""
@@ -216,17 +223,23 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
     # x2 = sqrt(max(v2 - cov^2 / v1, 0)) * g2 + (cov / sd1) * g1.  Channel 1
     # passes g1 on in one of two slots, with the two factors of every other
     # block computed; channel 2 computes those of the rest, and applies them.
+    # Steady phases give every sample the same two factors: they are computed
+    # once, here, and channel 1 passes on (cov / sd1) * g1 alone.
     mixing = cross != 0.0
+    steady = mixing and _steady(phase_b) and _steady(phase_c)
 
     # Every buffer the mixing fills is allocated here, on the calling thread
     # (see `_kernels`).  iota holds a block's sample offsets 0, 1, ... as
     # floats: plus the block's first grid index, over fs, they are its times,
-    # exactly as (np.arange(lo, hi) - pad // 2) / fs.
-    iota = np.arange(size, dtype=float) if mixing and theta is None else None
+    # exactly as (np.arange(lo, hi) - pad // 2) / fs.  Steady factors take
+    # one sample's.
+    iota = np.arange(1 if steady else size, dtype=float) if mixing and theta is None else None
 
     def factors(root, cov, lo, hi):
         """root = sqrt(max(v2 - cov^2 / v1, 0)), and cov / sd1, with
-        cov = cross * cos(theta_b + theta_c) over grid samples [lo, hi)."""
+        cov = cross * cos(theta_b + theta_c) over grid samples [lo, hi);
+        for steady phases, over sample 0 alone, whose two factors are every
+        sample's."""
         if theta is None:
             t = root  # the time grid, until root is computed
             np.add(iota[: hi - lo], lo - pad // 2, out=t)
@@ -248,7 +261,12 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
     # waits on `free` before it fills a slot and releases `full`, channel 2
     # waits on `full` before it mixes and releases `free` (Dijkstra's bounded
     # buffer, EWD 123).  Channel 2 computes its cov in its spare buffer.
-    slots = [(np.empty(size), np.empty(size)) for _ in range(2 if mixing else 0)]
+    # Steady phases share one 1-element root, and c = cov / sd1, between the
+    # slots, and broadcast them over every block.
+    if steady:
+        root, c = np.empty(1), np.empty(1)
+        factors(root, c, 0, 1)
+    slots = [(root if steady else np.empty(size), np.empty(size)) for _ in range(2 if mixing else 0)]
     free, full = threading.Semaphore(len(slots)), threading.Semaphore(0)
     failed = False
 
@@ -259,7 +277,9 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
                 return False
             k = lo // step % 2
             root, term = (a[: hi - lo] for a in slots[k])
-            if k == 0:
+            if steady:
+                np.multiply(g, c, out=term)  # a product commutes exactly
+            elif k == 0:
                 factors(root, term, lo, hi)
                 term *= g  # (cov / sd1) * g1: a product commutes exactly
             else:
@@ -279,7 +299,7 @@ def _synthesize(config: SynthConfig, family: int, sink1, sink2) -> tuple[dict, d
             return False
         k = lo // step % 2
         root, term = (a[: hi - lo] for a in slots[k])
-        if k == 1:
+        if k == 1 and not steady:
             cov = spare[: hi - lo]
             factors(root, cov, lo, hi)
             term *= cov  # g1 * (cov / sd1)

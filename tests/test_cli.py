@@ -309,6 +309,20 @@ def test_an_output_it_cannot_write_is_a_diagnostic(capsys, tmp_path, command):
     assert not (tmp_path / "missing").exists() and blocker.read_text() == ""
 
 
+def test_analyze_names_the_series_file_it_cannot_write_before_it_reads(capsys, tmp_path, monkeypatch):
+    # the path as given, relative, not the temp file a write would open;
+    # and before the first read, so traces that do not exist are not reached
+    monkeypatch.chdir(tmp_path)
+    files = {stem: str(tmp_path / "none" / f"{stem}.f32") for stem in
+             ("signal_C43", "signal_C45", "shot_noise_C43", "shot_noise_C45")}
+    code, out, err = run_cli(capsys, *_analyze_args(files), "--series-out", "missing/s.csv")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "FileNotFoundError", "message": "[Errno 2] No such file or directory: 'missing/s.csv'"
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_series_out_and_window_flag(capsys, tmp_path):
     doc = minimal_scenario(synthesis={"duration": 2e-4, "rng_seed": 2})
     scen = write_scenario(tmp_path, doc)

@@ -240,13 +240,19 @@ def test_analyze_traces_checks_the_windows_before_the_squeezing_report_reads():
     "setting, says",
     [
         ({"fraction": 1.5}, "fraction must be in"),
+        ({"fraction": "0.05"}, "fraction must be a real number, got '0.05'"),
+        ({"fraction": None}, "fraction must be a real number, got None"),
+        ({"fraction": False}, "fraction must be a real number, got False"),
         ({"window": 2000.5}, "window must be an integer"),
         ({"window": 0}, "window must be >= 2"),
         ({"window": True}, "window must be an integer"),
         ({"max_delay": 3.5}, "max_delay must be an integer"),
         ({"max_delay": -1}, "max_delay must be >= 0"),
     ],
-    ids=["fraction", "window-float", "window-0", "window-bool", "max_delay-float", "max_delay-negative"],
+    ids=[
+        "fraction", "fraction-str", "fraction-none", "fraction-bool", "window-float", "window-0",
+        "window-bool", "max_delay-float", "max_delay-negative",
+    ],
 )
 def test_a_bad_setting_opens_no_trace(setting, says):
     opens = []
@@ -254,7 +260,10 @@ def test_a_bad_setting_opens_no_trace(setting, says):
     with pytest.raises(InvalidArgumentError, match=says):
         analyze_traces(_counting_readers(_four_traces(), opens), **settings)
     assert opens == []
-    if "fraction" not in setting:  # nor does the report of four series
+    if "fraction" in setting:  # nor does the one reduction of an array
+        with pytest.raises(InvalidArgumentError, match=says):
+            discard_average4(np.zeros(100), setting["fraction"])
+    else:  # nor does the report of four series
 
         def unreadable():
             raise AssertionError("a series was read")
@@ -262,6 +271,19 @@ def test_a_bad_setting_opens_no_trace(setting, says):
         q = pipeline._Series(5000, unreadable)
         with pytest.raises(InvalidArgumentError, match=says):
             analysis_report(q, q, q, q, window=settings["window"], max_delay=settings["max_delay"])
+
+
+@pytest.mark.parametrize("where", ["missing/s.csv", "file/s.csv", "."])
+def test_a_series_file_that_cannot_be_written_opens_no_trace(tmp_path, monkeypatch, where):
+    # a missing directory, a file in its place, or a directory as the path:
+    # the error names the path as given, before any trace is opened
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    opens = []
+    with pytest.raises(OSError, match=f": {re.escape(repr(where))}$"):
+        _analyze(_counting_readers(_four_traces(), opens), series_out=where)
+    assert opens == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 @pytest.mark.parametrize("split", [lambda v: [v], lambda v: [v, v[:0]]], ids=["one-chunk", "then-empty"])

@@ -630,12 +630,14 @@ def test_monitor_is_shared_and_read_only():
     assert signal_trace.monitor.shape == (cfg.n_samples,)
 
 
-@pytest.mark.parametrize("scenario", ["reference", "deployed"])
+@pytest.mark.parametrize("scenario", ["reference", "deployed", "spools5km"])
 def test_mixing_allocates_nothing_per_block(scenario):
     # Channel 2's mixing fills buffers the calling thread allocates once:
     # the two slots of two blocks and the block's sample offsets; its cov
-    # block is its spent spectrum.  Per-block temporaries, several block
-    # buffers on each thread, would show in the peak.  The shot noise does
+    # block is its spent spectrum.  Steady phases (deployed, spools5km) take
+    # one pair of factors for every block, so their slots hold only the two
+    # terms.  Per-block temporaries, several block buffers on each thread,
+    # would show in the peak.  The shot noise does
     # not mix: each channel holds its filter's input, which the inverse FFT
     # overwrites, the input it carries to the next block and the spectrum,
     # which takes the electronics noise, and nothing more; an output or a
@@ -656,7 +658,29 @@ def test_mixing_allocates_nothing_per_block(scenario):
     shot = peak(synth.stream_shot_noise)
     assert shot < 2 * (2 * block + carry) + 64 * 1024, shot / 2**20  # 2.27 MiB
     mixing = peak(synth.stream_pair) - shot
-    assert mixing < 6 * block, mixing / block  # 2.5 MiB: four slot arrays and iota
+    if scenario == "reference":  # a swept phase: four slot arrays and iota, 2.5 MiB
+        assert mixing < 6 * block, mixing / block
+    else:  # two terms, 1.0 MiB
+        assert mixing < 2.5 * block, mixing / block
+
+
+def test_steady_phases_are_evaluated_once_whatever_the_blocks(monkeypatch):
+    # both phases constant, without jitter: one pair of factors, computed
+    # from one evaluation of each phase, serves every block
+    calls = []
+    angles = synth.PhaseModel.angles
+
+    def counted(self, t, rng, out=None):
+        calls.append(t.size)
+        return angles(self, t, rng, out=out)
+
+    monkeypatch.setattr(synth.PhaseModel, "angles", counted)
+    scenario = cli.load_scenario("deployed")
+    for duration in (2e-4, 1e-3):  # 2 and 11 blocks
+        calls.clear()
+        cfg = cli.scenario_synth_config(scenario, duration=duration)
+        synth.stream_pair(cfg, lambda b: None, lambda b: None)
+        assert calls == [1, 1], (duration, calls)
 
 
 @pytest.mark.parametrize("stream", [synth.stream_pair, synth.stream_shot_noise])
